@@ -202,6 +202,12 @@ def named_group(ident: str) -> FiniteGroup:
     raise InputFormatError(f"unknown catalog id {ident!r}")
 
 
+def _within_cap(g, ident, order_cap):
+    if g.order > order_cap:
+        raise OutOfScaleError(ident, f"order {g.order} exceeds cap {order_cap}")
+    return g
+
+
 def group_from_json(obj, *, order_cap=10000) -> FiniteGroup:
     """Build a group from its JSON reference.
 
@@ -210,16 +216,14 @@ def group_from_json(obj, *, order_cap=10000) -> FiniteGroup:
     string.
     """
     if isinstance(obj, str):
-        return named_group(obj)
+        return _within_cap(named_group(obj), obj, order_cap)
     if not isinstance(obj, dict):
         raise InputFormatError("group reference must be a string or an object")
     if "named" in obj:
-        return named_group(obj["named"])
+        return _within_cap(named_group(obj["named"]), obj["named"], order_cap)
     if "cayley" in obj:
         g = FiniteGroup.from_table(obj["cayley"], name="cayley-input")
-        if g.order > order_cap:
-            raise OutOfScaleError("cayley-input", f"order {g.order} exceeds cap {order_cap}")
-        return g
+        return _within_cap(g, "cayley-input", order_cap)
     if "permutations" in obj:
         spec = obj["permutations"]
         if not isinstance(spec, dict) or "degree" not in spec or "generators" not in spec:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import constructions as cons
 from . import enumeration as enum_mod
-from .catalog import group_from_json, named_group
+from .catalog import group_from_json
 from .errors import (GraphConditionError, InputFormatError, OutOfScaleError,
                      PropertyFailure, ResourceCapError)
 from .maps import GroupMap
@@ -228,7 +228,7 @@ def cmd_table2(args, cfg):
     for q in args.q:
         ident = f"psl2:{q}"
         try:
-            G = named_group(ident)
+            G = group_from_json(ident, order_cap=cfg.cap_order)
         except OutOfScaleError as exc:
             rows.append(exc.report_entry())
             continue

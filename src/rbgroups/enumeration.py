@@ -470,7 +470,8 @@ def nonsplitting_obstruction(G, *, subs=None, strict=None) -> ObstructionReport:
     with isomorphic quotients.  For simple non-abelian G the kernel on
     the A side is additionally proper and nontrivial (strict mode).  An
     empty survivor list proves nonexistence; survivors are candidates
-    only, never existence proofs.
+    only, never existence proofs.  Kernel candidates are read off one
+    subgroup containment matrix, in ascending subgroup id.
     """
     n = G.order
     if subs is None:
@@ -482,6 +483,7 @@ def nonsplitting_obstruction(G, *, subs=None, strict=None) -> ObstructionReport:
     inter = np.rint(M @ M.T).astype(np.int64)
     orders = np.array([s.order for s in subs], dtype=np.int64)
     cover = (orders[:, None] * orders[None, :]) == n * inter
+    contained = inter == orders[:, None]    # contained[i, j]: subs[i] <= subs[j]
     survivors = []
     reasons = {}
 
@@ -490,6 +492,7 @@ def nonsplitting_obstruction(G, *, subs=None, strict=None) -> ObstructionReport:
         reasons[key] = reasons.get(key, 0) + 1
 
     qfp_cache = {}
+    normal_cache = {}
 
     def quotient_fp(big_idx, small_idx):
         key = (big_idx, small_idx)
@@ -498,7 +501,18 @@ def nonsplitting_obstruction(G, *, subs=None, strict=None) -> ObstructionReport:
         return qfp_cache[key]
 
     def normal_inside(n_idx, a_idx):
-        return is_normal(G, subs[n_idx], within=subs[a_idx])
+        key = (n_idx, a_idx)
+        if key not in normal_cache:
+            normal_cache[key] = is_normal(G, subs[n_idx], within=subs[a_idx])
+        return normal_cache[key]
+
+    def kernels(big_idx, r, proper=False):
+        """Ids of the normal subgroups of index r in subs[big_idx]."""
+        big_ord = orders[big_idx]
+        mask = contained[:, big_idx] & (orders * r == big_ord)
+        if proper:
+            mask &= (orders > 1) & (orders < big_ord)
+        return [i for i in np.flatnonzero(mask).tolist() if normal_inside(i, big_idx)]
 
     covering = np.argwhere(cover)
     for a_idx, c_idx in covering:
@@ -508,17 +522,11 @@ def nonsplitting_obstruction(G, *, subs=None, strict=None) -> ObstructionReport:
             note(a_idx, c_idx, r, "intersection trivial (splitting regime)")
             continue
         a_ord, c_ord = int(orders[a_idx]), int(orders[c_idx])
-        n_cands = [i for i in range(S)
-                   if inter[i, a_idx] == orders[i] and a_ord == r * orders[i]]
-        if strict:
-            n_cands = [i for i in n_cands if 1 < orders[i] < a_ord]
-        n_cands = [i for i in n_cands if normal_inside(i, a_idx)]
+        n_cands = kernels(a_idx, r, proper=strict)
         if not n_cands:
             note(a_idx, c_idx, r, "no admissible kernel on the A side")
             continue
-        m_cands = [i for i in range(S)
-                   if inter[i, c_idx] == orders[i] and c_ord == r * orders[i]
-                   and normal_inside(i, c_idx)]
+        m_cands = kernels(c_idx, r)
         if not m_cands:
             note(a_idx, c_idx, r, "no admissible kernel on the C side")
             continue

@@ -434,15 +434,15 @@ def quotient_with_projection(H: Subgroup, N: Subgroup):
 def is_simple(G, method="auto"):
     """No proper nontrivial normal subgroup.
 
-    ``classes`` checks that every nontrivial conjugacy class has full
-    normal closure (cheap); ``lattice`` scans all subgroups for
-    normality.
+    ``classes`` (the ``auto`` choice) checks that every nontrivial
+    conjugacy class has full normal closure; this suffices because every
+    nontrivial normal subgroup contains a nontrivial class.  ``lattice``
+    scans all subgroups for normality and is kept as an independent
+    oracle.
     """
     if G.order == 1:
         return False
-    if method == "auto":
-        method = "lattice" if G.order <= 660 else "classes"
-    if method == "classes":
+    if method in ("auto", "classes"):
         for c in G.conjugacy_classes():
             if len(c) == 1 and c[0] == 0:
                 continue

@@ -43,6 +43,16 @@ def test_is_simple_small(ident, simple):
     assert rb.is_simple(rb.named_group(ident)) is simple
 
 
+@pytest.mark.parametrize("ident", [
+    *(f"psl2:{q}" for q in (4, 5, 7, 8, 9, 11, 13)),
+    "cyclic:7", "cyclic:6", "alternating:5", "symmetric:4", "paper16",
+    "alternating:4",
+])
+def test_is_simple_classes_matches_lattice_oracle(ident):
+    G = rb.named_group(ident)
+    assert rb.is_simple(G, method="classes") == rb.is_simple(G, method="lattice")
+
+
 def test_exceptional_isomorphisms():
     a5 = rb.named_group("alternating:5")
     assert rb.is_isomorphic(rb.named_group("psl2:4"), a5)

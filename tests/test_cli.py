@@ -137,6 +137,13 @@ def test_table2_out_of_scale_row():
     assert row["order"] == 102660
 
 
+def test_table2_cap_order_row():
+    code, payload = run_json("table2", "--q", "7", "--cap-order", "10")
+    assert code == 0
+    assert payload["rows"] == [{"id": "psl2:7", "status": "out of desk scale",
+                                "reason": "order 168 exceeds cap 10"}]
+
+
 def test_table2_invalid_q_reports_error_row():
     code, payload = run_json("table2", "--q", "6", "7")
     assert code == 2                      # at least one row failed on input
@@ -156,6 +163,13 @@ def test_obstruct_nonempty_exits_one():
     code, payload = run_json("obstruct-nonsplitting", "paper16")
     assert code == 1
     assert payload["survivors"]
+
+
+@pytest.mark.parametrize("ref", ["cyclic:12", '{"named": "cyclic:12"}'])
+def test_cap_order_applies_to_catalog_ids(ref):
+    code, payload = run_json("obstruct-nonsplitting", ref, "--cap-order", "10")
+    assert code == 3
+    assert payload["entry"]["reason"] == "order 12 exceeds cap 10"
 
 
 def test_out_of_scale_exit_code():

@@ -209,6 +209,69 @@ def test_obstruction_nonempty_where_nonsplitting_exists():
     assert rep.survivors
 
 
+def _reason_totals(rep):
+    totals = {}
+    for row in rep.eliminated:
+        totals[row["reason"]] = totals.get(row["reason"], 0) + row["count"]
+    return totals
+
+
+TRIVIAL = "intersection trivial (splitting regime)"
+NO_A = "no admissible kernel on the A side"
+NO_C = "no admissible kernel on the C side"
+NO_Q = "no isomorphic quotient pair"
+
+# (catalog id, covering pairs, survivors, eliminated per reason), frozen
+# from the list-comprehension scan that preceded the containment matrix
+OBSTRUCTION_GOLDEN = [
+    ("symmetric:5", 1103, 231, {TRIVIAL: 322, NO_A: 296, NO_C: 254}),
+    ("symmetric:6", 13431, 2311, {TRIVIAL: 1982, NO_A: 5945, NO_C: 3193}),
+    ("psl2:11", 4935, 0, {TRIVIAL: 3170, NO_A: 1501, NO_C: 264}),
+    ("paper16", 147, 87, {TRIVIAL: 58, NO_Q: 2}),
+]
+
+
+@pytest.mark.parametrize("ident,covering,survivors,eliminated", OBSTRUCTION_GOLDEN)
+def test_obstruction_golden_counts(ident, covering, survivors, eliminated):
+    rep = rb.nonsplitting_obstruction(rb.named_group(ident))
+    assert rep.covering_pairs == covering
+    assert len(rep.survivors) == survivors
+    assert _reason_totals(rep) == eliminated
+
+
+# paper16 survivors in scan order, run-length encoded as
+# ((a_order, c_order, r, n_order, m_order), repeats)
+PAPER16_SURVIVORS = [
+    ((2, 16, 2, 1, 8), 7), ((4, 8, 2, 2, 4), 2), ((4, 16, 4, 1, 4), 2),
+    *[((4, 8, 2, 2, 4), 2), ((4, 16, 4, 1, 4), 1)] * 9,
+    ((8, 4, 2, 4, 2), 8), ((8, 8, 4, 2, 2), 2), ((8, 16, 8, 1, 2), 1),
+    ((8, 4, 2, 4, 2), 4), ((8, 8, 4, 2, 2), 2), ((8, 4, 2, 4, 2), 8),
+    ((8, 8, 4, 2, 2), 2), ((8, 16, 8, 1, 2), 1), ((16, 2, 2, 8, 1), 7),
+    ((16, 4, 4, 4, 1), 11), ((16, 8, 8, 2, 1), 2), ((16, 16, 16, 1, 1), 1),
+]
+
+
+def test_obstruction_golden_paper16_survivors():
+    rep = rb.nonsplitting_obstruction(rb.named_group("paper16"))
+    keys = ("a_order", "c_order", "r", "n_order", "m_order")
+    expected = [dict(zip(keys, row)) for row, k in PAPER16_SURVIVORS for _ in range(k)]
+    assert rep.survivors == expected
+
+
+@pytest.mark.parametrize("ident", ["symmetric:5", "psl2:7"])
+def test_obstruction_with_given_subgroups_never_rebuilds_lattice(ident, monkeypatch):
+    G = rb.named_group(ident)
+    subs = rb.all_subgroups(G)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("subgroup lattice rebuilt")
+
+    monkeypatch.setattr("rbgroups.subgroups.all_subgroups", forbidden)
+    monkeypatch.setattr("rbgroups.enumeration.all_subgroups", forbidden)
+    rep = rb.nonsplitting_obstruction(G, subs=subs)
+    assert rep.pairs_scanned == len(subs) ** 2
+
+
 def test_orbit_size_counts_distinct_graphs():
     G = rb.named_group("cyclic:6")
     ops = rb.enumerate_rb(G)
