@@ -1,9 +1,10 @@
 """Rota-Baxter operators of weight 1 on finite groups.
 
 A small computational toolkit: finite groups as integer-indexed Cayley
-tables or permutation groups, subgroup lattices, automorphisms, operator
-verification and construction, exhaustive enumeration on small groups,
-equivalence orbits, and the splitting classification pipeline.
+tables (given directly or closed from permutation generators), subgroup
+lattices, automorphisms, operator verification and construction,
+exhaustive enumeration on small groups, equivalence orbits, and the
+splitting classification pipeline.
 """
 
 __version__ = "0.1.0"

@@ -22,9 +22,8 @@ import itertools
 import numpy as np
 
 from .errors import ResourceCapError
-from .groups import FiniteGroup
+from .groups import _closure_members
 from .maps import GroupMap, inner_automorphism
-from .subgroups import _closure_members
 
 
 def extend_by_generator_images(G, H, srcs, imgs):
@@ -72,11 +71,6 @@ def class_fingerprints(G):
             nxt.append((fps[i], powers))
         fps = nxt
     return classes, cid, fps
-
-
-def _candidates_by_fingerprint(G, fps_by_elem, g):
-    want = fps_by_elem[g]
-    return [x for x in range(1, G.order) if fps_by_elem[x] == want]
 
 
 def _elem_fps(G):
@@ -172,24 +166,34 @@ def _aut_via_stabilizer(G, node_budget):
     return auts
 
 
-def _aut_by_backtracking(G, node_budget):
-    gens = G.find_generating_set()
+def _bijections_by_images(G, H, gens, node_budget, what):
+    """Yield (choice, images) for every isomorphism G -> H that sends
+    ``gens`` to ``choice``, trying elements of matching class
+    fingerprint in order.  Before searching, refuses more than 4
+    generators and a candidate space whose edge checks would exceed
+    ``node_budget``."""
     if len(gens) > 4:
-        raise ResourceCapError("more than 4 generators; automorphism search refused")
-    elem_fps = _elem_fps(G)
-    cand_lists = [_candidates_by_fingerprint(G, elem_fps, g) for g in gens]
+        raise ResourceCapError(f"more than 4 generators; {what} search refused")
+    fps_G = _elem_fps(G)
+    fps_H = fps_G if H is G else _elem_fps(H)
+    cand_lists = [[x for x in range(1, H.order) if fps_H[x] == fps_G[g]]
+                  for g in gens]
     total = 1
     for c in cand_lists:
         total *= max(1, len(c))
     if total * G.order * len(gens) > node_budget:
-        raise ResourceCapError("automorphism search exceeds the node budget")
-    gen_tuples = {tuple(int(G.conjugate(g, t)) for g in gens) for t in range(G.order)}
-    auts = []
+        raise ResourceCapError(f"{what} search exceeds the node budget")
     for choice in itertools.product(*cand_lists):
-        img = extend_by_generator_images(G, G, gens, choice)
+        img = extend_by_generator_images(G, H, gens, choice)
         if img is not None and np.unique(img).size == G.order:
-            auts.append(GroupMap(G, G, img, inner=tuple(choice) in gen_tuples))
-    return auts
+            yield choice, img
+
+
+def _aut_by_backtracking(G, node_budget):
+    gens = G.find_generating_set()
+    found = list(_bijections_by_images(G, G, gens, node_budget, "automorphism"))
+    gen_tuples = {tuple(int(G.conjugate(g, t)) for g in gens) for t in range(G.order)}
+    return [GroupMap(G, G, img, inner=choice in gen_tuples) for choice, img in found]
 
 
 def automorphism_group(G, *, node_budget=10 ** 8):
@@ -227,39 +231,9 @@ def aut_generators(G, *, node_budget=10 ** 8):
     return list(out.values())
 
 
-def is_isomorphic(G, H, *, node_budget=10 ** 8):
-    """Explicit isomorphism search by generator-image backtracking."""
-    if G.order != H.order:
-        return False
-    if G.fingerprint() != H.fingerprint():
-        return False
-    gens = G.find_generating_set()
-    if len(gens) > 2 and not G.is_abelian():
-        pair = _generating_pair(G)
-        if pair is not None:
-            gens = pair
-    if len(gens) > 4:
-        raise ResourceCapError("more than 4 generators; isomorphism search refused")
-    fps_G = _elem_fps(G)
-    fps_H = _elem_fps(H)
-    cand_lists = []
-    for g in gens:
-        want = fps_G[g]
-        cand_lists.append([x for x in range(1, H.order) if fps_H[x] == want])
-    total = 1
-    for c in cand_lists:
-        total *= max(1, len(c))
-    if total * G.order * len(gens) > node_budget:
-        raise ResourceCapError("isomorphism search exceeds the node budget")
-    for choice in itertools.product(*cand_lists):
-        img = extend_by_generator_images(G, H, gens, choice)
-        if img is not None and np.unique(img).size == G.order:
-            return True
-    return False
-
-
 def find_isomorphism(G, H, *, node_budget=10 ** 8):
-    """Like is_isomorphic but returns the GroupMap (or None)."""
+    """An isomorphism G -> H as a GroupMap, or None, by generator-image
+    backtracking; ResourceCapError when the search is refused."""
     if G.order != H.order or G.fingerprint() != H.fingerprint():
         return None
     gens = G.find_generating_set()
@@ -267,14 +241,11 @@ def find_isomorphism(G, H, *, node_budget=10 ** 8):
         pair = _generating_pair(G)
         if pair is not None:
             gens = pair
-    fps_G = _elem_fps(G)
-    fps_H = _elem_fps(H)
-    cand_lists = []
-    for g in gens:
-        want = fps_G[g]
-        cand_lists.append([x for x in range(1, H.order) if fps_H[x] == want])
-    for choice in itertools.product(*cand_lists):
-        img = extend_by_generator_images(G, H, gens, choice)
-        if img is not None and np.unique(img).size == G.order:
-            return GroupMap(G, H, img)
+    for _, img in _bijections_by_images(G, H, gens, node_budget, "isomorphism"):
+        return GroupMap(G, H, img)
     return None
+
+
+def is_isomorphic(G, H, *, node_budget=10 ** 8):
+    """Whether find_isomorphism finds a map."""
+    return find_isomorphism(G, H, node_budget=node_budget) is not None

@@ -12,13 +12,13 @@ an error that carries an explicit "out of desk scale" report entry.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
-from .errors import InputFormatError, OutOfScaleError
+from .errors import InputFormatError, OutOfScaleError, ResourceCapError
 from .fields import field as _gf
-from .groups import FiniteGroup
+from .groups import MAX_DENSE_ORDER, FiniteGroup
 
 _PSL2_FIELDS = {4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2),
                 11: (11, 1), 13: (13, 1), 23: (23, 1)}
@@ -169,14 +169,42 @@ def out_of_scale_entry(ident):
     return exc.report_entry() if exc is not None else None
 
 
-def named_group(ident: str) -> FiniteGroup:
-    """Resolve a catalog id to a group; see the module docstring for the grammar."""
-    ident = ident.strip().lower()
+def _id_order(parts):
+    """The order a cyclic, dihedral or abelian id names, or None."""
+    if parts[0] in ("cyclic", "dihedral") and len(parts) == 2:
+        return int(parts[1])
+    if parts[0] == "elemabelian" and len(parts) == 3:
+        # 2^64 is past every cap already; keeps p^m cheap for a huge m
+        return int(parts[1]) ** min(int(parts[2]), 64)
+    if parts[0] == "abelian" and len(parts) == 2:
+        return prod(int(d) for d in parts[1].split("x"))
+    return None
+
+
+def _within_cap(order, ident, order_cap):
+    if order_cap is not None and order > order_cap:
+        raise OutOfScaleError(ident, f"order {order} exceeds cap {order_cap}")
+
+
+def named_group(ident: str, *, order_cap=None) -> FiniteGroup:
+    """Resolve a catalog id to a group; see the module docstring for the grammar.
+
+    Cyclic, dihedral and abelian ids are refused from the id alone,
+    before their table is built: OutOfScaleError above ``order_cap``,
+    ResourceCapError above ``MAX_DENSE_ORDER``.
+    """
+    raw, ident = ident, ident.strip().lower()
     oos = _out_of_scale(ident)
     if oos is not None:
         raise oos
     parts = ident.split(":")
     try:
+        order = _id_order(parts)
+        if order is not None:
+            _within_cap(order, raw, order_cap)
+            if order > MAX_DENSE_ORDER:
+                raise ResourceCapError(
+                    f"{ident}: order {order} exceeds the dense table bound {MAX_DENSE_ORDER}")
         if parts[0] == "cyclic" and len(parts) == 2:
             return _cyclic(int(parts[1]))
         if parts[0] == "dihedral" and len(parts) == 2:
@@ -202,12 +230,6 @@ def named_group(ident: str) -> FiniteGroup:
     raise InputFormatError(f"unknown catalog id {ident!r}")
 
 
-def _within_cap(g, ident, order_cap):
-    if g.order > order_cap:
-        raise OutOfScaleError(ident, f"order {g.order} exceeds cap {order_cap}")
-    return g
-
-
 def group_from_json(obj, *, order_cap=10000) -> FiniteGroup:
     """Build a group from its JSON reference.
 
@@ -215,15 +237,17 @@ def group_from_json(obj, *, order_cap=10000) -> FiniteGroup:
     {"permutations": {"degree": d, "generators": [[...]]}} or a bare id
     string.
     """
-    if isinstance(obj, str):
-        return _within_cap(named_group(obj), obj, order_cap)
+    ident = obj.get("named") if isinstance(obj, dict) else obj
+    if isinstance(ident, str):
+        g = named_group(ident, order_cap=order_cap)
+        _within_cap(g.order, ident, order_cap)
+        return g
     if not isinstance(obj, dict):
         raise InputFormatError("group reference must be a string or an object")
-    if "named" in obj:
-        return _within_cap(named_group(obj["named"]), obj["named"], order_cap)
     if "cayley" in obj:
         g = FiniteGroup.from_table(obj["cayley"], name="cayley-input")
-        return _within_cap(g, "cayley-input", order_cap)
+        _within_cap(g.order, "cayley-input", order_cap)
+        return g
     if "permutations" in obj:
         spec = obj["permutations"]
         if not isinstance(spec, dict) or "degree" not in spec or "generators" not in spec:

@@ -298,11 +298,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--cap-order", type=int, default=10000)
         sp.add_argument("--cap-lattice", type=int, default=10000)
-        sp.add_argument("--cap-nodes", type=int, default=10 ** 8)
         sp.add_argument("--samples", type=int, default=10 ** 6)
         sp.add_argument("--out", default=None)
 
@@ -359,9 +357,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(threads=args.threads, seed=args.seed,
-                    cap_order=args.cap_order, cap_lattice=args.cap_lattice,
-                    cap_nodes=args.cap_nodes, sample_count=args.samples,
+    cfg = RunConfig(seed=args.seed, cap_order=args.cap_order,
+                    cap_lattice=args.cap_lattice, sample_count=args.samples,
                     out=args.out)
     try:
         return args.func(args, cfg)

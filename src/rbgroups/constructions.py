@@ -15,10 +15,11 @@ import numpy as np
 
 from .automorphisms import extend_by_generator_images
 from .errors import InputFormatError, PropertyFailure, ResourceCapError
+from .groups import _closure_members
 from .maps import GroupMap
 from .rb import RBOperator, btilde, make_rb, verify_rb
-from .subgroups import (Factorization, Subgroup, _closure_members, all_subgroups,
-                        closure, intersection, is_normal)
+from .subgroups import (Factorization, Subgroup, all_subgroups, closure,
+                        intersection, is_normal)
 
 
 def _decomposition_images(G, first: Subgroup, second: Subgroup, value_of_second):

@@ -1,23 +1,22 @@
-"""Finite groups on canonical 0-based element indices.
+"""Finite groups as dense Cayley tables on canonical 0-based indices.
 
 Elements of a group of order n are the integers 0..n-1 and index 0 is
-always the identity.  Two backends exist:
+always the identity.  Every group carries its full ``n x n``
+multiplication table, so orders are bounded by ``MAX_DENSE_ORDER``.
+Permutation generators are only a way to build a table:
+``from_permutations`` enumerates the closure breadth-first from the
+identity, which pins the element numbering, and refuses a closure past
+the bound before allocating anything.
 
-* a dense Cayley table (``n x n`` array), the default for n <= 10,000;
-* a permutation backend: generators act on a finite point set, elements
-  are discovered breadth-first from the identity and indexed through a
-  hash map keyed by the permutation bytes.
-
-The permutation backend promotes a dense row cache lazily when the table
-fits the memory budget; every higher-level algorithm talks to the
-vector accessors (``row``, ``col``, ``mul_block``, ``mul_vec``) and does
-not care which backend is underneath.
+Higher-level algorithms talk to the vector accessors (``row``, ``col``,
+``mul_block``, ``mul_vec``).  ``ProductGroup`` is the one group without
+a table: when G x G is too large for one it multiplies componentwise.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional, Sequence
+import math
 
 import numpy as np
 
@@ -27,6 +26,8 @@ Element = int
 
 #: memory budget for dense multiplication tables (2 bytes per entry)
 DENSE_CAP_BYTES = 200 * 1024 * 1024
+#: the largest order whose uint16 table fits DENSE_CAP_BYTES (10240)
+MAX_DENSE_ORDER = math.isqrt(DENSE_CAP_BYTES // 2)
 
 
 def _table_dtype(n):
@@ -36,24 +37,13 @@ def _table_dtype(n):
 class FiniteGroup:
     """A finite group with elements 0..n-1, identity 0."""
 
-    def __init__(self, *, name, table=None, perms=None, index=None,
-                 bfs_parent=None, bfs_gen=None, gens=(), inverse=None,
-                 dense_cap=DENSE_CAP_BYTES):
-        if table is None and perms is None:
-            raise InputFormatError("group needs a table or a permutation backend")
+    def __init__(self, *, name, table, gens=(), inverse=None):
         self.name = name
         self._table = table
-        self._perms = perms
-        self._index = index
-        self._bfs_parent = bfs_parent
-        self._bfs_gen = bfs_gen
-        self._dense_cap = dense_cap
-        self.order = int(table.shape[0] if table is not None else perms.shape[0])
         self.gens = tuple(int(g) for g in gens)
-        if inverse is not None:
-            self.inverse = inverse
-        else:
-            self.inverse = self._compute_inverse()
+        # g^-1 is the column of the identity in row g
+        self.inverse = np.argmin(table, axis=1) if inverse is None else inverse
+        self.order = int(self.inverse.size)
         self._orders = None
         self._classes = None
         self._class_of = None
@@ -87,58 +77,54 @@ class FiniteGroup:
 
     @classmethod
     def from_permutations(cls, degree, generators, name="perm-group",
-                          dense_cap=DENSE_CAP_BYTES, order_cap=10000):
+                          order_cap=10000):
         """Build a group generated by permutations of range(degree).
 
         Elements are enumerated breadth-first from the identity in
         generator order, which pins the element indexing.  Raises a
-        resource error if the closure exceeds ``order_cap``.
+        resource error as soon as the closure exceeds ``order_cap`` or
+        ``MAX_DENSE_ORDER``, before the table is allocated.
         """
         gens = [np.asarray(p) for p in generators]
         for p in gens:
             if p.shape != (degree,) or sorted(p.tolist()) != list(range(degree)):
                 raise InputFormatError("generator is not a permutation of range(degree)")
         dtype = np.int8 if degree <= 127 else np.int16
+        gens = [p.astype(dtype) for p in gens]
+        cap = min(order_cap, MAX_DENSE_ORDER)
         ident = np.arange(degree, dtype=dtype)
         index = {ident.tobytes(): 0}
         perms = [ident]
         parent = [0]
         via = [-1]
-        gen_idx = []
         queue = 0
         while queue < len(perms):
             cur = perms[queue]
             for gi, p in enumerate(gens):
                 # discover cur∘p (apply the generator first, then cur)
-                new = cur[p.astype(dtype)]
+                new = cur[p]
                 key = new.tobytes()
                 if key not in index:
                     index[key] = len(perms)
                     perms.append(new)
                     parent.append(queue)
                     via.append(gi)
-                    if len(perms) > order_cap:
+                    if len(perms) > cap:
                         raise ResourceCapError(
-                            f"permutation closure exceeds order cap {order_cap}")
+                            f"permutation closure exceeds order cap {cap}")
             queue += 1
+        n = len(perms)
         pm = np.array(perms, dtype=dtype)
-        gen_elems = tuple(index[np.asarray(p, dtype=dtype).tobytes()] for p in gens)
-        return cls(name=name, perms=pm, index=index,
-                   bfs_parent=np.array(parent), bfs_gen=np.array(via),
-                   gens=gen_elems, dense_cap=dense_cap)
-
-    def _compute_inverse(self):
-        n = self.order
-        if self._table is not None:
-            rows, cols = np.nonzero(self._table == 0)
-            inv = np.empty(n, dtype=np.int64)
-            inv[rows] = cols
-            return inv
-        # invert each permutation, then look it up
-        inv = np.empty(n, dtype=np.int64)
-        for g in range(n):
-            inv[g] = self._index[np.argsort(self._perms[g]).astype(self._perms.dtype).tobytes()]
-        return inv
+        # gen_rows[gi][h] = index of p∘h for the generator p = gens[gi]
+        gen_rows = [np.fromiter((index[c.tobytes()] for c in p[pm]), count=n,
+                                dtype=np.int64) for p in gens]
+        # g = parent∘p, so g∘h = parent∘(p∘h); BFS lists parents first
+        table = np.empty((n, n), dtype=_table_dtype(n))
+        table[0] = np.arange(n)
+        for g in range(1, n):
+            table[g] = table[parent[g]][gen_rows[via[g]]]
+        return cls(name=name, table=table,
+                   gens=tuple(index[p.tobytes()] for p in gens))
 
     # ------------------------------------------------------------------
     # scalar operations
@@ -151,10 +137,7 @@ class FiniteGroup:
         return range(self.order)
 
     def mul(self, g: Element, h: Element) -> Element:
-        if self._table is not None:
-            return int(self._table[g, h])
-        p = self._perms[g][self._perms[h]]
-        return self._index[p.tobytes()]
+        return int(self._table[g, h])
 
     def inv(self, g: Element) -> Element:
         return int(self.inverse[g])
@@ -184,73 +167,21 @@ class FiniteGroup:
     # ------------------------------------------------------------------
     # vector operations
 
-    def _ensure_dense(self):
-        if self._table is not None:
-            return True
-        n = self.order
-        if 2 * n * n > self._dense_cap:
-            return False
-        # rows follow the BFS tree: row(parent∘s) = row(parent)[row(s)]
-        table = np.empty((n, n), dtype=_table_dtype(n))
-        table[0] = np.arange(n)
-        gen_rows = {}
-        for ge in set(int(x) for x in self.gens):
-            pg = self._perms[ge]
-            comp = pg[self._perms]          # (n, d): ge∘h for every h... careful
-            # comp[h] = perms[ge][perms[h]] = ge∘h  -> that is row of ge
-            gen_rows[ge] = np.fromiter(
-                (self._index[comp[h].tobytes()] for h in range(n)),
-                count=n, dtype=np.int64)
-        # BFS appends children after parents, so filling in index order is safe
-        for g in range(1, n):
-            par = int(self._bfs_parent[g])
-            ge = int(self.gens[self._bfs_gen[g]])
-            # g = par∘ge, so g∘h = par∘(ge∘h)
-            table[g] = table[par][gen_rows[ge]]
-        self._table = table
-        return True
-
     def row(self, g: Element) -> np.ndarray:
         """Array r with r[h] = g*h for all h."""
-        if self._table is None and not self._ensure_dense():
-            pg = self._perms[g]
-            comp = pg[self._perms]
-            return np.fromiter((self._index[comp[h].tobytes()] for h in range(self.order)),
-                               count=self.order, dtype=np.int64)
         return self._table[g]
 
     def col(self, h: Element) -> np.ndarray:
         """Array c with c[g] = g*h for all g."""
-        if self._table is None and not self._ensure_dense():
-            ph = self._perms[h]
-            comp = self._perms[:, ph]       # comp[g] = perms[g][ph] = g∘h
-            return np.fromiter((self._index[comp[g].tobytes()] for g in range(self.order)),
-                               count=self.order, dtype=np.int64)
         return self._table[:, h]
 
     def mul_vec(self, a, b):
         """Elementwise products a[i]*b[i]."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if self._table is None and not self._ensure_dense():
-            out = np.empty(a.shape, dtype=np.int64)
-            flat_a, flat_b, flat_o = a.ravel(), b.ravel(), out.ravel()
-            for i in range(flat_a.size):
-                flat_o[i] = self.mul(int(flat_a[i]), int(flat_b[i]))
-            return out
-        return self._table[a, b].astype(np.int64)
+        return self._table[np.asarray(a), np.asarray(b)].astype(np.int64)
 
     def mul_block(self, A, B):
         """Outer product matrix M[i, j] = A[i]*B[j]."""
-        A = np.asarray(A)
-        B = np.asarray(B)
-        if self._table is None and not self._ensure_dense():
-            out = np.empty((A.size, B.size), dtype=np.int64)
-            for i, a in enumerate(A.ravel()):
-                r = self.row(int(a))
-                out[i] = r[B]
-            return out
-        return self._table[np.ix_(A, B)].astype(np.int64)
+        return self._table[np.ix_(np.asarray(A), np.asarray(B))].astype(np.int64)
 
     def pow_vec(self, elems, k):
         """Elementwise k-th powers."""
@@ -325,7 +256,7 @@ class FiniteGroup:
         return self._center
 
     def is_abelian(self) -> bool:
-        if self._table is not None and self.order <= 512:
+        if self.order <= 512:
             return bool((self._table == self._table.T).all())
         return len(self.center()) == self.order
 
@@ -350,15 +281,14 @@ class FiniteGroup:
 
     def check_axioms(self, rng_seed=0, sample=1000):
         n = self.order
-        if self._table is not None:
-            t = self._table
-            ar = np.arange(n)
-            if not ((np.sort(t, axis=1) == ar).all() and (np.sort(t, axis=0) == ar[:, None]).all()):
-                raise InputFormatError("table is not a Latin square")
-            if not ((t[0] == ar).all() and (t[:, 0] == ar).all()):
-                raise InputFormatError("index 0 is not the identity")
-        if n <= 64 and self._table is not None:
-            t = self._table.astype(np.int64)
+        t = self._table
+        ar = np.arange(n)
+        if not ((np.sort(t, axis=1) == ar).all() and (np.sort(t, axis=0) == ar[:, None]).all()):
+            raise InputFormatError("table is not a Latin square")
+        if not ((t[0] == ar).all() and (t[:, 0] == ar).all()):
+            raise InputFormatError("index 0 is not the identity")
+        if n <= 64:
+            t = t.astype(np.int64)
             for c in range(n):
                 if not (t[t, c] == t[:, t[:, c]]).all():
                     raise InputFormatError("multiplication is not associative")
@@ -383,7 +313,7 @@ class FiniteGroup:
             if got[g]:
                 continue
             gens.append(g)
-            got = _closure_mask(self, gens)
+            got[_closure_members(self, gens)] = True
             if got.all():
                 break
         self.gens = tuple(gens)
@@ -397,53 +327,56 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def _closure_mask(G, gens):
-    """Boolean membership mask of the subgroup generated by ``gens``."""
+def _closure_members(G, gens, bound=None):
+    """Members of <gens> as a sorted array, or None if the closure
+    exceeds ``bound``."""
     n = G.order
     mask = np.zeros(n, dtype=bool)
     mask[0] = True
-    frontier = np.unique([int(g) for g in gens if not mask[g]])
-    mask[frontier] = True
-    gen_arr = np.unique([int(g) for g in gens])
+    gen_arr = np.unique(np.asarray([int(g) for g in gens], dtype=np.int64)) \
+        if gens else np.empty(0, dtype=np.int64)
+    gen_arr = gen_arr[gen_arr != 0]
+    if gen_arr.size == 0:
+        return np.array([0], dtype=np.int64)
+    mask[gen_arr] = True
+    frontier = gen_arr
+    size = int(mask.sum())
     while frontier.size:
-        prod = G.mul_block(frontier, gen_arr).ravel()
-        prod = np.unique(prod)
+        prod = np.unique(G.mul_block(frontier, gen_arr).ravel())
         new = prod[~mask[prod]]
         mask[new] = True
+        size += new.size
+        if bound is not None and size > bound:
+            return None
         frontier = new
-    return mask
+    return np.nonzero(mask)[0].astype(np.int64)
 
 
 class ProductGroup(FiniteGroup):
-    """Direct product with pair encoding pair(a, b) = a * |right| + b."""
+    """Direct product with pair encoding pair(a, b) = a * |right| + b.
+
+    A product whose table fits 8 MiB carries one; a larger product has
+    no table and multiplies componentwise."""
 
     def __init__(self, left, right, pair_cap=10_000_000):
         n = left.order * right.order
-        self.left = left
-        self.right = right
         if n > pair_cap:
             raise ResourceCapError(
                 f"product order {n} exceeds the pair cap {pair_cap}")
-        self.name = f"{left.name} x {right.name}"
-        self.order = n
-        self._dense_cap = DENSE_CAP_BYTES
-        self._table = None
-        self._perms = None
-        self._index = None
+        self.left = left
+        self.right = right
         nr = right.order
-        self.inverse = (np.add.outer(left.inverse * nr, right.inverse)).ravel()
-        self.gens = tuple(int(g) * nr for g in left.find_generating_set()) + \
-            tuple(int(g) for g in right.find_generating_set())
-        self._orders = None
-        self._classes = None
-        self._class_of = None
-        self._center = None
+        table = None
         if 2 * n * n <= 8 * 1024 * 1024:
             tl = left.mul_block(np.arange(left.order), np.arange(left.order))
-            tr = right.mul_block(np.arange(right.order), np.arange(right.order))
-            big = (tl[:, None, :, None].astype(np.int64) * nr
-                   + tr[None, :, None, :]).reshape(n, n)
-            self._table = big.astype(_table_dtype(n))
+            tr = right.mul_block(np.arange(nr), np.arange(nr))
+            big = (tl[:, None, :, None] * nr + tr[None, :, None, :]).reshape(n, n)
+            table = big.astype(_table_dtype(n))
+        super().__init__(
+            name=f"{left.name} x {right.name}", table=table,
+            gens=tuple(int(g) * nr for g in left.find_generating_set())
+            + tuple(int(g) for g in right.find_generating_set()),
+            inverse=np.add.outer(left.inverse * nr, right.inverse).ravel())
 
     def pair(self, a: Element, b: Element) -> Element:
         return a * self.right.order + b
@@ -451,52 +384,37 @@ class ProductGroup(FiniteGroup):
     def unpair(self, p: Element):
         return divmod(p, self.right.order)
 
-    def _ensure_dense(self):
-        return self._table is not None
-
     def mul(self, g, h):
         if self._table is not None:
-            return int(self._table[g, h])
-        nr = self.right.order
-        a, b = divmod(g, nr)
-        c, d = divmod(h, nr)
-        return self.left.mul(a, c) * nr + self.right.mul(b, d)
+            return super().mul(g, h)
+        (a, b), (c, d) = self.unpair(g), self.unpair(h)
+        return self.pair(self.left.mul(a, c), self.right.mul(b, d))
 
     def row(self, g):
         if self._table is not None:
-            return self._table[g]
-        nr = self.right.order
-        a, b = divmod(int(g), nr)
-        return (np.add.outer(self.left.row(a).astype(np.int64) * nr,
-                             self.right.row(b))).ravel()
+            return super().row(g)
+        a, b = self.unpair(int(g))
+        return np.add.outer(self.left.row(a).astype(np.int64) * self.right.order,
+                            self.right.row(b)).ravel()
 
     def col(self, h):
         if self._table is not None:
-            return self._table[:, h]
-        nr = self.right.order
-        c, d = divmod(int(h), nr)
-        return (np.add.outer(self.left.col(c).astype(np.int64) * nr,
-                             self.right.col(d))).ravel()
+            return super().col(h)
+        c, d = self.unpair(int(h))
+        return np.add.outer(self.left.col(c).astype(np.int64) * self.right.order,
+                            self.right.col(d)).ravel()
 
     def mul_vec(self, a, b):
         if self._table is not None:
-            return self._table[a, b].astype(np.int64)
-        nr = self.right.order
-        a = np.asarray(a)
-        b = np.asarray(b)
-        al, ar = np.divmod(a, nr)
-        bl, br = np.divmod(b, nr)
-        return self.left.mul_vec(al, bl) * nr + self.right.mul_vec(ar, br)
+            return super().mul_vec(a, b)
+        (al, ar), (bl, br) = self.unpair(np.asarray(a)), self.unpair(np.asarray(b))
+        return self.pair(self.left.mul_vec(al, bl), self.right.mul_vec(ar, br))
 
     def mul_block(self, A, B):
         if self._table is not None:
-            return self._table[np.ix_(np.asarray(A), np.asarray(B))].astype(np.int64)
-        A = np.asarray(A)
-        B = np.asarray(B)
-        out = np.empty((A.size, B.size), dtype=np.int64)
-        for i, a in enumerate(A.ravel()):
-            out[i] = self.row(int(a))[B]
-        return out
+            return super().mul_block(A, B)
+        (al, ar), (bl, br) = self.unpair(np.asarray(A)), self.unpair(np.asarray(B))
+        return self.pair(self.left.mul_block(al, bl), self.right.mul_block(ar, br))
 
 
 def direct_square(G, pair_cap=10_000_000) -> ProductGroup:

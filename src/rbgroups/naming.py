@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import FiniteGroup
-from .subgroups import Subgroup, _closure_members
+from .groups import FiniteGroup, _closure_members
+from .subgroups import Subgroup
 
 _SA_FP_CACHE = {}
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .errors import PropertyFailure
-from .groups import FiniteGroup
-from .subgroups import Subgroup, _closure_members, is_normal, product_set
+from .groups import FiniteGroup, _closure_members
+from .subgroups import Subgroup, is_normal, product_set
 
 _FULL_VERIFY_CAP = 10000
 
@@ -80,6 +80,12 @@ def _images_of(G, op_or_images):
     return arr
 
 
+def _derived_row(G, B, g):
+    """The row h -> g B(g) h B(g)^-1 of the derived product."""
+    bg = int(B[g])
+    return G.col(G.inv(bg))[G.row(G.mul(g, bg))]
+
+
 def verify_rb(G, op, mode="auto", *, seed=0, samples=10 ** 6,
               want_witness=True) -> VerifyResult:
     """Check the defining identity.
@@ -97,13 +103,8 @@ def verify_rb(G, op, mode="auto", *, seed=0, samples=10 ** 6,
     if mode == "full":
         checked = 0
         for g in range(n):
-            bg = int(B[g])
-            ibg = G.inv(bg)
-            # g B(g) h B(g)^-1 for all h at once
-            a = G.mul(g, bg)
-            inner = G.mul_vec(G.row(a), np.full(n, ibg, dtype=np.int64))
-            lhs = G.row(bg)[B]
-            rhs = B[inner]
+            lhs = G.row(int(B[g]))[B]
+            rhs = B[_derived_row(G, B, g)]
             checked += n
             if not np.array_equal(lhs, rhs):
                 h = int(np.nonzero(lhs != rhs)[0][0])
@@ -198,13 +199,7 @@ def is_splitting(op: RBOperator) -> bool:
 def derived_group(op: RBOperator, *, validate=True) -> FiniteGroup:
     """(G, o) with g o h = g B(g) h B(g)^-1, built as a full table."""
     G = op.group
-    n = G.order
-    B = op.images
-    table = np.empty((n, n), dtype=np.int64)
-    for g in range(n):
-        bg = int(B[g])
-        a = G.mul(g, bg)
-        table[g] = G.mul_vec(G.row(a), np.full(n, G.inv(bg), dtype=np.int64))
+    table = np.array([_derived_row(G, op.images, g) for g in range(G.order)])
     return FiniteGroup.from_table(table, name=f"derived({G.name})", validate=validate)
 
 

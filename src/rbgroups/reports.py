@@ -1,8 +1,7 @@
 """Deterministic JSON report assembly for the command-line tools.
 
 Reports are byte-identical across runs with the same configuration: keys
-are sorted, no timestamps or machine identifiers are embedded, and the
-thread count only ever appears inside the echoed configuration block.
+are sorted and no timestamps or machine identifiers are embedded.
 """
 
 from __future__ import annotations
@@ -15,11 +14,9 @@ import numpy as np
 
 @dataclass
 class RunConfig:
-    threads: int = 1
     seed: int = 0
     cap_order: int = 10000
     cap_lattice: int = 10000
-    cap_nodes: int = 10 ** 8
     sample_count: int = 10 ** 6
     out: str | None = None
 

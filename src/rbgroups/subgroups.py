@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError, PropertyFailure, ResourceCapError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _closure_members
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -106,31 +106,6 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name})"
-
-
-def _closure_members(G, gens, bound=None):
-    """Members of <gens> as a sorted array, or None if the closure
-    exceeds ``bound``."""
-    n = G.order
-    mask = np.zeros(n, dtype=bool)
-    mask[0] = True
-    gen_arr = np.unique(np.asarray([int(g) for g in gens], dtype=np.int64)) \
-        if gens else np.empty(0, dtype=np.int64)
-    gen_arr = gen_arr[gen_arr != 0]
-    if gen_arr.size == 0:
-        return np.array([0], dtype=np.int64)
-    mask[gen_arr] = True
-    frontier = gen_arr
-    size = int(mask.sum())
-    while frontier.size:
-        prod = np.unique(G.mul_block(frontier, gen_arr).ravel())
-        new = prod[~mask[prod]]
-        mask[new] = True
-        size += new.size
-        if bound is not None and size > bound:
-            return None
-        frontier = new
-    return np.nonzero(mask)[0].astype(np.int64)
 
 
 def closure(G, gens) -> Subgroup:

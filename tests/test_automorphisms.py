@@ -5,6 +5,7 @@ import pytest
 
 import rbgroups as rb
 from rbgroups.automorphisms import class_fingerprints, extend_by_generator_images
+from rbgroups.errors import ResourceCapError
 
 
 @pytest.mark.parametrize("ident,aut_order", [
@@ -118,6 +119,21 @@ def test_find_isomorphism_returns_valid_map():
     assert phi is not None
     assert phi.is_bijective()
     assert phi.is_homomorphism(mode="full")
+
+
+def test_find_isomorphism_honours_node_budget():
+    D8 = rb.named_group("dihedral:8")
+    with pytest.raises(ResourceCapError):
+        rb.find_isomorphism(D8, D8, node_budget=1)
+    with pytest.raises(ResourceCapError):
+        rb.is_isomorphic(D8, D8, node_budget=1)
+
+
+def test_find_isomorphism_refuses_five_generators():
+    # 31^5 candidate tuples: refused before the scan starts
+    E = rb.named_group("elemabelian:2:5")
+    with pytest.raises(ResourceCapError):
+        rb.find_isomorphism(E, E)
 
 
 def test_find_isomorphism_none_when_distinct():

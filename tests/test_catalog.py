@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import rbgroups as rb
-from rbgroups.errors import InputFormatError, OutOfScaleError
+from rbgroups.errors import InputFormatError, OutOfScaleError, ResourceCapError
+from rbgroups.groups import FiniteGroup
 
 
 @pytest.mark.parametrize("ident,order", [
@@ -107,6 +108,22 @@ def test_out_of_scale_entries(ident, order):
     assert entry["status"] == "out of desk scale"
     assert entry["reason"]
     with pytest.raises(OutOfScaleError):
+        rb.named_group(ident)
+
+
+def test_catalog_id_over_cap_refused_before_building(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built for a refused id")
+    monkeypatch.setattr(FiniteGroup, "from_table", no_table)
+    for ident in ["cyclic:4000", "dihedral:4000", "abelian:100x40",
+                  "elemabelian:2:12"]:
+        with pytest.raises(OutOfScaleError):
+            rb.group_from_json(ident, order_cap=10)
+
+
+@pytest.mark.parametrize("ident", ["cyclic:100000", "elemabelian:3:1000000000"])
+def test_catalog_id_past_dense_bound_refused(ident):
+    with pytest.raises(ResourceCapError):
         rb.named_group(ident)
 
 

@@ -79,6 +79,16 @@ def test_graph_roundtrip():
         assert np.array_equal(back.images, op.images)
 
 
+def test_graph_roundtrip_on_tableless_product():
+    # 2 * 2304^2 bytes is over the product-table budget: componentwise path
+    G = rb.named_group("dihedral:48")
+    GG = direct_square(G)
+    assert GG._table is None
+    for op in (rb.trivial_e(G), rb.trivial_inv(G)):
+        back = rb.rb_from_graph(rb.graph_of(op, GG))
+        assert np.array_equal(back.images, op.images)
+
+
 def test_graph_is_subgroup():
     G = rb.named_group("symmetric:3")
     GG = direct_square(G)

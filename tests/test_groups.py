@@ -1,10 +1,12 @@
 """Core group machinery: tables, vectorized products, structure queries."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import rbgroups as rb
-from rbgroups.errors import InputFormatError
+from rbgroups.errors import InputFormatError, ResourceCapError
 from rbgroups.groups import FiniteGroup
 
 
@@ -162,3 +164,50 @@ def test_from_permutations_symmetric():
 
 def test_check_axioms_passes():
     rb.named_group("dihedral:12").check_axioms()
+
+
+# sha256 of the full int64 product block of catalog permutation groups:
+# pins the breadth-first element numbering that every output depends on
+_TABLE_SHA256 = {
+    "symmetric:5": "0c3028285ab5321164e78641cc8a115f60cdef6334a81676213de4f7110248d1",
+    "symmetric:6": "dfbaca1d389953bbb010c04083cf13aa50bc1d4bafdf901f4d1df865fac053f6",
+    "psl2:7": "65503f5a08f449ec4dce89bcb66b6380a694c5ac5f19e8a789b74084c67b590e",
+    "psl2:8": "20fbf0c7163c8ec04fe7d1aa7453748d9ee10c0cd5bfc730571ad994f0e1763c",
+    "psl2:13": "d50510378c8efecccc1555b2c1bd94d9ae2ce041d1b43d1cb5f1500a5769c997",
+}
+
+
+@pytest.mark.parametrize("ident", sorted(_TABLE_SHA256))
+def test_permutation_group_table_golden(ident):
+    G = rb.named_group(ident)
+    ar = np.arange(G.order)
+    blk = G.mul_block(ar, ar)
+    assert hashlib.sha256(blk.tobytes()).hexdigest() == _TABLE_SHA256[ident]
+
+
+def test_permutation_closure_past_dense_bound_refused():
+    # S8 has order 40320 > 10240, so the raised order cap does not help
+    with pytest.raises(ResourceCapError):
+        FiniteGroup.from_permutations(8, [[1, 0, 2, 3, 4, 5, 6, 7],
+                                          [1, 2, 3, 4, 5, 6, 7, 0]],
+                                      order_cap=50000)
+
+
+def test_tableless_product_accessors_agree():
+    G = rb.named_group("dihedral:48")
+    GG = rb.direct_square(G)
+    assert GG.order == 2304 and GG._table is None
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, GG.order, size=40)
+    b = rng.integers(0, GG.order, size=40)
+    blk = GG.mul_block(a, b)
+    assert blk.shape == (40, 40)
+    for i in range(a.size):
+        assert (GG.row(a[i])[b] == blk[i]).all()
+        assert (GG.col(b[i])[a] == blk[:, i]).all()
+        assert GG.mul(int(a[i]), int(b[i])) == blk[i, i]
+    assert (GG.mul_vec(a, b) == np.diagonal(blk)).all()
+    assert (GG.mul_vec(a, GG.inverse[a]) == 0).all()
+    x, y = GG.unpair(a)
+    z, w = GG.unpair(b)
+    assert (GG.mul_vec(a, b) == GG.pair(G.mul_vec(x, z), G.mul_vec(y, w))).all()

@@ -10,10 +10,9 @@ from rbgroups.reports import (RunConfig, emit, group_block, operator_block,
 
 
 def test_run_config_block_drops_out():
-    cfg = RunConfig(threads=4, seed=9, out="/tmp/x.json")
+    cfg = RunConfig(seed=9, out="/tmp/x.json")
     block = cfg.block()
     assert "out" not in block
-    assert block["threads"] == 4
     assert block["seed"] == 9
 
 
