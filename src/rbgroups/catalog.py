@@ -12,7 +12,7 @@ an error that carries an explicit "out of desk scale" report entry.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .groups import MAX_DENSE_ORDER, FiniteGroup
 
 _PSL2_FIELDS = {4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2),
                 11: (11, 1), 13: (13, 1), 23: (23, 1)}
+#: the parameters the permutation-built families accept
+_FAMILY_PARAMS = {"psl2": _PSL2_FIELDS, "symmetric": range(1, 8),
+                  "alternating": range(3, 8)}
 
 
 def _cyclic(n):
@@ -91,8 +94,6 @@ def _paper16():
 
 
 def _symmetric(n):
-    if n < 1 or n > 7:
-        raise InputFormatError("symmetric:n supports 1 <= n <= 7")
     if n == 1:
         return FiniteGroup.from_table([[0]], name="symmetric:1")
     swap = list(range(n))
@@ -102,8 +103,6 @@ def _symmetric(n):
 
 
 def _alternating(n):
-    if n < 3 or n > 7:
-        raise InputFormatError("alternating:n supports 3 <= n <= 7")
     three = list(range(n))
     three[0], three[1], three[2] = 1, 2, 0
     if n % 2:
@@ -114,8 +113,6 @@ def _alternating(n):
 
 
 def _psl2(q):
-    if q not in _PSL2_FIELDS:
-        raise InputFormatError(f"psl2:{q} is not in the catalog")
     p, m = _PSL2_FIELDS[q]
     F = _gf(p, m)
     inf = q
@@ -170,14 +167,25 @@ def out_of_scale_entry(ident):
 
 
 def _id_order(parts):
-    """The order a cyclic, dihedral or abelian id names, or None."""
+    """The order a catalog id names, or None for ids without a family
+    parameter; an out-of-range parameter raises InputFormatError."""
     if parts[0] in ("cyclic", "dihedral") and len(parts) == 2:
         return int(parts[1])
     if parts[0] == "elemabelian" and len(parts) == 3:
+        p, m = int(parts[1]), int(parts[2])
+        if p < 2 or m < 1:
+            raise InputFormatError("elemabelian:p:m needs p >= 2 and m >= 1")
         # 2^64 is past every cap already; keeps p^m cheap for a huge m
-        return int(parts[1]) ** min(int(parts[2]), 64)
+        return p ** min(m, 64)
     if parts[0] == "abelian" and len(parts) == 2:
         return prod(int(d) for d in parts[1].split("x"))
+    if parts[0] in _FAMILY_PARAMS and len(parts) == 2:
+        n = int(parts[1])
+        if n not in _FAMILY_PARAMS[parts[0]]:
+            raise InputFormatError(f"{parts[0]}:{n} is not in the catalog")
+        if parts[0] == "psl2":
+            return n * (n * n - 1) // gcd(2, n - 1)
+        return factorial(n) // (2 if parts[0] == "alternating" else 1)
     return None
 
 
@@ -189,9 +197,9 @@ def _within_cap(order, ident, order_cap):
 def named_group(ident: str, *, order_cap=None) -> FiniteGroup:
     """Resolve a catalog id to a group; see the module docstring for the grammar.
 
-    Cyclic, dihedral and abelian ids are refused from the id alone,
-    before their table is built: OutOfScaleError above ``order_cap``,
-    ResourceCapError above ``MAX_DENSE_ORDER``.
+    Every id is refused from the order it names, before any table is
+    built: OutOfScaleError above ``order_cap``, ResourceCapError above
+    ``MAX_DENSE_ORDER``.
     """
     raw, ident = ident, ident.strip().lower()
     oos = _out_of_scale(ident)

@@ -231,40 +231,54 @@ class ExtensionData:
         return GroupMap(Agrp, Agrp, self.ba_images)
 
 
+def _coset_exponents(G, amask, fs):
+    """(o, f^o) for every f in ``fs`` in one power walk: o >= 1 is the
+    least exponent with f^o in the subgroup whose mask is ``amask``."""
+    fs = np.asarray(fs, dtype=np.int64)
+    expo = np.zeros(fs.size, dtype=np.int64)
+    top = np.zeros(fs.size, dtype=np.int64)
+    cur, k = fs, 1
+    while True:
+        hit = amask[cur] & (expo == 0)
+        expo[hit] = k
+        top[hit] = cur[hit]
+        if expo.all():
+            return expo, top
+        cur, k = G.mul_vec(cur, fs), k + 1
+
+
 def _validate_extension(data: ExtensionData):
+    """Check the hypotheses and return (pos, o, f^o), where ``pos`` maps
+    parent indices to positions in ``A.members`` and o is f's coset
+    exponent.  Closure, commutativity and the homomorphism law of BA
+    (on every pair) are read off A's positional table ``pos[A*A]``.
+    With A normal, <A, f> = ∪_{j<o} f^j A, so A and f generate G
+    exactly when o·|A| = |G|."""
     G = data.group
     A = data.a
-    Agrp, to_parent = A.as_group(validate=False)
-    if not Agrp.is_abelian():
+    f = int(data.f)
+    if not 0 <= f < G.order:
+        raise InputFormatError(f"f must be an element index in [0, {G.order})")
+    pos = np.full(G.order, -1, dtype=np.int64)
+    pos[A.members] = np.arange(A.order)
+    tab = pos[G.mul_block(A.members, A.members)]
+    if (tab < 0).any():
+        raise PropertyFailure("subgroup-not-closed")
+    if not (tab == tab.T).all():
         raise InputFormatError("A is not abelian")
     if not is_normal(G, A):
         raise InputFormatError("A is not normal")
     if not A.contains(int(data.bf)):
         raise InputFormatError("B(f) does not lie in A")
-    if data.ba_images.shape != (A.order,) or \
-            (data.ba_images < 0).any() or (data.ba_images >= A.order).any():
-        raise InputFormatError("BA must be a positional image array over A")
-    gen_mem = list(A.gen_elements()) + [int(data.f)]
-    if _closure_members(G, gen_mem).size != G.order:
-        raise InputFormatError("A and f do not generate the group")
     ba = data.ba_images
-    # full homomorphism check on A
-    for i in range(Agrp.order):
-        if not np.array_equal(ba[Agrp.row(i)], Agrp.row(int(ba[i]))[ba]):
-            raise InputFormatError("BA is not a homomorphism of A")
-    return Agrp, to_parent
-
-
-def _coset_exponent(G, A: Subgroup, f):
-    """Least o >= 1 with f^o in A."""
-    cur = int(f)
-    o = 1
-    while not A.contains(cur):
-        cur = G.mul(cur, int(f))
-        o += 1
-        if o > G.order:
-            raise InputFormatError("f has no power inside A")
-    return o
+    if ba.shape != (A.order,) or (ba < 0).any() or (ba >= A.order).any():
+        raise InputFormatError("BA must be a positional image array over A")
+    o, fo = _coset_exponents(G, pos >= 0, [f])
+    if o[0] * A.order != G.order:
+        raise InputFormatError("A and f do not generate the group")
+    if not (ba[tab] == tab[np.ix_(ba, ba)]).all():
+        raise InputFormatError("BA is not a homomorphism of A")
+    return pos, int(o[0]), int(fo[0])
 
 
 def extension_construct(data: ExtensionData):
@@ -278,39 +292,25 @@ def extension_construct(data: ExtensionData):
     """
     G = data.group
     A = data.a
-    Agrp, to_parent = _validate_extension(data)
-    f = int(data.f)
-    o = _coset_exponent(G, A, f)
-    if o * A.order != G.order:
-        raise InputFormatError("A-cosets of powers of f do not tile the group")
-    pos = np.full(G.order, -1, dtype=np.int64)
-    pos[A.members] = np.arange(A.order)
+    pos, o, fo = _validate_extension(data)
+    f, bf = int(data.f), int(data.bf)
+    ba_parent = A.members[data.ba_images]
     # well-definedness across the wrap-around f^o ∈ A
-    lhs = int(data.ba_images[pos[G.power(f, o)]])
-    rhs_parent = G.power(int(data.bf), o)
-    if to_parent[lhs] != rhs_parent:
+    if ba_parent[pos[fo]] != G.power(bf, o):
         raise InputFormatError("BA(f^o) differs from B(f)^o; "
                                "the map is not well defined")
+    fj = [G.power(f, j) for j in range(o)]
+    bfj = [G.power(bf, j) for j in range(o)]
     images = np.full(G.order, -1, dtype=np.int64)
-    ba_parent = to_parent[data.ba_images]
-    fj = 0
-    for j in range(o):
-        coset = G.row(fj)[A.members]
-        bfj = G.power(int(data.bf), j)
-        a_part = G.row(G.inv(fj))[coset]
-        images[coset] = G.mul_vec(np.full(A.order, bfj, dtype=np.int64),
-                                  ba_parent[pos[a_part]])
-        fj = G.mul(fj, f)
+    images[G.mul_block(fj, A.members)] = G.mul_block(bfj, ba_parent)
     if (images < 0).any():
         raise InputFormatError("transversal failed to decompose every element")
     candidate = GroupMap(G, G, images)
     is_rb = verify_rb(G, images, want_witness=False).ok
-    bt = G.mul_vec(G.inverse, images[G.inverse])
-    cond = True
-    for u in np.unique(bt):
-        if images[G.commutator(int(u), f)] != 0:
-            cond = False
-            break
+    u = np.unique(G.mul_vec(G.inverse, images[G.inverse]))
+    # [u, f] = (f u)^-1 (u f) for every u in Im(B~)
+    comm = G.mul_vec(G.inverse[G.row(f)[u]], G.col(f)[u])
+    cond = not images[comm].any()
     if is_rb != cond:
         raise PropertyFailure("extension-iff-violated",
                               witness={"is_rb": is_rb, "condition": cond})
@@ -318,9 +318,19 @@ def extension_construct(data: ExtensionData):
 
 
 def _endomorphism_images(Agrp):
-    """All endomorphism image arrays of an abelian group, positionally."""
+    """All endomorphism image arrays of an abelian group, positionally.
+
+    Generator images are tried over an irredundant generating set (a
+    recorded generator is dropped while the others still generate).
+    Every candidate is checked on all Cayley edges, so the set of
+    endomorphisms does not depend on that choice, only their order does.
+    """
     import itertools
-    gens = Agrp.find_generating_set()
+    gens = list(Agrp.find_generating_set())
+    for g in tuple(gens):
+        rest = [h for h in gens if h != g]
+        if _closure_members(Agrp, rest).size == Agrp.order:
+            gens = rest
     if not gens:
         return [np.zeros(1, dtype=np.int64)]
     orders = Agrp.element_orders()
@@ -337,31 +347,32 @@ def _endomorphism_images(Agrp):
 def extension_search(G, *, budget=300000) -> list[ExtensionData]:
     """Every consistent ExtensionData on G: all normal abelian A, every
     f with <A, f> = G, every endomorphism BA of A, every B(f) in A
-    compatible with BA across the wrap-around."""
+    compatible with BA across the wrap-around.
+
+    For normal A, <A, f> = G exactly when f's coset exponent o has
+    o·|A| = |G|; one power walk per A gives o for every f.  BA runs over
+    ``_endomorphism_images`` (an irredundant generating set of A).
+    """
     out = []
-    subs = all_subgroups(G)
-    for A in subs:
-        Agrp, to_parent = A.as_group(validate=False)
+    n = G.order
+    for A in all_subgroups(G):
+        Agrp, _ = A.as_group(validate=False)
         if not Agrp.is_abelian() or not is_normal(G, A):
             continue
-        fs = [f for f in range(G.order)
-              if _closure_members(G, list(A.gen_elements()) + [f]).size == G.order]
-        if not fs:
+        expo, tops = _coset_exponents(G, A.mask(), np.arange(n))
+        fs = np.flatnonzero(expo * A.order == n)
+        if not fs.size:
             continue
         endos = _endomorphism_images(Agrp)
-        if len(out) + len(fs) * len(endos) * A.order > budget:
+        if len(out) + fs.size * len(endos) * A.order > budget:
             raise ResourceCapError("extension search exceeds its budget")
-        pos = np.full(G.order, -1, dtype=np.int64)
-        pos[A.members] = np.arange(A.order)
         for f in fs:
-            o = _coset_exponent(G, A, f)
-            fo_pos = int(pos[G.power(f, o)])
+            bf_pow = G.pow_vec(A.members, int(expo[f]))
+            fo_pos = np.searchsorted(A.members, tops[f])
             for ba in endos:
-                target = to_parent[ba[fo_pos]]
-                for bf in A.members:
-                    if G.power(int(bf), o) == target:
-                        out.append(ExtensionData(group=G, a=A, f=int(f),
-                                                 ba_images=ba, bf=int(bf)))
+                for bf in A.members[bf_pow == A.members[ba[fo_pos]]]:
+                    out.append(ExtensionData(group=G, a=A, f=int(f),
+                                             ba_images=ba, bf=int(bf)))
     return out
 
 

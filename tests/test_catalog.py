@@ -115,10 +115,24 @@ def test_catalog_id_over_cap_refused_before_building(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("table built for a refused id")
     monkeypatch.setattr(FiniteGroup, "from_table", no_table)
+    monkeypatch.setattr(FiniteGroup, "from_permutations", no_table)
     for ident in ["cyclic:4000", "dihedral:4000", "abelian:100x40",
-                  "elemabelian:2:12"]:
+                  "elemabelian:2:12", "psl2:23", "symmetric:6",
+                  "alternating:6"]:
         with pytest.raises(OutOfScaleError):
             rb.group_from_json(ident, order_cap=10)
+
+
+@pytest.mark.parametrize("ident", ["elemabelian:1:100000000",
+                                   "elemabelian:0:5", "elemabelian:2:0",
+                                   "symmetric:8", "alternating:2"])
+def test_catalog_bad_family_parameter_refused_from_id(monkeypatch, ident):
+    def no_build(*args, **kwargs):
+        raise AssertionError("group built for a bad id")
+    monkeypatch.setattr("rbgroups.catalog._abelian", no_build)
+    monkeypatch.setattr(FiniteGroup, "from_permutations", no_build)
+    with pytest.raises(InputFormatError):
+        rb.named_group(ident)
 
 
 @pytest.mark.parametrize("ident", ["cyclic:100000", "elemabelian:3:1000000000"])

@@ -86,6 +86,17 @@ def test_construct_extension_recipe():
                                              14, 12, 14, 12, 8, 10, 8, 10]
 
 
+@pytest.mark.parametrize("f_param", [', "f": 99', ''])
+def test_construct_extension_f_out_of_range_is_input_error(f_param):
+    # a missing f must not fall back to negative indexing
+    params = ('{"a_gens": [2, 4, 8], "ba_images": [0, 0, 3, 3, 7, 7, 4, 4], '
+              '"bf": 2' + f_param + '}')
+    code, payload = run_json("construct", "extension", "paper16",
+                             "--params", params)
+    assert code == 2
+    assert payload["error"] == "f must be an element index in [0, 16)"
+
+
 def test_construct_missing_params_is_input_error():
     code, payload = run_json("construct", "split", "symmetric:3")
     assert code == 2
@@ -170,6 +181,12 @@ def test_cap_order_applies_to_catalog_ids(ref):
     code, payload = run_json("obstruct-nonsplitting", ref, "--cap-order", "10")
     assert code == 3
     assert payload["entry"]["reason"] == "order 12 exceeds cap 10"
+
+
+def test_cap_order_refuses_psl2_from_its_id():
+    code, payload = run_json("obstruct-nonsplitting", "psl2:23", "--cap-order", "10")
+    assert code == 3
+    assert payload["entry"]["reason"] == "order 6072 exceeds cap 10"
 
 
 def test_permutation_group_past_dense_bound_exits_3(tmp_path):

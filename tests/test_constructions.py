@@ -1,10 +1,14 @@
 """Operator constructions: factorization splits, lifts, the two lemmas."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import rbgroups as rb
-from rbgroups.constructions import ExtensionData, LemmaR2Instance
+from rbgroups.automorphisms import extend_by_generator_images
+from rbgroups.constructions import (ExtensionData, LemmaR2Instance,
+                                    _endomorphism_images)
 from rbgroups.errors import InputFormatError, PropertyFailure
 from rbgroups.maps import GroupMap
 
@@ -218,3 +222,72 @@ def test_extension_provenance():
     assert is_rb
     op = rb.make_rb(G, cand.images)
     assert rb.verify_rb(G, op).ok
+
+
+@pytest.mark.parametrize("ident,count,operators", [
+    ("cyclic:24", 1012, 1012),
+    ("cyclic:32", 1520, 1520),
+    ("elemabelian:2:3", 5888, 5888),
+    ("dihedral:24", 288, 192),
+    ("dihedral:32", 512, 128),
+    ("paper16", 6656, 2240),
+])
+def test_extension_sweep_frozen_counts(ident, count, operators):
+    G = rb.named_group(ident)
+    hits = rb.extension_search(G)
+    assert len(hits) == count
+    assert sum(rb.extension_construct(d)[1] for d in hits) == operators
+
+
+@pytest.mark.parametrize("ident", ["cyclic:16", "abelian:4x2", "paper16"])
+def test_endomorphisms_match_full_generating_set(ident):
+    # reference: generator images tried over every recorded generator
+    G = rb.named_group(ident)
+    for A in rb.all_subgroups(G):
+        Agrp, _ = A.as_group(validate=False)
+        if not (Agrp.is_abelian() and rb.is_normal(G, A)):
+            continue
+        gens = Agrp.find_generating_set()
+        orders = Agrp.element_orders()
+        cands = [[x for x in range(Agrp.order)
+                  if orders[int(g)] % orders[x] == 0] for g in gens]
+        full = set()
+        for choice in itertools.product(*cands):
+            img = extend_by_generator_images(Agrp, Agrp, gens, choice)
+            if img is not None:
+                full.add(tuple(int(x) for x in img))
+        pruned = [tuple(int(x) for x in img)
+                  for img in _endomorphism_images(Agrp)]
+        assert len(pruned) == len(set(pruned))
+        assert set(pruned) == full
+
+
+def _paper16_data(**changes):
+    G = rb.named_group("paper16")
+    kw = dict(group=G, a=rb.closure(G, [2, 4, 8]), f=1,
+              ba_images=np.array([0, 0, 3, 3, 7, 7, 4, 4]), bf=2)
+    kw.update(changes)
+    return ExtensionData(**kw)
+
+
+@pytest.mark.parametrize("changes,message", [
+    pytest.param({"f": 2}, "A and f do not generate the group",
+                 id="f-in-a"),
+    pytest.param({"ba_images": np.array([1, 0, 0, 0, 0, 0, 0, 0])},
+                 "BA is not a homomorphism of A", id="ba-not-hom"),
+    pytest.param({"f": 16}, r"f must be an element index in \[0, 16\)",
+                 id="f-past-end"),
+    pytest.param({"f": -1}, r"f must be an element index in \[0, 16\)",
+                 id="f-negative"),
+])
+def test_extension_rejects_bad_data(changes, message):
+    with pytest.raises(InputFormatError, match=message):
+        rb.extension_construct(_paper16_data(**changes))
+
+
+def test_extension_rejects_nonabelian_a():
+    G = rb.named_group("symmetric:3")
+    data = ExtensionData(group=G, a=rb.whole_group(G), f=0,
+                         ba_images=np.zeros(6, dtype=np.int64), bf=0)
+    with pytest.raises(InputFormatError, match="A is not abelian"):
+        rb.extension_construct(data)

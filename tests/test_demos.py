@@ -1,0 +1,25 @@
+"""The demo scripts that exercise the abelian-extension construction."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_demo(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+
+
+def test_order16_nonsplitting_demo():
+    proc = run_demo("04_order16_nonsplitting.py")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_constructions_tour_demo():
+    proc = run_demo("06_constructions_tour.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "6656 consistent data,  2240 satisfy" in proc.stdout
