@@ -7,12 +7,15 @@ multiplicativity on the way) or conflicts and dies.  Since the search
 checks all n*k edges, a surviving bijection is a genuine automorphism —
 no sampling involved.
 
-For larger groups the candidate space is cut down with a stabilizer
-decomposition: fix a conjugacy class C that every automorphism must
-preserve (it has a class fingerprint shared by no other class), pick a
-base point x in C and a mate y with <x, y> = G.  Then every automorphism
-is (conjugation moving x within C) composed with an automorphism fixing
-x, and the latter are enumerated by candidate images of y alone.
+The candidate space is cut down with a stabilizer decomposition
+wherever G has a base: a conjugacy class C that every automorphism must
+preserve (its class fingerprint is shared by no other class), a base
+point x in C and a mate y with <x, y> = G.  Then every automorphism is
+(conjugation moving x within C) composed with an automorphism fixing x,
+and the latter are enumerated by candidate images of y alone.  A group
+without a base (every class fingerprint repeated, as in an elementary
+abelian group) falls back to backtracking over the images of a whole
+generating set.
 """
 
 from __future__ import annotations
@@ -100,12 +103,11 @@ def _generating_pair(G):
 def _stabilizer_data(G, node_budget):
     """Base data for the transporter x stabilizer decomposition, or None.
 
-    Picks a conjugacy class ``cls`` no automorphism can move (its class
+    Picks a conjugacy class no automorphism can move (its class
     fingerprint is unique), a base point x in it and a mate y with
-    <x, y> = G, then enumerates the image arrays of every automorphism
-    fixing x.  Returns (x, y, cls, stab, conj_x, inner_keys) where
-    ``inner_keys`` is the set of (x, y)-image pairs realized by inner
-    automorphisms.
+    <x, y> = G, then enumerates every automorphism fixing x.  Returns
+    (x, stab) where ``stab`` holds those automorphisms as GroupMaps
+    with their ``inner`` flags set; None when no such base exists.
     """
     classes, cid, fps = class_fingerprints(G)
     counts = {}
@@ -119,51 +121,27 @@ def _stabilizer_data(G, node_budget):
         for y in range(1, G.order):
             mem = _closure_members(G, [x, y])
             if mem.size == G.order:
-                base = (x, y, np.sort(np.asarray(c)))
+                base = (x, y)
                 break
         if base is not None:
             break
     if base is None:
         return None
-    x, y, cls = base
+    x, y = base
     elem_fps = [fps[cid[g]] for g in range(G.order)]
     cands = [h for h in range(1, G.order) if elem_fps[h] == elem_fps[y]]
     if len(cands) * G.order * 2 > node_budget:
         raise ResourceCapError("automorphism search exceeds the node budget")
+    # sigma fixes x, so it is inner exactly when some g centralizing x
+    # conjugates y to sigma(y)
+    conj_x = G.conjugate_all(x)
+    inner_y = {int(v) for v in G.conjugate_all(y)[conj_x == x]}
     stab = []
     for y2 in cands:
         img = extend_by_generator_images(G, G, (x, y), (x, y2))
         if img is not None and np.unique(img).size == G.order:
-            stab.append(img)
-    conj_x = G.conjugate_all(x)
-    conj_y = G.conjugate_all(y)
-    inner_keys = set()
-    for g in range(G.order):
-        inner_keys.add((int(conj_x[g]), int(conj_y[g])))
-    return x, y, cls, stab, conj_x, inner_keys
-
-
-def _aut_via_stabilizer(G, node_budget):
-    """Automorphisms as transporter x stabilizer, or None if no usable
-    base pair exists."""
-    data = _stabilizer_data(G, node_budget)
-    if data is None:
-        return None
-    x, y, cls, stab, conj_x, inner_keys = data
-    transporter = {}
-    for g in range(G.order):
-        c = int(conj_x[g])
-        if c not in transporter:
-            transporter[c] = g
-    auts = []
-    for c in cls:
-        alpha = inner_automorphism(G, transporter[int(c)]).images
-        for sig in stab:
-            images = alpha[sig]
-            flag = (int(images[x]), int(images[y])) in inner_keys
-            auts.append(GroupMap(G, G, images, inner=flag))
-    assert len({a.key() for a in auts}) == len(auts)
-    return auts
+            stab.append(GroupMap(G, G, img, inner=y2 in inner_y))
+    return x, stab
 
 
 def _bijections_by_images(G, H, gens, node_budget, what):
@@ -199,36 +177,33 @@ def _aut_by_backtracking(G, node_budget):
 def automorphism_group(G, *, node_budget=10 ** 8):
     """Every automorphism of G as a GroupMap with an ``inner`` flag,
     sorted by image array."""
-    if G.order == 1:
-        return [GroupMap(G, G, np.zeros(1, dtype=np.int64), inner=True)]
-    auts = None
-    if not G.is_abelian() and G.order > 60:
-        auts = _aut_via_stabilizer(G, node_budget)
-    if auts is None:
+    data = _stabilizer_data(G, node_budget)
+    if data is None:
         auts = _aut_by_backtracking(G, node_budget)
+    else:
+        # every automorphism is (an inner map moving x within its class)
+        # o (an automorphism fixing x); the inner factor keeps the flag.
+        # One transporter per point of the class: the first g moving x there
+        x, stab = data
+        _, transporters = np.unique(G.conjugate_all(x), return_index=True)
+        auts = []
+        for g in transporters:
+            alpha = inner_automorphism(G, int(g)).images
+            auts.extend(GroupMap(G, G, alpha[s.images], inner=s.inner) for s in stab)
+        assert len({a.key() for a in auts}) == len(auts)
     auts.sort(key=lambda a: a.key())
     return auts
 
 
 def aut_generators(G, *, node_budget=10 ** 8):
     """A small (not minimal) generating collection of Aut(G): inner
-    automorphisms at group generators plus, for larger groups, the base
-    stabilizer; for small groups simply every automorphism."""
+    automorphisms at group generators plus the automorphisms fixing the
+    base point of the stabilizer decomposition (every automorphism when
+    G has no base)."""
     inner = [inner_automorphism(G, int(g)) for g in G.find_generating_set()]
-    if G.order <= 60 or G.is_abelian():
-        return inner + automorphism_group(G, node_budget=node_budget)
     data = _stabilizer_data(G, node_budget)
-    if data is None:
-        return inner + automorphism_group(G, node_budget=node_budget)
-    x, y, _, stab, _, inner_keys = data
-    # every automorphism is (inner transporter) o (stabilizer element),
-    # so the inner generators plus the stabilizer generate all of Aut
-    out = dict((a.key(), a) for a in inner)
-    for sig in stab:
-        a = GroupMap(G, G, sig, inner=(int(sig[x]), int(sig[y])) in inner_keys)
-        if a.key() not in out:
-            out[a.key()] = a
-    return list(out.values())
+    rest = _aut_by_backtracking(G, node_budget) if data is None else data[1]
+    return list({a.key(): a for a in inner + rest}.values())
 
 
 def find_isomorphism(G, H, *, node_budget=10 ** 8):

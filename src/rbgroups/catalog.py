@@ -190,8 +190,13 @@ def _id_order(parts):
 
 
 def _within_cap(order, ident, order_cap):
+    """Refuse an order above ``order_cap`` (OutOfScaleError) or above
+    ``MAX_DENSE_ORDER`` (ResourceCapError)."""
     if order_cap is not None and order > order_cap:
         raise OutOfScaleError(ident, f"order {order} exceeds cap {order_cap}")
+    if order > MAX_DENSE_ORDER:
+        raise ResourceCapError(
+            f"{ident}: order {order} exceeds the dense table bound {MAX_DENSE_ORDER}")
 
 
 def named_group(ident: str, *, order_cap=None) -> FiniteGroup:
@@ -210,9 +215,6 @@ def named_group(ident: str, *, order_cap=None) -> FiniteGroup:
         order = _id_order(parts)
         if order is not None:
             _within_cap(order, raw, order_cap)
-            if order > MAX_DENSE_ORDER:
-                raise ResourceCapError(
-                    f"{ident}: order {order} exceeds the dense table bound {MAX_DENSE_ORDER}")
         if parts[0] == "cyclic" and len(parts) == 2:
             return _cyclic(int(parts[1]))
         if parts[0] == "dihedral" and len(parts) == 2:
@@ -253,13 +255,16 @@ def group_from_json(obj, *, order_cap=10000) -> FiniteGroup:
     if not isinstance(obj, dict):
         raise InputFormatError("group reference must be a string or an object")
     if "cayley" in obj:
-        g = FiniteGroup.from_table(obj["cayley"], name="cayley-input")
-        _within_cap(g.order, "cayley-input", order_cap)
-        return g
+        rows = obj["cayley"]
+        if not isinstance(rows, list):
+            raise InputFormatError("cayley table must be a list of rows")
+        # the row count is the order: refuse it before anything is built
+        _within_cap(len(rows), "cayley-input", order_cap)
+        return FiniteGroup.from_table(rows, name="cayley-input")
     if "permutations" in obj:
         spec = obj["permutations"]
         if not isinstance(spec, dict) or "degree" not in spec or "generators" not in spec:
             raise InputFormatError("permutations reference needs degree and generators")
-        return FiniteGroup.from_permutations(int(spec["degree"]), spec["generators"],
+        return FiniteGroup.from_permutations(spec["degree"], spec["generators"],
                                              name="perm-input", order_cap=order_cap)
     raise InputFormatError("group reference needs one of: named, cayley, permutations")

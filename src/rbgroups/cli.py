@@ -84,12 +84,14 @@ def cmd_verify(args, cfg):
 
 def _subgroup_from_params(G, params, key):
     gens = params.get(key)
-    if gens is None:
-        raise InputFormatError(f"recipe needs '{key}' (generator list)")
-    return closure(G, [int(g) for g in gens])
+    if not isinstance(gens, list) or not all(
+            type(g) is int and 0 <= g < G.order for g in gens):
+        raise InputFormatError(
+            f"recipe needs '{key}': a list of element indices in [0, {G.order})")
+    return closure(G, gens)
 
 
-def _build_recipe(G, recipe, params, cfg):
+def _build_recipe(G, recipe, params):
     if recipe == "trivial-e":
         from .rb import trivial_e
         return trivial_e(G)
@@ -159,12 +161,14 @@ def _build_recipe(G, recipe, params, cfg):
 
 def cmd_construct(args, cfg):
     params = _load_json_arg(args.params)
+    if not isinstance(params, dict):
+        raise InputFormatError("--params must be a JSON object")
     if args.recipe == "paper16":
         G, op = cons.paper16_fixture()
         ref = "paper16"
     else:
         G, ref = _resolve_group(args.group, cfg)
-        op = _build_recipe(G, args.recipe, params, cfg)
+        op = _build_recipe(G, args.recipe, params)
     rep = structure_report(op)
     payload = _envelope("construct", cfg)
     payload["group"] = group_block(G, ref)

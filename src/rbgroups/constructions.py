@@ -95,8 +95,7 @@ def lift_from_factor(F: Factorization, C) -> RBOperator:
     hm = F.h.mask()
     for u in np.unique(to_parent[ct.images]):
         u = int(u)
-        conj = G.mul_vec(G.row(G.inv(u))[F.h.members],
-                         np.full(F.h.order, u, dtype=np.int64))
+        conj = G.col(u)[G.row(G.inv(u))[F.h.members]]
         if not hm[conj].all():
             raise PropertyFailure("companion-image-does-not-normalize-h",
                                   witness=u)
@@ -146,8 +145,7 @@ def _check_r2(inst: LemmaR2Instance):
     if not (inst.k.contains(inst.t) and not inst.k1.contains(inst.t)):
         raise PropertyFailure("t-not-in-k-minus-k1")
     h1m = inst.h1.mask()
-    conj = G.mul_vec(G.row(G.inv(inst.r))[inst.h1.members],
-                     np.full(inst.h1.order, inst.r, dtype=np.int64))
+    conj = G.col(inst.r)[G.row(G.inv(inst.r))[inst.h1.members]]
     if not h1m[conj].all():
         raise PropertyFailure("r-does-not-normalize-h1")
 
@@ -159,9 +157,7 @@ def lemma_r2_construct(inst: LemmaR2Instance) -> RBOperator:
     k1m = inst.k1.mask()
     kinv = G.inverse[inst.k.members]
     delta = ~k1m[inst.k.members]
-    vals = np.where(delta,
-                    G.mul_vec(kinv, np.full(kinv.size, inst.r, dtype=np.int64)),
-                    kinv)
+    vals = np.where(delta, G.col(inst.r)[kinv], kinv)
     images = _decomposition_images(G, inst.h1, inst.k, vals)
     op = make_rb(G, images)
     op.provenance["recipe"] = {"kind": "lemma-r2", "h_order": inst.h.order,

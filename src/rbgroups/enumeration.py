@@ -159,10 +159,7 @@ def brute_force_rb(G, cap=BRUTE_CAP) -> list[RBOperator]:
             rows = np.nonzero(alive)[0]
             bg = mat[rows, g]
             lhs = G.mul_vec(bg, mat[rows, h])
-            inner = G.mul_vec(
-                G.mul_vec(G.mul_vec(np.full(rows.size, g, dtype=np.int64), bg),
-                          np.full(rows.size, h, dtype=np.int64)),
-                G.inverse[bg])
+            inner = G.mul_vec(G.col(h)[G.row(g)[bg]], G.inverse[bg])
             rhs = mat[rows, inner]
             alive[rows[lhs != rhs]] = False
         for row in np.nonzero(alive)[0]:

@@ -67,6 +67,8 @@ class FiniteGroup:
         n = arr.shape[0]
         if n == 0:
             raise InputFormatError("empty table")
+        if arr.dtype.kind not in "iu":
+            raise InputFormatError("table entries must be integers")
         if arr.min() < 0 or arr.max() >= n:
             raise InputFormatError("table entries must lie in 0..n-1")
         arr = arr.astype(_table_dtype(n))
@@ -85,9 +87,15 @@ class FiniteGroup:
         resource error as soon as the closure exceeds ``order_cap`` or
         ``MAX_DENSE_ORDER``, before the table is allocated.
         """
+        if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) \
+                or degree < 1:
+            raise InputFormatError("degree must be a positive integer")
+        if not isinstance(generators, (list, tuple)):
+            raise InputFormatError("generators must be a list of permutations")
         gens = [np.asarray(p) for p in generators]
         for p in gens:
-            if p.shape != (degree,) or sorted(p.tolist()) != list(range(degree)):
+            if p.dtype.kind not in "iu" or p.shape != (degree,) \
+                    or sorted(p.tolist()) != list(range(degree)):
                 raise InputFormatError("generator is not a permutation of range(degree)")
         dtype = np.int8 if degree <= 127 else np.int16
         gens = [p.astype(dtype) for p in gens]

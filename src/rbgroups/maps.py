@@ -50,8 +50,7 @@ class GroupMap:
         if mode == "full":
             for x in range(n):
                 lhs = img[G.row(x)]
-                rhs = H.mul_vec(np.full(n, img[x], dtype=np.int64), img) if not anti \
-                    else H.mul_vec(img, np.full(n, img[x], dtype=np.int64))
+                rhs = H.row(img[x])[img] if not anti else H.col(img[x])[img]
                 if not np.array_equal(lhs, rhs):
                     return False
             return True
@@ -85,6 +84,5 @@ def identity_map(G) -> GroupMap:
 
 def inner_automorphism(G, g) -> GroupMap:
     """x -> g^-1 x g."""
-    u = G.row(G.inv(int(g)))
-    images = G.mul_vec(u, np.full(G.order, int(g), dtype=np.int64))
+    images = G.col(int(g))[G.row(G.inv(int(g)))]
     return GroupMap(G, G, images, inner=True)

@@ -16,22 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import FiniteGroup, _closure_members
-from .subgroups import Subgroup
+from .subgroups import Subgroup, _factorint
 
 _SA_FP_CACHE = {}
-
-
-def _factorint(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def abelian_invariants(G: FiniteGroup):

@@ -319,8 +319,8 @@ def lemma_old_diagnostic(G, op) -> OldDiagnostic:
         bg = int(B[g])
         ibg = G.inv(bg)
         pre = G.row(bg)                      # B(g) h
-        mid = G.mul_vec(pre, np.full(G.order, ibg, dtype=np.int64))
-        rhs = B[G.mul_vec(mid, np.full(G.order, g, dtype=np.int64))]
+        mid = G.col(ibg)[pre]
+        rhs = B[G.col(g)[mid]]
         lhs = G.row(bg)[B]
         if not np.array_equal(lhs, rhs):
             h = int(np.nonzero(lhs != rhs)[0][0])

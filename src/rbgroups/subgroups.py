@@ -22,20 +22,17 @@ import numpy as np
 from .errors import InputFormatError, PropertyFailure, ResourceCapError
 from .groups import FiniteGroup, _closure_members
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def _prime_factors(n):
-    out = []
+def _factorint(n):
+    """Prime factorization of n as {prime: multiplicity}, primes ascending."""
+    out = {}
     d = 2
     while d * d <= n:
         while n % d == 0:
-            if d not in out:
-                out.append(d)
+            out[d] = out.get(d, 0) + 1
             n //= d
         d += 1
-    if n > 1 and n not in out:
-        out.append(n)
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
     return out
 
 
@@ -136,8 +133,7 @@ def normalizer_mask(G, sub: Subgroup) -> np.ndarray:
 def conjugate_subgroup(G, sub: Subgroup, g) -> Subgroup:
     """g^-1 * S * g."""
     ig = G.inv(g)
-    left = G.row(ig)[sub.members]
-    mem = np.sort(G.mul_vec(left, np.full(sub.members.size, g, dtype=np.int64)))
+    mem = np.sort(G.col(g)[G.row(ig)[sub.members]])
     gens = tuple(int(G.mul(G.mul(ig, s), g)) for s in sub.gens)
     return Subgroup(G, mem, gens)
 
@@ -147,8 +143,7 @@ def is_normal(G, sub: Subgroup, within: Subgroup | None = None) -> bool:
     mm = sub.mask()
     gens = within.gen_elements() if within is not None else G.find_generating_set()
     for g in gens:
-        left = G.row(G.inv(int(g)))[sub.members]
-        conj = G.mul_vec(left, np.full(sub.members.size, int(g), dtype=np.int64))
+        conj = G.col(int(g))[G.row(G.inv(int(g)))[sub.members]]
         if not mm[conj].all():
             return False
     return True
@@ -165,8 +160,7 @@ def normal_closure(G, elems, under=None) -> Subgroup:
         mm[mem] = True
         extra = []
         for g in under:
-            left = G.row(G.inv(g))[mem]
-            conj = G.mul_vec(left, np.full(mem.size, g, dtype=np.int64))
+            conj = G.col(g)[G.row(G.inv(g))[mem]]
             bad = conj[~mm[conj]]
             extra.extend(int(b) for b in bad[:8])
         if not extra:
@@ -280,7 +274,7 @@ def all_subgroups(G, max_order=None, *, lattice_cap=10000, allowed_orders=None,
         for seed in _perfect_seed_subgroups(G, max_order):
             register(seed.members, seed.gens)
 
-    primes = _prime_factors(n)
+    primes = list(_factorint(n))
     while queue:
         S = queue.popleft()
         k = S.order

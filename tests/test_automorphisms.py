@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rbgroups as rb
+from rbgroups import automorphisms
 from rbgroups.automorphisms import class_fingerprints, extend_by_generator_images
 from rbgroups.errors import ResourceCapError
 
@@ -53,10 +54,32 @@ def test_automorphisms_closed_under_composition():
         assert auts[int(i)].compose(auts[int(j)]).key() in keys
 
 
-def test_aut_generators_generate():
-    G = rb.named_group("symmetric:4")
+@pytest.mark.parametrize("ident", [
+    "cyclic:1", "cyclic:8", "cyclic:12", "abelian:4x2", "abelian:6x2",
+    "elemabelian:2:3", "symmetric:3", "dihedral:8", "quaternion:8",
+    "alternating:4", "dihedral:12", "symmetric:4", "paper16", "dihedral:16",
+    "dihedral:24", "alternating:5", "psl2:4", "psl2:5",
+])
+def test_automorphism_group_matches_backtracking(ident):
+    # the stabilizer decomposition against the plain generator-image search
+    G = rb.named_group(ident)
+    got = {(a.key(), a.inner) for a in rb.automorphism_group(G)}
+    want = {(a.key(), a.inner)
+            for a in automorphisms._aut_by_backtracking(G, 10 ** 8)}
+    assert got == want
+
+
+@pytest.mark.parametrize("ident,aut_order", [
+    ("symmetric:4", 24),
+    ("alternating:5", 120),
+    ("psl2:4", 120),
+    ("dihedral:12", 12),
+    ("paper16", 32),
+])
+def test_aut_generators_generate(ident, aut_order):
+    G = rb.named_group(ident)
     gens = rb.aut_generators(G)
-    # close the generator set by composition; must reach all 24
+    # close the generator set by composition; must reach all of Aut(G)
     seen = {rb.identity_map(G).key(): rb.identity_map(G)}
     frontier = list(seen.values())
     while frontier:
@@ -68,7 +91,16 @@ def test_aut_generators_generate():
                     seen[c.key()] = c
                     nxt.append(c)
         frontier = nxt
-    assert len(seen) == 24
+    assert len(seen) == aut_order
+
+
+def test_classification_needs_no_backtracking(monkeypatch):
+    # psl2:4 has a base pair, so its equivalence action never falls
+    # back to the generator-image search
+    def refuse(*args, **kwargs):
+        raise AssertionError("backtracking search reached")
+    monkeypatch.setattr(automorphisms, "_aut_by_backtracking", refuse)
+    assert rb.classify_splitting(rb.named_group("psl2:4")).s == 1
 
 
 def test_class_fingerprints_refinement():

@@ -172,3 +172,12 @@ def test_group_from_json_rejects_garbage():
         rb.group_from_json({})
     with pytest.raises(InputFormatError):
         rb.group_from_json({"permutations": {"degree": 3}})
+
+
+def test_cayley_input_over_cap_refused_before_building(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built for a refused cayley input")
+    monkeypatch.setattr(FiniteGroup, "from_table", no_table)
+    table = [[(g + h) % 11 for h in range(11)] for g in range(11)]
+    with pytest.raises(OutOfScaleError):
+        rb.group_from_json({"cayley": table}, order_cap=10)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON shape, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -140,6 +141,15 @@ def test_table2_rows():
     assert all(r["status"] == "ok" for r in rows)
 
 
+def test_table2_output_is_unchanged():
+    # sha256 of the default table2 payload, recorded before the
+    # automorphism search was reduced to one algorithm
+    proc = run_cli("table2")
+    assert proc.returncode == 0
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "a9edd569c0642e435e010b8f7598554e3044860277e7ce5d1a164ee44edc07ae"
+
+
 def test_table2_out_of_scale_row():
     code, payload = run_json("table2", "--q", "59")
     assert code == 0
@@ -200,6 +210,32 @@ def test_permutation_group_past_dense_bound_exits_3(tmp_path):
                              "--cap-order", "50000", "--samples", "1000")
     assert code == 3
     assert payload["kind"] == "resource-cap"
+
+
+@pytest.mark.parametrize("args", [
+    ("factorize", '{"cayley": [["a", "b"], ["b", "a"]]}'),
+    ("factorize", '{"cayley": [[0, 1.5], [1, 0]]}'),
+    ("factorize", '{"cayley": 5}'),
+    ("factorize", '{"permutations": {"degree": 3, "generators": 5}}'),
+    ("factorize", '{"permutations": {"degree": -1, "generators": []}}'),
+    ("factorize", '{"permutations": {"degree": 2.5, "generators": []}}'),
+    ("construct", "split", "cyclic:6", "--params", '{"h_gens": 5, "l_gens": [3]}'),
+    ("construct", "split", "cyclic:6", "--params", '{"h_gens": [99], "l_gens": [3]}'),
+    ("construct", "split", "cyclic:6", "--params", '{"h_gens": [-1], "l_gens": [3]}'),
+    ("construct", "split", "cyclic:6", "--params", "[1]"),
+])
+def test_malformed_input_is_input_error(args):
+    code, payload = run_json(*args)
+    assert code == 2
+    assert payload["kind"] == "input"
+
+
+def test_cayley_input_over_cap_order_exits_3():
+    table = [[(g + h) % 11 for h in range(11)] for g in range(11)]
+    code, payload = run_json("factorize", json.dumps({"cayley": table}),
+                             "--cap-order", "10")
+    assert code == 3
+    assert payload["entry"]["reason"] == "order 11 exceeds cap 10"
 
 
 def test_out_of_scale_exit_code():

@@ -1,9 +1,11 @@
-"""The demo scripts that exercise the abelian-extension construction."""
+"""The demo scripts: every one runs to completion; two are checked in detail."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -12,6 +14,12 @@ def run_demo(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                           capture_output=True, text=True, env=env, cwd=ROOT)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_exits_zero(name):
+    proc = run_demo(name)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_order16_nonsplitting_demo():
