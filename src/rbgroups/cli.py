@@ -82,13 +82,26 @@ def cmd_verify(args, cfg):
     return EXIT_OK if res.ok else EXIT_NEGATIVE
 
 
-def _subgroup_from_params(G, params, key):
-    gens = params.get(key)
-    if not isinstance(gens, list) or not all(
-            type(g) is int and 0 <= g < G.order for g in gens):
+def _index_list(params, key, bound):
+    """params[key], checked to be a list of ints in [0, bound)."""
+    vals = params.get(key)
+    if not isinstance(vals, list) or not all(
+            type(v) is int and 0 <= v < bound for v in vals):
         raise InputFormatError(
-            f"recipe needs '{key}': a list of element indices in [0, {G.order})")
-    return closure(G, gens)
+            f"recipe needs '{key}': a list of element indices in [0, {bound})")
+    return np.asarray(vals, dtype=np.int64)
+
+
+def _index(params, key, bound, default=None):
+    """params[key] (or ``default``), checked to be an int in [0, bound)."""
+    val = params.get(key, default)
+    if type(val) is not int or not 0 <= val < bound:
+        raise InputFormatError(f"{key} must be an element index in [0, {bound})")
+    return val
+
+
+def _subgroup_from_params(G, params, key):
+    return closure(G, _index_list(params, key, G.order))
 
 
 def _build_recipe(G, recipe, params):
@@ -105,16 +118,17 @@ def _build_recipe(G, recipe, params):
         return cons.splitting_from_exact(F, params.get("order", "HL"))
     if recipe == "hom-abelian":
         H = _subgroup_from_params(G, params, "h_gens")
-        images = np.asarray(params.get("images", []), dtype=np.int64)
-        phi = GroupMap(G, G, images)
+        phi = GroupMap(G, G, _index_list(params, "images", G.order))
         return cons.hom_to_abelian(G, H, phi, anti=bool(params.get("anti", False)))
     if recipe == "lift":
         H = _subgroup_from_params(G, params, "h_gens")
         L = _subgroup_from_params(G, params, "l_gens")
         F = Factorization(h=H, l=L)
         c = params.get("c", {"recipe": "trivial-inv"})
+        if not isinstance(c, dict):
+            raise InputFormatError("lift: c must be a JSON object")
         if "images" in c:
-            c_images = np.asarray(c["images"], dtype=np.int64)
+            c_images = _index_list(c, "images", L.order)
         else:
             Lgrp, _ = L.as_group(validate=False)
             if c.get("recipe") == "trivial-e":
@@ -132,19 +146,19 @@ def _build_recipe(G, recipe, params):
         R = intersection(H, K)
         if R.order != 2:
             raise InputFormatError("lemma-r2: H ∩ K must have order 2")
-        r = int(params.get("r", R.members[1]))
+        r = _index(params, "r", G.order, int(R.members[1]))
         kset = set(map(int, K.members)) - set(map(int, K1.members))
         if not kset:
             raise InputFormatError("lemma-r2: K1 must be proper in K")
-        t = int(params.get("t", min(kset)))
+        t = _index(params, "t", G.order, min(kset))
         inst = cons.LemmaR2Instance(h=H, k=K, h1=H1, k1=K1, r=r, t=t)
         return cons.lemma_r2_construct(inst)
     if recipe == "extension":
         A = _subgroup_from_params(G, params, "a_gens")
         data = cons.ExtensionData(
-            group=G, a=A, f=int(params.get("f", -1)),
-            ba_images=np.asarray(params.get("ba_images", []), dtype=np.int64),
-            bf=int(params.get("bf", -1)))
+            group=G, a=A, f=_index(params, "f", G.order),
+            ba_images=_index_list(params, "ba_images", A.order),
+            bf=_index(params, "bf", G.order))
         candidate, is_rb, cond = cons.extension_construct(data)
         if not is_rb:
             raise PropertyFailure("extension-candidate-not-rb",

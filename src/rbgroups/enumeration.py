@@ -8,9 +8,11 @@ graphs through pairs of automorphisms and a coordinate swap, so orbit
 computations happen on canonical sorted code lists.
 
 Splitting operators have product graphs L x H coming from exact
-factorizations, and every equivalence transform preserves productness —
-the classification pipeline therefore walks orbits of subgroup *pairs*
-instead of raw graphs, which is what makes PSL2(23) feasible.
+factorizations, and every equivalence transform preserves productness,
+so the classification walks orbits of subgroup *pairs* instead of raw
+graphs.  The factor subgroups are numbered in key order, each transform
+becomes one id permutation per side, and ``groups.orbit_labels`` labels
+every pair with the least pair of its orbit, which is the representative.
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ import numpy as np
 
 from .automorphisms import aut_generators
 from .errors import GraphConditionError, PropertyFailure, ResourceCapError
-from .groups import FiniteGroup, ProductGroup, direct_square
+from .groups import ProductGroup, direct_square, orbit_labels
 from .maps import GroupMap, identity_map, inner_automorphism
 from .naming import structure_name
-from .rb import (RBOperator, btilde, derived_group, im_bbt, is_splitting,
-                 make_rb, verify_rb)
-from .subgroups import (Factorization, Subgroup, all_subgroups, divisors,
-                        exact_factorizations, is_normal, is_simple,
-                        quotient, trivial_subgroup)
+from .rb import RBOperator, btilde, derived_group, im_bbt, is_splitting, make_rb
+from .subgroups import (Factorization, all_subgroups, divisors,
+                        exact_factorizations, is_normal, is_simple, quotient)
 
 BRUTE_CAP = 8
 ENUM_CAP = 16
@@ -198,12 +198,6 @@ class QTransform:
             out = GG.pair(self._fb[b], self._fa[a])
         return np.sort(out)
 
-    def apply_pair_state(self, u, v):
-        """Image of a product graph U x V as a (U', V') pair."""
-        if self.kind == "plain":
-            return np.sort(self._fa[u]), np.sort(self._fb[v])
-        return np.sort(self._fb[v]), np.sort(self._fa[u])
-
 
 def q_transform_generators(G, auts=None) -> list[QTransform]:
     """Generators of the full equivalence action: (phi, x=e) over
@@ -314,7 +308,6 @@ class SplitClass:
     images: tuple
     orbit_size: int
     splitting: bool
-    rep_orders: tuple           # (|Im B|, |Im B~|) of the representative
 
 
 @dataclass
@@ -336,82 +329,81 @@ class ClassificationReport:
         }
 
 
-def classify_splitting(G, *, subs=None, transforms=None) -> ClassificationReport:
+def _id_maps(subs, element_maps):
+    """For each element map f, the array p with p[i] the index in
+    ``subs`` of f(subs[i]); ``subs`` must be closed under every f."""
+    index = {s.key(): i for i, s in enumerate(subs)}
+    return [np.array([index[np.sort(f[s.members]).tobytes()] for s in subs])
+            for f in element_maps]
+
+
+def _pair_orbits(facts, transforms):
+    """Orbits of the ordered pairs (U, V) with U x V a product graph.
+
+    The factor subgroups are numbered in key order and the pair (U, V)
+    is the state u*k + v, so a transform acts on states through one id
+    array per side.  Returns the number of states and, per orbit in
+    order of its least state, (U, V, orbit size); the least state is the
+    pair with the least (U.key(), V.key()).
+    """
+    by_key = {s.key(): s for f in facts for s in (f.h, f.l)}
+    factors = [by_key[key] for key in sorted(by_key)]
+    k = len(factors)
+    index = {s.key(): i for i, s in enumerate(factors)}
+    ids = np.array([(index[f.l.key()], index[f.h.key()]) for f in facts])
+    states = np.unique(np.concatenate([ids[:, 0] * k + ids[:, 1],
+                                       ids[:, 1] * k + ids[:, 0]]))
+    u, v = np.divmod(states, k)
+    sides = _id_maps(factors, [f for t in transforms for f in (t._fa, t._fb)])
+    maps = []
+    for t, pa, pb in zip(transforms, sides[::2], sides[1::2]):
+        image = pa[u] * k + pb[v] if t.kind == "plain" else pb[v] * k + pa[u]
+        maps.append(np.searchsorted(states, image))
+    labels = orbit_labels(states.size, maps)
+    sizes = np.bincount(labels, minlength=states.size)
+    least = np.flatnonzero(labels == np.arange(states.size))
+    return states.size, [(factors[u[i]], factors[v[i]], int(sizes[i])) for i in least]
+
+
+def classify_splitting(G, *, subs=None) -> ClassificationReport:
     """Classify nontrivial splitting operators up to equivalence.
 
     Every splitting operator comes from an exact factorization G = HL as
     B(hl) = l^-1, whose graph is the product subgroup L x H.  Transforms
     keep products products, so the orbit walk runs over (U, V) subgroup
     pairs.  Orbits meeting a trivial graph (a factor of order 1) are the
-    classes of the two trivial operators and are excluded from s.
+    classes of the two trivial operators and are excluded from s.  Each
+    orbit's representative, which is named and fully verified, is its
+    least pair in key order.
     """
-    n = G.order
+    from .constructions import splitting_from_exact
     if subs is None:
         subs = all_subgroups(G)
     facts = exact_factorizations(G, subs)
-    transforms = transforms if transforms is not None else q_transform_generators(G)
-    states = {}
-    for f in facts:
-        for u, v in ((f.l.members, f.h.members), (f.h.members, f.l.members)):
-            k = (u.tobytes(), v.tobytes())
-            states[k] = (u, v)
-    orbit_of = {}
-    orbits = []
-    for k in sorted(states):
-        if k in orbit_of:
-            continue
-        seen = {k: states[k]}
-        queue = deque([states[k]])
-        while queue:
-            u, v = queue.popleft()
-            for t in transforms:
-                nu, nv = t.apply_pair_state(u, v)
-                nk = (nu.tobytes(), nv.tobytes())
-                if nk not in seen:
-                    seen[nk] = (nu, nv)
-                    queue.append((nu, nv))
-        idx = len(orbits)
-        for sk in seen:
-            orbit_of[sk] = idx
-        orbits.append(seen)
+    n_states, orbits = _pair_orbits(facts, q_transform_generators(G))
     classes = []
     n_trivial = 0
-    for seen in orbits:
-        rep_key = min(seen)
-        u, v = seen[rep_key]
-        if u.size == 1 or v.size == 1:
+    verified = True
+    for L, H, size in orbits:
+        verified = verified and is_splitting(
+            splitting_from_exact(Factorization(h=H, l=L), "HL"))
+        if L.order == 1 or H.order == 1:
             n_trivial += 1
             continue
-        uname = structure_name(Subgroup(G, u, ()))
-        vname = structure_name(Subgroup(G, v, ()))
-        classes.append(SplitClass(images=tuple(sorted((uname, vname))),
-                                  orbit_size=len(seen), splitting=True,
-                                  rep_orders=(u.size, v.size)))
+        classes.append(SplitClass(
+            images=tuple(sorted((structure_name(L), structure_name(H)))),
+            orbit_size=size, splitting=True))
     classes.sort(key=lambda c: (c.images, c.orbit_size))
     verification = {
         "mode": "pair-orbit",
         "factorizations": len(facts),
-        "initial_states": len(states),
+        "initial_states": n_states,
         "trivial_orbits": n_trivial,
-        "representatives_verified": _verify_representatives(G, orbits),
+        "representatives_verified": verified,
     }
-    return ClassificationReport(group_name=G.name, group_order=n,
+    return ClassificationReport(group_name=G.name, group_order=G.order,
                                 s=len(classes), classes=classes,
                                 verification=verification)
-
-
-def _verify_representatives(G, orbits):
-    """Build and fully verify one splitting operator per orbit."""
-    for seen in orbits:
-        rep_key = min(seen)
-        u, v = seen[rep_key]
-        L = Subgroup(G, u, ())
-        H = Subgroup(G, v, ())
-        from .constructions import splitting_from_exact
-        op = splitting_from_exact(Factorization(h=H, l=L), "HL")
-        if not is_splitting(op):
-            return False
-    return True
 
 
 def psl2_expected_s(q):

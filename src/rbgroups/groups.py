@@ -314,17 +314,7 @@ class FiniteGroup:
         """Stored generators, else a deterministic greedy generating set."""
         if self.gens:
             return self.gens
-        got = np.zeros(self.order, dtype=bool)
-        got[0] = True
-        gens = []
-        for g in range(1, self.order):
-            if got[g]:
-                continue
-            gens.append(g)
-            got[_closure_members(self, gens)] = True
-            if got.all():
-                break
-        self.gens = tuple(gens)
+        self.gens = _greedy_generators(self, range(1, self.order))
         return self.gens
 
     def _rename(self, name):
@@ -358,6 +348,32 @@ def _closure_members(G, gens, bound=None):
             return None
         frontier = new
     return np.nonzero(mask)[0].astype(np.int64)
+
+
+def _greedy_generators(G, members):
+    """Generators of <members>: each member, in order, that is not yet
+    in the closure of those kept."""
+    got = np.zeros(G.order, dtype=bool)
+    gens = []
+    for g in map(int, members):
+        if g and not got[g]:
+            gens.append(g)
+            got[_closure_members(G, gens)] = True
+    return tuple(gens)
+
+
+def orbit_labels(size, maps):
+    """The least point of each point's orbit under the permutations
+    ``maps`` of 0..size-1.  label = min(label, label[m]) is repeated
+    until nothing changes; then label[i] <= label[m[i]] around every
+    cycle of every map, so labels are constant on orbits."""
+    label = np.arange(size, dtype=np.int64)
+    while True:
+        prev = label.copy()
+        for m in maps:
+            np.minimum(label, label[m], out=label)
+        if np.array_equal(label, prev):
+            return label
 
 
 class ProductGroup(FiniteGroup):

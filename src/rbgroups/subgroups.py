@@ -6,9 +6,12 @@ S' = <S, t> where t normalizes S and t^p lies in S for a prime p, so
 every solvable subgroup; every other subgroup sits above some perfect
 subgroup through such a chain (repeatedly cut a prime-index normal
 subgroup under the derived quotient), so the search additionally seeds
-every perfect subgroup.  Perfect seeds are found by a bounded
-two-element generation scan (involution plus arbitrary element), which
-covers every perfect subgroup at catalog scale; see the docstring of
+every perfect subgroup.  Perfect subgroups all lie in the perfect core
+(the last term of the derived series), so a solvable group needs no
+seeds.  Otherwise the core is a seed, and the others come from a
+bounded scan of pairs <x, y> inside it, x over conjugacy class
+representatives and y over the orbits of x's centralizer; this relies
+on perfect subgroups being 2-generated, see the docstring of
 ``_perfect_seed_subgroups``.
 """
 
@@ -20,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError, PropertyFailure, ResourceCapError
-from .groups import FiniteGroup, _closure_members
+from .groups import (FiniteGroup, _closure_members, _greedy_generators,
+                     orbit_labels)
 
 def _factorint(n):
     """Prime factorization of n as {prime: multiplicity}, primes ascending."""
@@ -168,34 +172,48 @@ def normal_closure(G, elems, under=None) -> Subgroup:
         cur = [int(x) for x in mem] + extra
 
 
+def _derived(G, gens) -> Subgroup:
+    """[D, D] for D = <gens>: the normal closure in D of the commutators
+    of the generators."""
+    coms = [c for i, a in enumerate(gens) for b in gens[i + 1:]
+            if (c := G.commutator(int(a), int(b)))]
+    if not coms:
+        return trivial_subgroup(G)
+    return normal_closure(G, coms, under=gens)
+
+
 def derived_subgroup(G) -> Subgroup:
     """The commutator subgroup, as the normal closure of generator
     commutators."""
-    gens = G.find_generating_set()
-    coms = []
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            c = G.commutator(int(a), int(b))
-            if c:
-                coms.append(c)
-    if not coms:
-        return trivial_subgroup(G)
-    return normal_closure(G, coms)
+    return _derived(G, G.find_generating_set())
+
+
+def _perfect_core(G) -> Subgroup:
+    """The last term of the derived series; it holds every perfect
+    subgroup of G."""
+    D = whole_group(G)
+    while True:
+        E = _derived(G, D.gens)
+        if E.order == D.order:
+            return D
+        D = Subgroup(G, E.members, _greedy_generators(G, E.members))
 
 
 def _perfect_seed_subgroups(G, max_order):
     """Perfect subgroups of order <= max_order (excluding the trivial one).
 
-    Strategy: every nontrivial perfect group has even order, so it
-    contains an involution; at catalog scale every perfect subgroup is
-    simple and hence generated by an involution together with one more
-    element.  Scan <x, y> for x over involution class representatives
-    and y over all elements with a size bound, keep the perfect results
-    and close the collection under conjugation.
+    Every perfect subgroup lies in the perfect core P, which is itself
+    perfect and is recorded whole.  A proper one is sought as <x, y>
+    with x a representative of a conjugacy class inside P and y a
+    representative of an orbit of the centralizer C_G(x) on P (conjugate
+    pairs generate conjugate subgroups), under the bound |P|/2; the
+    perfect results are kept and the collection is closed under
+    conjugation.  This assumes every perfect subgroup is generated by
+    two elements, which holds for every finite simple group but is not
+    proved here for the others.  A solvable G has P = 1 and no scan.
     """
     n = G.order
     seeds = {}
-    orders = G.element_orders()
 
     def record(mem, gens):
         key = mem.tobytes()
@@ -204,19 +222,28 @@ def _perfect_seed_subgroups(G, max_order):
             return True
         return False
 
-    if G.order <= max_order:
-        der = derived_subgroup(G)
-        if der.order == n:
-            record(np.arange(n, dtype=np.int64), G.find_generating_set())
-    proper_bound = min(max_order, n // 2)
+    core = _perfect_core(G)
+    if core.order == 1:
+        return []
+    if core.order <= max_order:
+        record(core.members, core.gens)
+    proper_bound = min(max_order, core.order // 2)
     if proper_bound >= 60:
-        reps = [int(c[0]) for c in G.conjugacy_classes() if orders[c[0]] == 2]
-        for x in reps:
-            for y in range(1, n):
+        in_core = core.mask()
+        class_of = G.class_of()
+        for i, cls in enumerate(G.conjugacy_classes()):
+            x = int(cls[0])
+            if x == 0 or not in_core[x]:
+                continue
+            cent = np.flatnonzero(G.row(x) == G.col(x))
+            maps = [G.col(c)[G.row(G.inv(c))]
+                    for c in _greedy_generators(G, cent)]
+            ys = np.unique(orbit_labels(n, maps)[core.members])
+            # <x, y> = <y, x>: let x come from the lower class
+            for y in ys[class_of[ys] >= i].tolist():
                 mem = _closure_members(G, [x, y], bound=proper_bound)
                 if mem is None or mem.size < 60 or mem.size % 4:
                     continue
-                sub = Subgroup(G, mem, (x, y))
                 dm = normal_closure(G, [G.commutator(x, y)], under=(x, y))
                 if dm.order == mem.size:
                     record(mem, (x, y))
@@ -228,7 +255,7 @@ def _perfect_seed_subgroups(G, max_order):
                 T = conjugate_subgroup(G, S, int(g))
                 if record(T.members, T.gens):
                     queue.append(seeds[T.key()])
-    return [s for s in seeds.values()]
+    return list(seeds.values())
 
 
 def all_subgroups(G, max_order=None, *, lattice_cap=10000, allowed_orders=None,

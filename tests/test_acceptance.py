@@ -93,6 +93,10 @@ def test_criterion_3_class_names_q23():
     assert rep.s == 2
     assert sorted(c.images for c in rep.classes) == [("23:11", "D24"),
                                                      ("23:11", "S4")]
+    assert {c.orbit_size for c in rep.classes} == {12144, 24288}
+    v = rep.verification
+    assert (v["factorizations"], v["initial_states"], v["trivial_orbits"]) == (18217, 36434, 1)
+    assert v["representatives_verified"] is True
     assert elapsed < 1800, f"q=23 classification took {elapsed:.0f}s"
     report(3, "subgroup-pair names for q = 23", f"({elapsed:.0f}s)")
 

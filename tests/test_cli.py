@@ -98,6 +98,28 @@ def test_construct_extension_f_out_of_range_is_input_error(f_param):
     assert payload["error"] == "f must be an element index in [0, 16)"
 
 
+R2_D8 = '"h_gens": [1, 2, 3, 4, 5, 6, 7], "k_gens": [4], "h1_gens": [1, 2, 3], "k1_gens": []'
+
+
+@pytest.mark.parametrize("recipe,group,params", [
+    ("extension", "cyclic:4", '{"a_gens": [2], "f": 1.5, "ba_images": [0, 0], "bf": 0}'),
+    ("extension", "cyclic:4", '{"a_gens": [2], "f": 1, "ba_images": [0.7, 0], "bf": 0}'),
+    ("extension", "cyclic:4", '{"a_gens": [2], "f": 1, "ba_images": [0, 0], "bf": 0.0}'),
+    ("extension", "cyclic:4", '{"a_gens": [2], "f": true, "ba_images": [0, 0], "bf": 0}'),
+    ("extension", "cyclic:4", '{"a_gens": [2], "f": 1, "ba_images": [0, 2], "bf": 0}'),
+    ("hom-abelian", "cyclic:4", '{"h_gens": [1], "images": [0, 1.5, 2, 3]}'),
+    ("hom-abelian", "cyclic:4", '{"h_gens": [1], "images": "0123"}'),
+    ("lift", "symmetric:3", '{"h_gens": [2], "l_gens": [1], "c": {"images": [0, 1.0]}}'),
+    ("lift", "symmetric:3", '{"h_gens": [2], "l_gens": [1], "c": [0, 1]}'),
+    ("lemma-r2", "dihedral:8", '{' + R2_D8 + ', "r": 4.5}'),
+    ("lemma-r2", "dihedral:8", '{' + R2_D8 + ', "t": "4"}'),
+])
+def test_construct_non_integer_params_are_input_errors(recipe, group, params):
+    code, payload = run_json("construct", recipe, group, "--params", params)
+    assert code == 2
+    assert payload["kind"] == "input"
+
+
 def test_construct_missing_params_is_input_error():
     code, payload = run_json("construct", "split", "symmetric:3")
     assert code == 2
@@ -252,6 +274,18 @@ def test_factorize():
     pairs = {(f["h_order"], f["l_order"]) for f in payload["factorizations"]}
     assert (24, 1) in pairs
     assert (12, 2) in pairs
+
+
+def test_factorize_sl25_times_c2_from_cayley_file(tmp_path):
+    # the lattice must hold SL(2,5) x 1, whose involution is central
+    from test_subgroups import sl2_table, times_c2
+    spec = tmp_path / "sl25xc2.json"
+    spec.write_text(json.dumps({"cayley": times_c2(sl2_table(5)).tolist()}))
+    code, payload = run_json("factorize", str(spec))
+    assert code == 0
+    assert payload["group"]["order"] == 240
+    pairs = {(f["h_order"], f["l_order"]) for f in payload["factorizations"]}
+    assert (120, 2) in pairs
 
 
 def test_inline_group_json():

@@ -1,11 +1,14 @@
 """Lattice enumeration vs brute force, equivalence orbits, classification."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 import rbgroups as rb
-from rbgroups.enumeration import RBGraph, direct_square
+from rbgroups.enumeration import RBGraph, _id_maps, _pair_orbits, direct_square
 from rbgroups.errors import GraphConditionError
+from rbgroups.groups import orbit_labels
 
 # (catalog id, operator count, splitting count, equivalence classes)
 # counts were computed once by exhaustive search and frozen
@@ -288,3 +291,88 @@ def test_orbit_size_counts_distinct_graphs():
     classes = rb.classify_equivalence(ops)
     sizes = sorted(c.size for c in classes)
     assert sizes == [2, 2, 2]
+
+
+# ----------------------------------------------------------------------
+# pair-orbit walk
+
+
+def bfs_pair_orbits(facts, transforms):
+    """Oracle: (U, V) pairs as member arrays keyed by their bytes, each
+    orbit walked breadth-first.  Returns the number of states and
+    ((U.key(), V.key()) of the least pair, orbit size) per orbit."""
+    states = {}
+    for f in facts:
+        for u, v in ((f.l.members, f.h.members), (f.h.members, f.l.members)):
+            states[(u.tobytes(), v.tobytes())] = (u, v)
+    done, out = set(), []
+    for key in sorted(states):
+        if key in done:
+            continue
+        seen, queue = {key}, deque([states[key]])
+        while queue:
+            u, v = queue.popleft()
+            for t in transforms:
+                a, b = (t._fa[u], t._fb[v]) if t.kind == "plain" else (t._fb[v], t._fa[u])
+                a, b = np.sort(a), np.sort(b)
+                if (a.tobytes(), b.tobytes()) not in seen:
+                    seen.add((a.tobytes(), b.tobytes()))
+                    queue.append((a, b))
+        done |= seen
+        out.append((min(seen), len(seen)))
+    return len(states), out
+
+
+def relabelled(G, seed):
+    """G with its non-identity elements renumbered at random."""
+    rng = np.random.default_rng(seed)
+    sigma = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    table = np.empty((G.order, G.order), dtype=np.int64)
+    table[np.ix_(sigma, sigma)] = sigma[G.mul_block(np.arange(G.order), np.arange(G.order))]
+    return rb.FiniteGroup.from_table(table, name=f"{G.name}~{seed}")
+
+
+@pytest.mark.parametrize("ident", ["symmetric:4", "symmetric:5", "dihedral:12",
+                                   "psl2:7", "psl2:11", "psl2:11~7"])
+def test_pair_orbits_match_bfs_oracle(ident):
+    name, _, seed = ident.partition("~")
+    G = rb.named_group(name)
+    if seed:
+        G = relabelled(G, int(seed))
+    facts = rb.exact_factorizations(G)
+    transforms = rb.q_transform_generators(G)
+    n_states, oracle = bfs_pair_orbits(facts, transforms)
+    got_states, orbits = _pair_orbits(facts, transforms)
+    assert got_states == n_states
+    assert [((U.key(), V.key()), size) for U, V, size in orbits] == oracle
+    rep = rb.classify_splitting(G)
+    assert rep.verification["initial_states"] == n_states
+    trivial = np.zeros(1, dtype=np.int64).tobytes()
+    assert sorted(c.orbit_size for c in rep.classes) == sorted(
+        size for (u, v), size in oracle if trivial not in (u, v))
+
+
+def test_inner_id_maps_give_subgroup_conjugacy_classes():
+    G = rb.named_group("psl2:11")
+    by_key = {s.key(): s for f in rb.exact_factorizations(G) for s in (f.h, f.l)}
+    subs = [by_key[k] for k in sorted(by_key)]
+    inner = [t._fb for t in rb.q_transform_generators(G) if t.label.startswith("alpha")]
+    labels = orbit_labels(len(subs), _id_maps(subs, inner))
+    orbits = {}
+    for i, s in enumerate(subs):
+        orbits.setdefault(int(labels[i]), set()).add(s.key())
+    classes = []
+    for s in subs:
+        if any(s.key() in c for c in classes):
+            continue
+        cls, queue = {s.key()}, [s]
+        while queue:
+            T = queue.pop()
+            for g in G.find_generating_set():
+                C = rb.conjugate_subgroup(G, T, int(g))
+                if C.key() not in cls:
+                    cls.add(C.key())
+                    queue.append(C)
+        classes.append(cls)
+    assert sorted(map(sorted, orbits.values())) == sorted(map(sorted, classes))
+    assert len(classes) > 1

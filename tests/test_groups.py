@@ -7,7 +7,7 @@ import pytest
 
 import rbgroups as rb
 from rbgroups.errors import InputFormatError, ResourceCapError
-from rbgroups.groups import FiniteGroup
+from rbgroups.groups import FiniteGroup, orbit_labels
 
 
 def test_from_table_rejects_non_group():
@@ -211,3 +211,10 @@ def test_tableless_product_accessors_agree():
     x, y = GG.unpair(a)
     z, w = GG.unpair(b)
     assert (GG.mul_vec(a, b) == GG.pair(G.mul_vec(x, z), G.mul_vec(y, w))).all()
+
+
+def test_orbit_labels_give_least_point_of_each_orbit():
+    # <(0 1), (1 2)(4 5)> has orbits {0, 1, 2}, {3}, {4, 5}
+    maps = [np.array([1, 0, 2, 3, 4, 5]), np.array([0, 2, 1, 3, 5, 4])]
+    assert orbit_labels(6, maps).tolist() == [0, 0, 0, 3, 4, 4]
+    assert orbit_labels(4, []).tolist() == [0, 1, 2, 3]

@@ -1,6 +1,7 @@
 """Subgroup closure, lattice search, quotients, exact factorizations."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -213,3 +214,165 @@ def test_trivial_group_factorization():
     fs = rb.exact_factorizations(G)
     assert len(fs) == 1
     assert fs[0].h.order == fs[0].l.order == 1
+
+
+# ----------------------------------------------------------------------
+# perfect seeds: adversarial tables and independent lattice checks
+
+
+def sl2_table(p, m=1, projective=False):
+    """Cayley table of SL(2, p^m), or of PSL(2, p^m), identity first."""
+    F = rb.field(p, m)
+    q = F.q
+
+    def code(M):
+        return ((M[..., 0] * q + M[..., 1]) * q + M[..., 2]) * q + M[..., 3]
+
+    mats = np.array(list(itertools.product(range(q), repeat=4)))
+    a, b, c, d = mats.T
+    mats = mats[F.add[F.mul[a, d], F.neg[F.mul[b, c]]] == 1]
+    if projective:
+        mats = mats[code(mats) <= code(F.neg[mats])]
+    mats = mats[np.argsort(code(mats) != code(np.array([1, 0, 0, 1])), kind="stable")]
+    index = np.full(q ** 4, -1)
+    index[code(mats)] = np.arange(len(mats))
+    if projective:
+        index[code(F.neg[mats])] = np.arange(len(mats))
+    x, y = mats[:, None, :], mats[None, :, :]
+
+    def entry(i, j, k, l):
+        return F.add[F.mul[x[..., i], y[..., j]], F.mul[x[..., k], y[..., l]]]
+
+    prod = np.stack([entry(0, 0, 1, 2), entry(0, 1, 1, 3),
+                     entry(2, 0, 3, 2), entry(2, 1, 3, 3)], axis=-1)
+    return index[code(prod)]
+
+
+def times_c2(table):
+    """Table of G x C2, (g, e) numbered 2g + e."""
+    big = 2 * np.repeat(np.repeat(table, 2, axis=0), 2, axis=1)
+    e = np.arange(2 * len(table)) % 2
+    return big + (e[:, None] ^ e[None, :])
+
+
+ADVERSARIAL = {
+    "SL(2,5)": lambda: sl2_table(5),
+    "SL(2,5)xC2": lambda: times_c2(sl2_table(5)),
+    "A5xC2": lambda: times_c2(sl2_table(5, projective=True)),
+    "SL(2,9)": lambda: sl2_table(3, 2),
+}
+
+
+def adversarial_group(name):
+    return rb.FiniteGroup.from_table(ADVERSARIAL[name](), name=name)
+
+
+def join_closure_lattice(G):
+    """Member keys of every subgroup, found independently of the
+    lattice search: close {1} under joins with cyclic subgroups.  Those
+    of prime-power order suffice, since every element is a product of
+    prime-power-order powers of itself."""
+    cyclic = {}
+    for g, k in enumerate(G.element_orders().tolist()):
+        p = next(d for d in range(2, k + 1) if k % d == 0) if k > 1 else 1
+        while k > 1 and k % p == 0:
+            k //= p
+        if k == 1:
+            cyclic.setdefault(rb.closure(G, [g]).key(), g)
+    found = {rb.trivial_subgroup(G).key()}
+    queue = [((), np.array([0]))]
+    while queue:
+        gens, members = queue.pop()
+        inside = np.zeros(G.order, dtype=bool)
+        inside[members] = True
+        for g in cyclic.values():
+            if inside[g]:
+                continue
+            S = rb.closure(G, gens + (g,))
+            if S.key() not in found:
+                found.add(S.key())
+                queue.append((gens + (g,), S.members))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["SL(2,5)", "SL(2,5)xC2", "A5xC2"])
+def test_lattice_matches_join_closure_on_adversarial_tables(name):
+    G = adversarial_group(name)
+    assert sorted(s.key() for s in rb.all_subgroups(G)) == join_closure_lattice(G)
+
+
+def test_sl25_times_c2_keeps_its_perfect_subgroups():
+    # SL(2,5)'s one involution is central, so no <involution, y> is SL(2,5)
+    G = adversarial_group("SL(2,5)xC2")
+    subs = rb.all_subgroups(G)
+    orders = [s.order for s in subs]
+    assert orders[-1] == 240
+    sl = [s for s in subs if s.order == 120 and rb.derived_subgroup(
+        s.as_group()[0]).order == 120]
+    assert [s.members.tolist() for s in sl] == [list(range(0, 240, 2))]
+
+
+def test_sl29_keeps_its_proper_perfect_subgroups():
+    # SL(2,9) = 2.A6 has one involution, -I.  Its subgroups are the lifts
+    # of A6's 501 subgroups plus 87 of odd order (1, 40 C3, 36 C5,
+    # 10 C3^2); the lifts of A6's 12 A5s are SL(2,5)s.
+    subs = rb.all_subgroups(adversarial_group("SL(2,9)"))
+    assert len(subs) == 588
+    assert sum(1 for s in subs if s.order == 120) == 12
+
+
+def cyclic_counts_hold(G, subs):
+    """#cyclic subgroups of order k == #elements of order k / phi(k)."""
+    orders = G.element_orders()
+    for k in np.unique(orders).tolist():
+        phi = sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+        cyclic = sum(1 for s in subs if s.order == k
+                     and (orders[s.members] == k).any())
+        if cyclic != int((orders == k).sum()) // phi:
+            return False
+    return True
+
+
+def frobenius_counts_hold(G, subs):
+    """#subgroups of each prime-power order p^a is 1 mod p."""
+    n = G.order
+    by_order = {}
+    for s in subs:
+        by_order[s.order] = by_order.get(s.order, 0) + 1
+    for p in [d for d in range(2, n + 1) if n % d == 0
+              and all(d % e for e in range(2, d))]:
+        q = p
+        while n % q == 0:
+            if by_order.get(q, 0) % p != 1:
+                return False
+            q *= p
+    return True
+
+
+CHEAP_COUNT_GROUPS = ["symmetric:4", "dihedral:12", "paper16", "alternating:5",
+                      "symmetric:5", "psl2:7", "psl2:8", "alternating:6"]
+
+
+@pytest.mark.parametrize("name", CHEAP_COUNT_GROUPS + list(ADVERSARIAL))
+def test_lattice_cheap_counts(name):
+    G = adversarial_group(name) if name in ADVERSARIAL else rb.named_group(name)
+    subs = rb.all_subgroups(G)
+    assert cyclic_counts_hold(G, subs)
+    assert frobenius_counts_hold(G, subs)
+
+
+@pytest.mark.parametrize("ident,count", [("cyclic:240", 20), ("dihedral:240", 376)])
+def test_solvable_group_runs_no_seed_scan(ident, count, monkeypatch):
+    G = rb.named_group(ident)
+    import rbgroups.subgroups as sg
+    closure = sg._closure_members
+    bounded = []
+
+    def spy(G, gens, bound=None):
+        if bound is not None:
+            bounded.append(tuple(gens))
+        return closure(G, gens, bound)
+
+    monkeypatch.setattr(sg, "_closure_members", spy)
+    assert len(rb.all_subgroups(G)) == count
+    assert bounded == []
