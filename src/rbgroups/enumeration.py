@@ -29,7 +29,8 @@ from .maps import GroupMap, identity_map, inner_automorphism
 from .naming import structure_name
 from .rb import RBOperator, btilde, derived_group, im_bbt, is_splitting, make_rb
 from .subgroups import (Factorization, all_subgroups, divisors,
-                        exact_factorizations, is_normal, is_simple, quotient)
+                        exact_factorizations, is_normal, is_simple,
+                        unchecked_quotient)
 
 BRUTE_CAP = 8
 ENUM_CAP = 16
@@ -111,7 +112,8 @@ def enumerate_rb(G, cap=ENUM_CAP) -> list[RBOperator]:
     The lattice walk inside G x G keeps only subgroups with pairwise
     distinct differences b a^-1 — every subgroup of a qualifying graph
     has that property, so pruning on it loses nothing and collapses the
-    search space.
+    search space.  Conjugating by (x, x) maps b a^-1 to x^-1 b a^-1 x,
+    so the walk may run on classes under the diagonal subgroup.
     """
     n = G.order
     if n > cap:
@@ -124,8 +126,10 @@ def enumerate_rb(G, cap=ENUM_CAP) -> list[RBOperator]:
         d = G.mul_vec(b, inv[a])
         return np.unique(d).size == codes.size
 
+    diagonal = [GG.pair(g, g) for g in G.find_generating_set()]
     subs = all_subgroups(GG, max_order=n, allowed_orders=divisors(n),
-                         prune=distinct_diffs, lattice_cap=max(10000, GG.order))
+                         prune=distinct_diffs, conjugators=diagonal,
+                         lattice_cap=max(10000, GG.order))
     ops = []
     for S in subs:
         if S.order != n:
@@ -486,7 +490,8 @@ def nonsplitting_obstruction(G, *, subs=None, strict=None) -> ObstructionReport:
     def quotient_fp(big_idx, small_idx):
         key = (big_idx, small_idx)
         if key not in qfp_cache:
-            qfp_cache[key] = quotient(subs[big_idx], subs[small_idx]).fingerprint()
+            Q, _ = unchecked_quotient(subs[big_idx], subs[small_idx])
+            qfp_cache[key] = Q.fingerprint()
         return qfp_cache[key]
 
     def normal_inside(n_idx, a_idx):

@@ -13,6 +13,11 @@ bounded scan of pairs <x, y> inside it, x over conjugacy class
 representatives and y over the orbits of x's centralizer; this relies
 on perfect subgroups being 2-generated, see the docstring of
 ``_perfect_seed_subgroups``.
+
+The walk runs on classes: each new subgroup is registered with its
+orbit under conjugation (by default its conjugacy class) and only the
+first member of the orbit is extended, so a ``prune`` predicate must
+give the same answer on conjugate subgroups.
 """
 
 from __future__ import annotations
@@ -136,10 +141,9 @@ def normalizer_mask(G, sub: Subgroup) -> np.ndarray:
 
 def conjugate_subgroup(G, sub: Subgroup, g) -> Subgroup:
     """g^-1 * S * g."""
-    ig = G.inv(g)
-    mem = np.sort(G.col(g)[G.row(ig)[sub.members]])
-    gens = tuple(int(G.mul(G.mul(ig, s), g)) for s in sub.gens)
-    return Subgroup(G, mem, gens)
+    left, right = G.row(G.inv(g)), G.col(g)
+    return Subgroup(G, np.sort(right[left[sub.members]]),
+                    right[left[np.asarray(sub.gens, dtype=np.int64)]])
 
 
 def is_normal(G, sub: Subgroup, within: Subgroup | None = None) -> bool:
@@ -155,7 +159,8 @@ def is_normal(G, sub: Subgroup, within: Subgroup | None = None) -> bool:
 
 def normal_closure(G, elems, under=None) -> Subgroup:
     """Smallest subgroup containing ``elems`` normalized by ``under``
-    (default: generators of G)."""
+    (default: generators of G).  A round adds one outside conjugate per
+    element of ``under``, so the recorded ``gens`` stay short."""
     under = [int(g) for g in (under if under is not None else G.find_generating_set())]
     cur = [int(e) for e in elems]
     while True:
@@ -166,10 +171,11 @@ def normal_closure(G, elems, under=None) -> Subgroup:
         for g in under:
             conj = G.col(g)[G.row(G.inv(g))[mem]]
             bad = conj[~mm[conj]]
-            extra.extend(int(b) for b in bad[:8])
+            if bad.size:
+                extra.append(int(bad[0]))
         if not extra:
             return Subgroup(G, mem, tuple(cur))
-        cur = [int(x) for x in mem] + extra
+        cur += extra
 
 
 def _derived(G, gens) -> Subgroup:
@@ -192,11 +198,9 @@ def _perfect_core(G) -> Subgroup:
     """The last term of the derived series; it holds every perfect
     subgroup of G."""
     D = whole_group(G)
-    while True:
-        E = _derived(G, D.gens)
-        if E.order == D.order:
-            return D
-        D = Subgroup(G, E.members, _greedy_generators(G, E.members))
+    while (E := _derived(G, D.gens)).order < D.order:
+        D = E
+    return D
 
 
 def _perfect_seed_subgroups(G, max_order):
@@ -207,26 +211,17 @@ def _perfect_seed_subgroups(G, max_order):
     with x a representative of a conjugacy class inside P and y a
     representative of an orbit of the centralizer C_G(x) on P (conjugate
     pairs generate conjugate subgroups), under the bound |P|/2; the
-    perfect results are kept and the collection is closed under
-    conjugation.  This assumes every perfect subgroup is generated by
-    two elements, which holds for every finite simple group but is not
-    proved here for the others.  A solvable G has P = 1 and no scan.
+    perfect results are kept, possibly with repeats, and
+    ``all_subgroups`` adds their conjugates.  This assumes every perfect
+    subgroup is generated by two elements, which holds for every finite
+    simple group but is not proved here for the others.  A solvable G
+    has P = 1 and no scan.
     """
     n = G.order
-    seeds = {}
-
-    def record(mem, gens):
-        key = mem.tobytes()
-        if key not in seeds:
-            seeds[key] = Subgroup(G, mem, gens)
-            return True
-        return False
-
     core = _perfect_core(G)
     if core.order == 1:
         return []
-    if core.order <= max_order:
-        record(core.members, core.gens)
+    seeds = [core] if core.order <= max_order else []
     proper_bound = min(max_order, core.order // 2)
     if proper_bound >= 60:
         in_core = core.mask()
@@ -246,20 +241,12 @@ def _perfect_seed_subgroups(G, max_order):
                     continue
                 dm = normal_closure(G, [G.commutator(x, y)], under=(x, y))
                 if dm.order == mem.size:
-                    record(mem, (x, y))
-        # close under conjugation
-        queue = deque(seeds.values())
-        while queue:
-            S = queue.popleft()
-            for g in G.find_generating_set():
-                T = conjugate_subgroup(G, S, int(g))
-                if record(T.members, T.gens):
-                    queue.append(seeds[T.key()])
-    return list(seeds.values())
+                    seeds.append(Subgroup(G, mem, (x, y)))
+    return seeds
 
 
 def all_subgroups(G, max_order=None, *, lattice_cap=10000, allowed_orders=None,
-                  prune=None):
+                  prune=None, conjugators=None):
     """Every subgroup of order <= max_order, each exactly once, ordered by
     (order, member tuple).
 
@@ -269,6 +256,14 @@ def all_subgroups(G, max_order=None, *, lattice_cap=10000, allowed_orders=None,
     subgroup failing it is dropped together with its whole extension
     subtree, which is sound whenever the property is inherited by
     subgroups.
+
+    A new subgroup is registered with its orbit under conjugation by
+    ``conjugators`` (default: G's generators, giving conjugacy classes)
+    and only it is extended, as an extension of a conjugate is a
+    conjugate of an extension; ``prune`` must be invariant under these
+    conjugations.  Each extension <S, t> is built once: every t' in it
+    outside S gives <S, t'> = <S, t>.  Only the recorded ``gens`` depend
+    on which member of a class is found first.
     """
     n = G.order
     if n > lattice_cap:
@@ -279,22 +274,27 @@ def all_subgroups(G, max_order=None, *, lattice_cap=10000, allowed_orders=None,
     ok_orders = set(d for d in divisors(n) if d <= max_order)
     if allowed_orders is not None:
         ok_orders &= set(int(a) for a in allowed_orders)
+    if conjugators is None:
+        conjugators = G.find_generating_set()
 
     found = {}
     queue = deque()
 
     def register(members, gens):
-        if members.size not in ok_orders:
-            return None
-        if prune is not None and not prune(members):
-            return None
         key = members.tobytes()
-        if key in found:
-            return None
-        sub = Subgroup(G, members, gens)
-        found[key] = sub
+        if members.size not in ok_orders or key in found \
+                or (prune is not None and not prune(members)):
+            return
+        sub = found[key] = Subgroup(G, members, gens)
         queue.append(sub)
-        return sub
+        orbit = deque([sub])
+        while orbit:
+            T = orbit.popleft()
+            for g in conjugators:
+                C = conjugate_subgroup(G, T, g)
+                if C.key() not in found:
+                    found[C.key()] = C
+                    orbit.append(C)
 
     register(np.array([0], dtype=np.int64), ())
     if max_order >= 60 and n >= 60:
@@ -315,16 +315,13 @@ def all_subgroups(G, max_order=None, *, lattice_cap=10000, allowed_orders=None,
             continue
         for p in usable:
             tp = G.pow_vec(cand, p)
-            ts = cand[mm[tp]]
-            for t in ts:
-                t = int(t)
-                powers = [0]
-                cur = t
-                for _ in range(p - 1):
-                    powers.append(cur)
-                    cur = G.mul(cur, t)
-                block = G.mul_block(S.members, np.asarray(powers, dtype=np.int64))
+            done = np.zeros(n, dtype=bool)
+            for t in cand[mm[tp]].tolist():
+                if done[t]:
+                    continue
+                block = G.mul_block(S.members, [G.power(t, k) for k in range(p)])
                 members = np.sort(block.ravel())
+                done[members] = True
                 register(members, S.gens + (t,))
 
     subs = sorted(found.values(), key=lambda s: (s.order, s.members.tobytes()))
@@ -409,11 +406,17 @@ def quotient_with_projection(H: Subgroup, N: Subgroup):
 
     Returns (Q, proj) with proj[i] = Q-index of the coset of H.members[i].
     """
-    G = H.parent
     if not H.mask()[N.members].all():
         raise InputFormatError("N is not contained in H")
-    if not is_normal(G, N, within=H):
+    if not is_normal(H.parent, N, within=H):
         raise InputFormatError("N is not normal in H")
+    return unchecked_quotient(H, N)
+
+
+def unchecked_quotient(H: Subgroup, N: Subgroup):
+    """``quotient_with_projection`` for a caller that has already proved
+    N normal in H; nothing is checked."""
+    G = H.parent
     cosets = G.mul_block(H.members, N.members)
     reps = cosets.min(axis=1)
     uniq = np.unique(reps)

@@ -323,22 +323,10 @@ def bfs_pair_orbits(facts, transforms):
     return len(states), out
 
 
-def relabelled(G, seed):
-    """G with its non-identity elements renumbered at random."""
-    rng = np.random.default_rng(seed)
-    sigma = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
-    table = np.empty((G.order, G.order), dtype=np.int64)
-    table[np.ix_(sigma, sigma)] = sigma[G.mul_block(np.arange(G.order), np.arange(G.order))]
-    return rb.FiniteGroup.from_table(table, name=f"{G.name}~{seed}")
-
-
 @pytest.mark.parametrize("ident", ["symmetric:4", "symmetric:5", "dihedral:12",
                                    "psl2:7", "psl2:11", "psl2:11~7"])
-def test_pair_orbits_match_bfs_oracle(ident):
-    name, _, seed = ident.partition("~")
-    G = rb.named_group(name)
-    if seed:
-        G = relabelled(G, int(seed))
+def test_pair_orbits_match_bfs_oracle(ident, relabelled):
+    G = relabelled(ident)
     facts = rb.exact_factorizations(G)
     transforms = rb.q_transform_generators(G)
     n_states, oracle = bfs_pair_orbits(facts, transforms)

@@ -2,12 +2,15 @@
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 import rbgroups as rb
+import rbgroups.subgroups as sg
 from rbgroups.errors import InputFormatError, ResourceCapError
+from rbgroups.groups import orbit_labels
 
 
 def brute_closure(G, gens):
@@ -364,7 +367,6 @@ def test_lattice_cheap_counts(name):
 @pytest.mark.parametrize("ident,count", [("cyclic:240", 20), ("dihedral:240", 376)])
 def test_solvable_group_runs_no_seed_scan(ident, count, monkeypatch):
     G = rb.named_group(ident)
-    import rbgroups.subgroups as sg
     closure = sg._closure_members
     bounded = []
 
@@ -376,3 +378,136 @@ def test_solvable_group_runs_no_seed_scan(ident, count, monkeypatch):
     monkeypatch.setattr(sg, "_closure_members", spy)
     assert len(rb.all_subgroups(G)) == count
     assert bounded == []
+
+
+# ----------------------------------------------------------------------
+# the class walk against the per-subgroup walk
+
+
+def per_subgroup_walk(G, max_order=None, allowed_orders=None, prune=None):
+    """Oracle: member arrays of the cyclic extension walk run on every
+    subgroup rather than once per class, trying every t, with the
+    perfect seeds closed under conjugation up front."""
+    n = G.order
+    max_order = min(max_order or n, n)
+    ok_orders = {d for d in sg.divisors(n) if d <= max_order}
+    if allowed_orders is not None:
+        ok_orders &= set(allowed_orders)
+    found, queue = {}, deque()
+
+    def register(members, gens):
+        if members.size in ok_orders and (prune is None or prune(members)) \
+                and members.tobytes() not in found:
+            found[members.tobytes()] = members
+            queue.append(rb.Subgroup(G, members, gens))
+
+    register(np.array([0]), ())
+    seeds = sg._perfect_seed_subgroups(G, max_order) if max_order >= 60 and n >= 60 else []
+    seen = {S.key(): S for S in seeds}
+    closing = deque(seen.values())
+    while closing:
+        S = closing.popleft()
+        for g in G.find_generating_set():
+            T = rb.conjugate_subgroup(G, S, int(g))
+            if T.key() not in seen:
+                seen[T.key()] = T
+                closing.append(T)
+    for S in seen.values():
+        register(S.members, S.gens)
+
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+    while queue:
+        S = queue.popleft()
+        mm = S.mask()
+        cand = np.flatnonzero(rb.normalizer_mask(G, S) & ~mm)
+        for p in primes:
+            if p * S.order not in ok_orders:
+                continue
+            for t in cand[mm[G.pow_vec(cand, p)]].tolist():
+                powers = [G.power(t, k) for k in range(p)]
+                members = np.sort(G.mul_block(S.members, powers).ravel())
+                register(members, S.gens + (t,))
+    return [found[k] for k in sorted(found, key=lambda k: (len(k), k))]
+
+
+def class_count(G, subs):
+    """Number of conjugacy classes among ``subs``."""
+    index = {s.key(): i for i, s in enumerate(subs)}
+    maps = [np.array([index[rb.conjugate_subgroup(G, s, g).key()] for s in subs])
+            for g in G.find_generating_set()]
+    return np.unique(orbit_labels(len(subs), maps)).size
+
+
+ORACLE_GROUPS = ["psl2:7", "psl2:8", "psl2:9", "psl2:11", "psl2:13",
+                 "symmetric:5", "symmetric:6", "alternating:6", "paper16",
+                 "dihedral:24", "SL(2,5)xC2", "SL(2,9)", "psl2:11~5"]
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_class_walk_matches_per_subgroup_walk(name, relabelled):
+    G = adversarial_group(name) if name in ADVERSARIAL else relabelled(name)
+    got = [s.members.tolist() for s in rb.all_subgroups(G)]
+    assert got == [m.tolist() for m in per_subgroup_walk(G)]
+
+
+@pytest.mark.parametrize("ident", ["dihedral:8", "paper16"])
+def test_enumerate_rb_matches_per_subgroup_walk(ident):
+    G = rb.named_group(ident)
+    n = G.order
+    GG = rb.direct_square(G)
+
+    def distinct_diffs(codes):
+        a, b = GG.unpair(codes)
+        return np.unique(G.mul_vec(b, G.inverse[a])).size == codes.size
+
+    graphs = sorted(m.tolist() for m in per_subgroup_walk(
+        GG, max_order=n, allowed_orders=sg.divisors(n), prune=distinct_diffs)
+        if m.size == n)
+    assert len(graphs) > 1
+    assert sorted(rb.graph_of(B, GG).members.tolist()
+                  for B in rb.enumerate_rb(G)) == graphs
+
+
+def test_each_cyclic_extension_is_built_once(monkeypatch):
+    G = rb.named_group("cyclic:5000")
+    mul_block = rb.FiniteGroup.mul_block
+    calls = []
+
+    def spy(self, A, B):
+        calls.append(len(A))
+        return mul_block(self, A, B)
+
+    monkeypatch.setattr(rb.FiniteGroup, "mul_block", spy)
+    subs = rb.all_subgroups(G)
+    assert len(subs) == 20
+    assert len(calls) <= 2 * len(subs)
+
+
+def test_normalizers_are_computed_once_per_class(monkeypatch):
+    G = rb.named_group("psl2:13")
+    normalizer_mask = sg.normalizer_mask
+    calls = []
+
+    def spy(G, sub):
+        calls.append(sub.order)
+        return normalizer_mask(G, sub)
+
+    monkeypatch.setattr(sg, "normalizer_mask", spy)
+    subs = rb.all_subgroups(G)
+    monkeypatch.undo()
+    assert len(subs) == 942
+    assert class_count(G, subs) == 16
+    assert len(calls) <= 16
+
+
+def test_psl2_23_lattice():
+    G = rb.named_group("psl2:23")
+    subs = rb.all_subgroups(G)
+    assert len(subs) == 5915
+    assert class_count(G, subs) == 23
+
+
+def test_derived_subgroup_keeps_few_generators():
+    D = rb.derived_subgroup(rb.named_group("symmetric:6"))
+    assert D.order == 360
+    assert len(D.gens) <= 6
