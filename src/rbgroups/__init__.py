@@ -21,7 +21,7 @@ from .constructions import (ExtensionData, LemmaR2Instance, extension_construct,
 from .enumeration import (ClassificationReport, EquivalenceClass, QTransform,
                           RBGraph, brute_force_rb, classify_equivalence,
                           classify_splitting, enumerate_rb, graph_of,
-                          nonsplitting_obstruction, psl2_expected_s, q_orbit,
+                          nonsplitting_obstruction, psl2_expected_s,
                           q_transform_generators, rb_from_graph)
 from .errors import (GraphConditionError, InputFormatError, OutOfScaleError,
                      PropertyFailure, RBGroupsError, ResourceCapError)

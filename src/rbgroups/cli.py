@@ -65,10 +65,10 @@ def _envelope(command, cfg):
 def cmd_verify(args, cfg):
     G, ref = _resolve_group(args.group, cfg)
     obj = _load_json_arg(args.operator)
-    if "images" not in obj:
-        raise InputFormatError("operator file needs an 'images' array")
-    images = np.asarray(obj["images"], dtype=np.int64)
-    if images.shape != (G.order,) or (images < 0).any() or (images >= G.order).any():
+    if not isinstance(obj, dict):
+        raise InputFormatError("operator needs an 'images' array")
+    images = _index_list(obj, "images", G.order)
+    if images.shape != (G.order,):
         raise InputFormatError("images must list one element index per group element")
     res = verify_rb(G, images, mode=args.mode, seed=cfg.seed,
                     samples=cfg.sample_count)
@@ -88,7 +88,7 @@ def _index_list(params, key, bound):
     if not isinstance(vals, list) or not all(
             type(v) is int and 0 <= v < bound for v in vals):
         raise InputFormatError(
-            f"recipe needs '{key}': a list of element indices in [0, {bound})")
+            f"'{key}' must be a list of element indices in [0, {bound})")
     return np.asarray(vals, dtype=np.int64)
 
 
@@ -285,6 +285,8 @@ def cmd_obstruct(args, cfg):
 
 
 def cmd_factorize(args, cfg):
+    if args.detail_cap < 0:
+        raise InputFormatError("--detail-cap must be >= 0")
     G, ref = _resolve_group(args.group, cfg)
     subs = all_subgroups(G, lattice_cap=cfg.cap_lattice)
     facts = exact_factorizations(G, subs)

@@ -4,8 +4,7 @@ classification, and the non-splitting obstruction filter.
 An operator B corresponds to its graph H_B = {(B(g), g B(g))} inside
 G x G; subgroups of order |G| whose difference map (a,b) -> b a^-1 is a
 bijection are exactly the graphs of operators.  Equivalence acts on
-graphs through pairs of automorphisms and a coordinate swap, so orbit
-computations happen on canonical sorted code lists.
+graphs through pairs of automorphisms and a coordinate swap.
 
 Splitting operators have product graphs L x H coming from exact
 factorizations, and every equivalence transform preserves productness,
@@ -17,13 +16,13 @@ every pair with the least pair of its orbit, which is the representative.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
 from .automorphisms import aut_generators
-from .errors import GraphConditionError, PropertyFailure, ResourceCapError
+from .errors import (GraphConditionError, InputFormatError, PropertyFailure,
+                     ResourceCapError)
 from .groups import ProductGroup, direct_square, orbit_labels
 from .maps import GroupMap, identity_map, inner_automorphism
 from .naming import structure_name
@@ -233,37 +232,15 @@ def _image_names_of(op: RBOperator):
     return tuple(sorted(names))
 
 
-def _orbit_codes(GG, start_codes, transforms):
-    seen = {start_codes.tobytes(): start_codes}
-    queue = deque([start_codes])
-    while queue:
-        cur = queue.popleft()
-        for t in transforms:
-            nxt = t.apply_codes(GG, cur)
-            k = nxt.tobytes()
-            if k not in seen:
-                seen[k] = nxt
-                queue.append(nxt)
-    return seen
-
-
-def q_orbit(B: RBOperator, transforms=None) -> EquivalenceClass:
-    """The equivalence class of B, visiting its whole graph orbit."""
-    G = B.group
-    GG = direct_square(G)
-    transforms = transforms if transforms is not None else q_transform_generators(G)
-    start = graph_of(B, GG).members
-    seen = _orbit_codes(GG, start, transforms)
-    rep_key = min(seen)
-    rep = rb_from_graph(RBGraph(GG, seen[rep_key]))
-    return EquivalenceClass(representative=rep, size=len(seen),
-                            splitting=is_splitting(rep),
-                            image_names=_image_names_of(rep),
-                            graph_keys=frozenset(seen))
-
-
 def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
-    """Partition a list of operators into equivalence classes.
+    """Partition a closed list of operators into equivalence classes.
+
+    ``ops`` must be closed under the equivalence generators, as the
+    output of ``enumerate_rb`` is; a list that is not raises
+    InputFormatError.  The distinct graphs are numbered in key order,
+    each transform becomes one id permutation, and
+    ``groups.orbit_labels`` labels every graph with the least id of its
+    orbit, whose operator is the class representative.
 
     With ``verify_invariants`` every orbit member is converted back to
     an operator and the class invariants (splitting flag, derived-group
@@ -273,16 +250,30 @@ def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
         return []
     G = ops[0].group
     GG = direct_square(G)
-    transforms = q_transform_generators(G)
+    by_key = {}
+    for op in ops:
+        codes = graph_of(op, GG).members
+        by_key[codes.tobytes()] = codes
+    keys = sorted(by_key)
+    index = {k: i for i, k in enumerate(keys)}
+    graphs = np.stack([by_key[k] for k in keys])
+    maps = []
+    for t in q_transform_generators(G):
+        try:
+            maps.append(np.array([index[row.tobytes()]
+                                  for row in t.apply_codes(GG, graphs)]))
+        except KeyError:
+            raise InputFormatError(
+                f"operator list is not closed under the transform {t.label}") from None
+    labels = orbit_labels(len(keys), maps)
     classes = []
-    assigned = {}
-    for op in sorted(ops, key=lambda o: o.key()):
-        k = graph_of(op, GG).key()
-        if k in assigned:
-            continue
-        cls = q_orbit(op, transforms)
-        for gk in cls.graph_keys:
-            assigned[gk] = len(classes)
+    for i in np.flatnonzero(labels == np.arange(len(keys))):
+        rep = rb_from_graph(RBGraph(GG, graphs[i]))
+        members = np.flatnonzero(labels == i)
+        cls = EquivalenceClass(
+            representative=rep, size=members.size, splitting=is_splitting(rep),
+            image_names=_image_names_of(rep),
+            graph_keys=frozenset(keys[j] for j in members))
         if verify_invariants:
             _check_orbit_invariants(G, GG, cls)
         classes.append(cls)

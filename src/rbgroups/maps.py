@@ -6,7 +6,7 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .errors import PropertyFailure
+from .errors import InputFormatError, PropertyFailure
 
 
 @dataclass
@@ -45,6 +45,9 @@ class GroupMap:
         n = G.order
         if mode == "auto":
             mode = "full" if n <= 1500 else "sampled"
+        if mode != "full" and (mode != "sampled" or samples < 1):
+            raise InputFormatError(f"is_homomorphism needs mode auto, full or "
+                                   f"sampled and samples >= 1 (got {mode!r}, {samples})")
         if img[0] != 0:
             return False
         if mode == "full":

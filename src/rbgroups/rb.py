@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .errors import PropertyFailure
+from .errors import InputFormatError, PropertyFailure
 from .groups import FiniteGroup, _closure_members
 from .subgroups import Subgroup, is_normal, product_set
 
@@ -92,14 +92,17 @@ def verify_rb(G, op, mode="auto", *, seed=0, samples=10 ** 6,
 
     Full mode checks all n^2 pairs, row by row (vectorized over h); the
     reported witness is the lexicographically least failing pair (g, h).
-    Sampled mode draws pairs with a seeded generator.
+    Sampled mode draws ``samples >= 1`` pairs with a seeded generator.
     """
     B = _images_of(G, op)
     n = G.order
-    if B[0] != 0:
-        return VerifyResult(False, "full", 0, witness=(0, 0) if want_witness else None)
     if mode == "auto":
         mode = "full" if n <= _FULL_VERIFY_CAP else "sampled"
+    if mode != "full" and (mode != "sampled" or samples < 1):
+        raise InputFormatError(f"verify needs mode auto, full or sampled and "
+                               f"samples >= 1 (got {mode!r}, {samples})")
+    if B[0] != 0:
+        return VerifyResult(False, "full", 0, witness=(0, 0) if want_witness else None)
     if mode == "full":
         checked = 0
         for g in range(n):

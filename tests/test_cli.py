@@ -245,6 +245,12 @@ def test_permutation_group_past_dense_bound_exits_3(tmp_path):
     ("construct", "split", "cyclic:6", "--params", '{"h_gens": [99], "l_gens": [3]}'),
     ("construct", "split", "cyclic:6", "--params", '{"h_gens": [-1], "l_gens": [3]}'),
     ("construct", "split", "cyclic:6", "--params", "[1]"),
+    ("verify", "cyclic:4", '{"images": [0, 1, 1, 1]}', "--mode", "sampled",
+     "--samples", "0"),
+    ("verify", "cyclic:4", '{"images": [0, 3.7, 2, 1]}'),
+    ("verify", "cyclic:4", '{"images": [0, "3", 2, 1]}'),
+    ("verify", "cyclic:4", '{"images": [0, true, 2, 1]}'),
+    ("factorize", "symmetric:3", "--detail-cap", "-1"),
 ])
 def test_malformed_input_is_input_error(args):
     code, payload = run_json(*args)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import rbgroups as rb
-from rbgroups.enumeration import RBGraph, _id_maps, _pair_orbits, direct_square
-from rbgroups.errors import GraphConditionError
+from rbgroups.enumeration import (RBGraph, _id_maps, _image_names_of, _pair_orbits,
+                                  direct_square)
+from rbgroups.errors import GraphConditionError, InputFormatError
 from rbgroups.groups import orbit_labels
 
 # (catalog id, operator count, splitting count, equivalence classes)
@@ -142,9 +143,67 @@ def test_equivalence_class_census(ident, count, nsplit, nclasses):
 def test_trivial_pair_shares_an_orbit():
     for ident in ["cyclic:6", "symmetric:3", "quaternion:8"]:
         G = rb.named_group(ident)
-        orbit = rb.q_orbit(rb.trivial_e(G))
         GG = direct_square(G)
-        assert rb.graph_of(rb.trivial_inv(G), GG).key() in orbit.graph_keys
+        key = rb.graph_of(rb.trivial_e(G), GG).key()
+        classes = rb.classify_equivalence(rb.enumerate_rb(G))
+        cls = next(c for c in classes if key in c.graph_keys)
+        assert rb.graph_of(rb.trivial_inv(G), GG).key() in cls.graph_keys
+
+
+def test_classify_equivalence_refuses_an_open_list():
+    G = rb.named_group("symmetric:3")
+    ops = rb.enumerate_rb(G)
+    for partial in (ops[:-1], [rb.trivial_e(G)]):
+        with pytest.raises(InputFormatError):
+            rb.classify_equivalence(partial)
+
+
+def bfs_equivalence_classes(ops):
+    """Oracle: each class walked breadth-first on graph code arrays keyed
+    by their bytes, starting from its operator with the least key; the
+    representative is the graph with the least key."""
+    G = ops[0].group
+    GG = direct_square(G)
+    transforms = rb.q_transform_generators(G)
+    classes, assigned = [], set()
+    for op in sorted(ops, key=lambda o: o.key()):
+        start = rb.graph_of(op, GG).members
+        if start.tobytes() in assigned:
+            continue
+        seen, queue = {start.tobytes(): start}, deque([start])
+        while queue:
+            cur = queue.popleft()
+            for t in transforms:
+                nxt = t.apply_codes(GG, cur)
+                if nxt.tobytes() not in seen:
+                    seen[nxt.tobytes()] = nxt
+                    queue.append(nxt)
+        assigned |= set(seen)
+        rep = rb.rb_from_graph(RBGraph(GG, seen[min(seen)]))
+        classes.append(rb.EquivalenceClass(
+            representative=rep, size=len(seen), splitting=rb.is_splitting(rep),
+            image_names=_image_names_of(rep), graph_keys=frozenset(seen)))
+    classes.sort(key=lambda c: c.representative.key())
+    return classes
+
+
+def _class_fields(c):
+    rep = c.representative
+    return (rep.images.tolist(), rep.provenance, c.size, c.splitting,
+            c.image_names, c.graph_keys)
+
+
+# dihedral:18 has graph codes past 255, and one of its classes has a
+# least graph in key (bytes) order that is not its numerically least one
+@pytest.mark.parametrize("ident", [c[0] for c in CENSUS] + [
+    "dihedral:12", "alternating:4", "dihedral:16", "paper16", "paper16~5",
+    "dihedral:18"])
+def test_classify_equivalence_matches_bfs_oracle(ident, relabelled):
+    G = relabelled(ident)
+    ops = rb.enumerate_rb(G, cap=18)
+    got = rb.classify_equivalence(ops, verify_invariants=False)
+    assert [_class_fields(c) for c in got] == [
+        _class_fields(c) for c in bfs_equivalence_classes(ops)]
 
 
 def test_swap_transform_realizes_companion():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rbgroups as rb
+from rbgroups.errors import InputFormatError
 from rbgroups.maps import GroupMap
 
 
@@ -63,6 +64,14 @@ def test_sampled_mode_agrees_on_hom():
     doubling = GroupMap(G, G, np.array([(2 * g) % 12 for g in range(12)], dtype=np.int64))
     assert doubling.is_homomorphism(mode="full")
     assert doubling.is_homomorphism(mode="sampled")
+
+
+@pytest.mark.parametrize("mode,samples", [("sampled", 0), ("sample", 50)])
+def test_homomorphism_check_rejects_bad_mode_or_sample_count(mode, samples):
+    G = rb.named_group("cyclic:4")
+    not_hom = GroupMap(G, G, np.array([0, 1, 1, 1]))
+    with pytest.raises(InputFormatError):
+        not_hom.is_homomorphism(mode=mode, samples=samples)
 
 
 def test_map_between_groups():

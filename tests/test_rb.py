@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rbgroups as rb
-from rbgroups.errors import PropertyFailure
+from rbgroups.errors import InputFormatError, PropertyFailure
 
 
 def all_ops(ident):
@@ -69,6 +69,15 @@ def test_sampled_mode_seed_reproducible():
     b = rb.verify_rb(G, bad, mode="sampled", seed=3, samples=50)
     assert a.ok == b.ok
     assert a.witness == b.witness
+
+
+@pytest.mark.parametrize("mode,samples", [("sampled", 0), ("sampled", -1),
+                                          ("sample", 50), ("fast", 50)])
+def test_verify_rejects_bad_mode_or_sample_count(mode, samples):
+    # [0, 1, 1, 1] is no operator on Z4, yet zero samples used to pass it
+    G = rb.named_group("cyclic:4")
+    with pytest.raises(InputFormatError):
+        rb.verify_rb(G, np.array([0, 1, 1, 1]), mode=mode, samples=samples)
 
 
 @pytest.mark.parametrize("ident", ["cyclic:6", "symmetric:3", "dihedral:8"])
