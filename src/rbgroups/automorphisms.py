@@ -195,15 +195,41 @@ def automorphism_group(G, *, node_budget=10 ** 8):
     return auts
 
 
+def _generated_keys(G, maps):
+    """Image keys of every element of the group generated by ``maps``."""
+    ident = np.arange(G.order, dtype=np.int64)
+    seen = {ident.tobytes()}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for img in frontier:
+            for a in maps:
+                c = img[a.images]
+                key = c.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(c)
+        frontier = nxt
+    return seen
+
+
 def aut_generators(G, *, node_budget=10 ** 8):
     """A small (not minimal) generating collection of Aut(G): inner
     automorphisms at group generators plus the automorphisms fixing the
-    base point of the stabilizer decomposition (every automorphism when
-    G has no base)."""
+    base point of the stabilizer decomposition.  When G has no base,
+    backtracking lists every automorphism, and one is kept only if it
+    lies outside the group generated by the maps kept before it."""
     inner = [inner_automorphism(G, int(g)) for g in G.find_generating_set()]
     data = _stabilizer_data(G, node_budget)
-    rest = _aut_by_backtracking(G, node_budget) if data is None else data[1]
-    return list({a.key(): a for a in inner + rest}.values())
+    if data is not None:
+        return list({a.key(): a for a in inner + data[1]}.values())
+    gens = list({a.key(): a for a in inner}.values())
+    got = _generated_keys(G, gens)
+    for a in _aut_by_backtracking(G, node_budget):
+        if a.key() not in got:
+            gens.append(a)
+            got = _generated_keys(G, gens)
+    return gens
 
 
 def find_isomorphism(G, H, *, node_budget=10 ** 8):

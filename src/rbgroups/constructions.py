@@ -9,7 +9,7 @@ operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -211,13 +211,21 @@ def lemma_r2_search(G, subs=None) -> list[LemmaR2Instance]:
 class ExtensionData:
     """Data for the abelian-extension construction: G = <A, f> with A
     normal abelian, an endomorphism of A (positional over A.members),
-    and an image for f inside A."""
+    and an image for f inside A.
+
+    Data from ``extension_search`` carry the frame of their (G, A): the
+    checks that depend only on A, run once per A.  ``extension_construct``
+    trusts a frame only while ``frame.group is group and frame.a is a``;
+    otherwise (hand-made data, or a datum whose group or A was replaced)
+    it builds and checks a new one.  The per-datum checks always run.
+    """
 
     group: object
     a: Subgroup
     f: int
     ba_images: np.ndarray       # positions into a.members
     bf: int                     # parent index, must lie in A
+    _frame: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.ba_images = np.asarray(self.ba_images, dtype=np.int64)
@@ -243,38 +251,50 @@ def _coset_exponents(G, amask, fs):
         cur, k = G.mul_vec(cur, fs), k + 1
 
 
-def _validate_extension(data: ExtensionData):
-    """Check the hypotheses and return (pos, o, f^o), where ``pos`` maps
-    parent indices to positions in ``A.members`` and o is f's coset
-    exponent.  Closure, commutativity and the homomorphism law of BA
-    (on every pair) are read off A's positional table ``pos[A*A]``.
-    With A normal, <A, f> = ∪_{j<o} f^j A, so A and f generate G
-    exactly when o·|A| = |G|."""
-    G = data.group
-    A = data.a
-    f = int(data.f)
+class _ExtensionFrame:
+    """What the construction needs of (G, A) alone, checked once: ``pos``
+    maps parent indices to positions in ``A.members`` (-1 outside A),
+    ``tab = pos[A*A]`` is A's positional table, and ``expo[f]``,
+    ``tops[f]`` are the coset exponent o of every f and f^o.  Closure
+    and commutativity are read off ``tab``; raises unless A is a normal
+    abelian subgroup."""
+
+    def __init__(self, G, A):
+        pos = np.full(G.order, -1, dtype=np.int64)
+        pos[A.members] = np.arange(A.order)
+        tab = pos[G.mul_block(A.members, A.members)]
+        if (tab < 0).any():
+            raise PropertyFailure("subgroup-not-closed")
+        if not (tab == tab.T).all():
+            raise InputFormatError("A is not abelian")
+        if not is_normal(G, A):
+            raise InputFormatError("A is not normal")
+        self.group, self.a, self.pos, self.tab = G, A, pos, tab
+        self.expo, self.tops = _coset_exponents(G, pos >= 0, np.arange(G.order))
+
+
+def _check_datum(data: ExtensionData, frame: _ExtensionFrame):
+    """The hypotheses that depend on f, B(f) and BA, on top of the
+    frame's; returns f's coset exponent o.  With A normal,
+    <A, f> = ∪_{j<o} f^j A, so A and f generate G exactly when
+    o·|A| = |G|.  BA's homomorphism law is checked on every pair of
+    A's positional table."""
+    G, A = data.group, data.a
+    f, bf = int(data.f), int(data.bf)
     if not 0 <= f < G.order:
         raise InputFormatError(f"f must be an element index in [0, {G.order})")
-    pos = np.full(G.order, -1, dtype=np.int64)
-    pos[A.members] = np.arange(A.order)
-    tab = pos[G.mul_block(A.members, A.members)]
-    if (tab < 0).any():
-        raise PropertyFailure("subgroup-not-closed")
-    if not (tab == tab.T).all():
-        raise InputFormatError("A is not abelian")
-    if not is_normal(G, A):
-        raise InputFormatError("A is not normal")
-    if not A.contains(int(data.bf)):
+    if not 0 <= bf < G.order or frame.pos[bf] < 0:
         raise InputFormatError("B(f) does not lie in A")
     ba = data.ba_images
     if ba.shape != (A.order,) or (ba < 0).any() or (ba >= A.order).any():
         raise InputFormatError("BA must be a positional image array over A")
-    o, fo = _coset_exponents(G, pos >= 0, [f])
-    if o[0] * A.order != G.order:
+    o = int(frame.expo[f])
+    if o * A.order != G.order:
         raise InputFormatError("A and f do not generate the group")
-    if not (ba[tab] == tab[np.ix_(ba, ba)]).all():
+    tab = frame.tab
+    if not (ba[tab] == tab[ba[:, None], ba]).all():
         raise InputFormatError("BA is not a homomorphism of A")
-    return pos, int(o[0]), int(fo[0])
+    return o
 
 
 def extension_construct(data: ExtensionData):
@@ -288,17 +308,23 @@ def extension_construct(data: ExtensionData):
     """
     G = data.group
     A = data.a
-    pos, o, fo = _validate_extension(data)
     f, bf = int(data.f), int(data.bf)
+    frame = data._frame
+    if frame is None or frame.group is not G or frame.a is not A:
+        frame = _ExtensionFrame(G, A)
+    o = _check_datum(data, frame)
     ba_parent = A.members[data.ba_images]
+    # one power walk: f^j and B(f)^j for j = 0..o
+    fj, bfj = [0], [0]
+    for _ in range(o):
+        fj.append(G.mul(fj[-1], f))
+        bfj.append(G.mul(bfj[-1], bf))
     # well-definedness across the wrap-around f^o ∈ A
-    if ba_parent[pos[fo]] != G.power(bf, o):
+    if ba_parent[frame.pos[frame.tops[f]]] != bfj[o]:
         raise InputFormatError("BA(f^o) differs from B(f)^o; "
                                "the map is not well defined")
-    fj = [G.power(f, j) for j in range(o)]
-    bfj = [G.power(bf, j) for j in range(o)]
     images = np.full(G.order, -1, dtype=np.int64)
-    images[G.mul_block(fj, A.members)] = G.mul_block(bfj, ba_parent)
+    images[G.mul_block(fj[:o], A.members)] = G.mul_block(bfj[:o], ba_parent)
     if (images < 0).any():
         raise InputFormatError("transversal failed to decompose every element")
     candidate = GroupMap(G, G, images)
@@ -352,23 +378,27 @@ def extension_search(G, *, budget=300000) -> list[ExtensionData]:
     out = []
     n = G.order
     for A in all_subgroups(G):
-        Agrp, _ = A.as_group(validate=False)
-        if not Agrp.is_abelian() or not is_normal(G, A):
+        try:
+            frame = _ExtensionFrame(G, A)
+        except InputFormatError:        # A is not normal abelian
             continue
-        expo, tops = _coset_exponents(G, A.mask(), np.arange(n))
+        expo, tops = frame.expo, frame.tops
         fs = np.flatnonzero(expo * A.order == n)
         if not fs.size:
             continue
+        Agrp, _ = A.as_group(validate=False)
         endos = _endomorphism_images(Agrp)
         if len(out) + fs.size * len(endos) * A.order > budget:
             raise ResourceCapError("extension search exceeds its budget")
         for f in fs:
             bf_pow = G.pow_vec(A.members, int(expo[f]))
-            fo_pos = np.searchsorted(A.members, tops[f])
+            fo_pos = frame.pos[tops[f]]
             for ba in endos:
                 for bf in A.members[bf_pow == A.members[ba[fo_pos]]]:
-                    out.append(ExtensionData(group=G, a=A, f=int(f),
-                                             ba_images=ba, bf=int(bf)))
+                    data = ExtensionData(group=G, a=A, f=int(f),
+                                         ba_images=ba, bf=int(bf))
+                    data._frame = frame
+                    out.append(data)
     return out
 
 

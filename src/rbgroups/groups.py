@@ -9,8 +9,9 @@ identity, which pins the element numbering, and refuses a closure past
 the bound before allocating anything.
 
 Higher-level algorithms talk to the vector accessors (``row``, ``col``,
-``mul_block``, ``mul_vec``).  ``ProductGroup`` is the one group without
-a table: when G x G is too large for one it multiplies componentwise.
+``mul_block``, ``mul_rows``, ``mul_vec``).  ``ProductGroup`` is the one
+group without a table: when G x G is too large for one it multiplies
+componentwise.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ class FiniteGroup:
     # vector operations
 
     def row(self, g: Element) -> np.ndarray:
-        """Array r with r[h] = g*h for all h."""
+        """Array r with r[h] = g*h for all h; for an array of k elements
+        g, the k x n block of their rows."""
         return self._table[g]
 
     def col(self, h: Element) -> np.ndarray:
@@ -189,7 +191,15 @@ class FiniteGroup:
 
     def mul_block(self, A, B):
         """Outer product matrix M[i, j] = A[i]*B[j]."""
-        return self._table[np.ix_(np.asarray(A), np.asarray(B))].astype(np.int64)
+        return self._table[np.asarray(A)[:, None], np.asarray(B)].astype(np.int64)
+
+    def mul_rows(self, a, B):
+        """M[i, j] = a[i]*B[i, j], or a[i]*B[j] for a 1-D ``B``, as flat
+        gathers along rows a[i] of the table.  Entries of ``B`` must lie
+        in 0..n-1, or the gather runs into the next row."""
+        n = self.order
+        idx = np.asarray(a, dtype=np.int64)[:, None] * n + B
+        return self._table.ravel().take(idx).astype(np.int64)
 
     def pow_vec(self, elems, k):
         """Elementwise k-th powers."""
@@ -417,9 +427,10 @@ class ProductGroup(FiniteGroup):
     def row(self, g):
         if self._table is not None:
             return super().row(g)
-        a, b = self.unpair(int(g))
-        return np.add.outer(self.left.row(a).astype(np.int64) * self.right.order,
-                            self.right.row(b)).ravel()
+        a, b = self.unpair(np.asarray(g, dtype=np.int64))
+        rows = (self.left.row(a).astype(np.int64)[..., :, None] * self.right.order
+                + self.right.row(b)[..., None, :])
+        return rows.reshape(*np.shape(g), self.order)
 
     def col(self, h):
         if self._table is not None:
@@ -439,6 +450,12 @@ class ProductGroup(FiniteGroup):
             return super().mul_block(A, B)
         (al, ar), (bl, br) = self.unpair(np.asarray(A)), self.unpair(np.asarray(B))
         return self.pair(self.left.mul_block(al, bl), self.right.mul_block(ar, br))
+
+    def mul_rows(self, a, B):
+        if self._table is not None:
+            return super().mul_rows(a, B)
+        (al, ar), (bl, br) = self.unpair(np.asarray(a)), self.unpair(np.asarray(B))
+        return self.pair(self.left.mul_rows(al, bl), self.right.mul_rows(ar, br))
 
 
 def direct_square(G, pair_cap=10_000_000) -> ProductGroup:

@@ -270,7 +270,7 @@ def _paper16_data(**changes):
     return ExtensionData(**kw)
 
 
-@pytest.mark.parametrize("changes,message", [
+BAD_DATA = [
     pytest.param({"f": 2}, "A and f do not generate the group",
                  id="f-in-a"),
     pytest.param({"ba_images": np.array([1, 0, 0, 0, 0, 0, 0, 0])},
@@ -279,10 +279,65 @@ def _paper16_data(**changes):
                  id="f-past-end"),
     pytest.param({"f": -1}, r"f must be an element index in \[0, 16\)",
                  id="f-negative"),
-])
+]
+
+
+@pytest.mark.parametrize("changes,message", BAD_DATA)
 def test_extension_rejects_bad_data(changes, message):
     with pytest.raises(InputFormatError, match=message):
         rb.extension_construct(_paper16_data(**changes))
+
+
+def _searched_paper16_datum():
+    """A datum from the paper16 sweep over A = <a^2, b, c>, f = a: it
+    carries the frame the search built for its A."""
+    G = rb.named_group("paper16")
+    A = rb.closure(G, [2, 4, 8])
+    data = next(d for d in rb.extension_search(G)
+                if np.array_equal(d.a.members, A.members) and d.f == 1)
+    assert data._frame is not None and data._frame.a is data.a
+    return data
+
+
+@pytest.mark.parametrize("changes,message", BAD_DATA)
+def test_extension_rejects_bad_searched_data(changes, message):
+    # the per-datum checks run on data that carry a frame, too
+    data = _searched_paper16_datum()
+    for key, value in changes.items():
+        setattr(data, key, value)
+    assert data._frame is not None
+    with pytest.raises(InputFormatError, match=message):
+        rb.extension_construct(data)
+
+
+def test_extension_frame_dropped_when_a_changes():
+    data = _searched_paper16_datum()
+    G = data.group
+    data.a = next(S for S in rb.all_subgroups(G)
+                  if S.order == 2 and not rb.is_normal(G, S))
+    with pytest.raises(InputFormatError, match="A is not normal"):
+        rb.extension_construct(data)
+
+
+def test_extension_normality_checked_once_per_subgroup(monkeypatch):
+    # the sweep tests each abelian A for normality once, in the search,
+    # and never again per datum (it used to run once per datum, 6656 times)
+    from rbgroups import constructions
+    calls = []
+
+    def counting(G, sub, within=None):
+        calls.append(sub.key())
+        return rb.is_normal(G, sub, within)
+    monkeypatch.setattr(constructions, "is_normal", counting)
+    G = rb.named_group("paper16")
+    hits = rb.extension_search(G)
+    abelian = [A for A in rb.all_subgroups(G)
+               if A.as_group(validate=False)[0].is_abelian()]
+    assert len(calls) == len(set(calls)) <= len(abelian) == 22
+    searched = len(calls)
+    for data in hits:
+        rb.extension_construct(data)
+    assert len(hits) == 6656 and len(calls) == searched
 
 
 def test_extension_rejects_nonabelian_a():

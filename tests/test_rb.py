@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rbgroups as rb
+import rbgroups.rb as rb_module
 from rbgroups.errors import InputFormatError, PropertyFailure
 
 
@@ -206,3 +207,141 @@ def test_provenance_tracking():
     prov = op.provenance
     assert prov["mode"] == "full"
     assert prov["checked"] == 36
+
+
+# ----------------------------------------------------------------------
+# the blocked full check against the row-at-a-time loop it replaced
+
+def _row_oracle(G, B, want_witness=True):
+    """(ok, checked, witness) of the full check done one row g at a
+    time: B(g) B(h) against B(g B(g) h B(g)^-1) for every h."""
+    n = G.order
+    if B[0] != 0:
+        return False, 0, (0, 0) if want_witness else None
+    checked = 0
+    for g in range(n):
+        bg = int(B[g])
+        lhs = G.row(bg)[B]
+        rhs = B[G.col(G.inv(bg))[G.row(G.mul(g, bg))]]
+        checked += n
+        if not np.array_equal(lhs, rhs):
+            h = int(np.nonzero(lhs != rhs)[0][0])
+            return False, checked, (g, h) if want_witness else None
+    return True, checked, None
+
+
+def _assert_matches_oracle(G, B, want_witness):
+    B = np.asarray(B, dtype=np.int64)
+    res = rb.verify_rb(G, B, mode="full", want_witness=want_witness)
+    assert res.mode == "full"
+    assert (res.ok, res.checked, res.witness) == _row_oracle(G, B, want_witness)
+    return res
+
+
+def _broken(images, x, step=1):
+    B = np.array(images, dtype=np.int64)
+    B[x] = (B[x] + step) % B.size
+    return B
+
+
+@pytest.mark.parametrize("want_witness", [True, False])
+@pytest.mark.parametrize("ident", ["paper16", "symmetric:4"])
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, None])
+def test_blocked_verify_matches_row_oracle(monkeypatch, ident, rows, want_witness):
+    # A one-image change first fails on row 1 (every row g >= 1 meets
+    # the changed image at h = x), so the block size is moved around
+    # that row instead: with 1 or 2 rows per block row 1 is the last row
+    # of its block, with 3 or 7 it is inside one and the last block is
+    # partial, and None keeps the default (one block for n <= 90).
+    G = rb.named_group(ident)
+    n = G.order
+    if rows is not None:
+        monkeypatch.setattr(rb.rb, "_BLOCK_ENTRIES", rows * n)
+    ops = rb.enumerate_rb(G, cap=n)
+    for i, op in enumerate(ops):
+        assert _assert_matches_oracle(G, op.images, want_witness).ok
+        res = _assert_matches_oracle(G, _broken(op.images, 1 + i % (n - 1)),
+                                     want_witness)
+        assert not res.ok and res.checked == 2 * n
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 5, 6])
+def test_blocked_verify_first_failure_late(monkeypatch, rows):
+    # [0, 2, 0, 2, 2, 0] on S3 fails on rows 1, 3 and 4 only; renumbered
+    # so that those become 3, 4, 5, its first failure is row n - 3, in
+    # the last block for every block size here
+    S3 = rb.named_group("symmetric:3")
+    sigma = np.array([0, 3, 1, 4, 5, 2])
+    table = np.empty((6, 6), dtype=np.int64)
+    table[sigma[:, None], sigma] = sigma[S3.mul_block(np.arange(6), np.arange(6))]
+    G = rb.FiniteGroup.from_table(table, name="S3 renumbered")
+    B = np.empty(6, dtype=np.int64)
+    B[sigma] = sigma[[0, 2, 0, 2, 2, 0]]
+    monkeypatch.setattr(rb.rb, "_BLOCK_ENTRIES", rows * 6)
+    for want_witness in (True, False):
+        res = _assert_matches_oracle(G, B, want_witness)
+        assert res.checked == 4 * 6
+
+
+@pytest.mark.parametrize("ident", ["psl2:7", "psl2:8"])
+def test_blocked_verify_partial_last_block(ident):
+    # 168 = 3·48 + 24 and 504 = 31·16 + 8 rows: the last block is short
+    G = rb.named_group(ident)
+    n = G.order
+    assert n % (rb_module._BLOCK_ENTRIES // n)
+    split = rb.splitting_from_exact(rb.exact_factorizations(G)[-1])
+    maps = [np.zeros(n, dtype=np.int64), G.inverse, split.images]
+    for B in maps + [_broken(B, n - 1) for B in maps]:
+        for want_witness in (True, False):
+            _assert_matches_oracle(G, B, want_witness)
+
+
+def test_blocked_verify_one_row_blocks():
+    G = rb.named_group("psl2:23")
+    n = G.order
+    assert rb_module._BLOCK_ENTRIES // n == 1      # one row per block
+    broken = np.zeros(n, dtype=np.int64)
+    broken[1] = 1
+    for B in (np.zeros(n, dtype=np.int64), G.inverse, broken):
+        _assert_matches_oracle(G, B, True)
+    _assert_matches_oracle(G, broken, False)
+
+
+def test_blocked_verify_without_table():
+    G = rb.direct_square(rb.named_group("alternating:5"))
+    assert G._table is None
+    for B in (G.inverse, _broken(G.inverse, 7)):
+        for want_witness in (True, False):
+            _assert_matches_oracle(G, B, want_witness)
+
+
+@pytest.mark.parametrize("ident", ["cyclic:6", "elemabelian:2:3", "abelian:4x2",
+                                   "symmetric:3", "dihedral:8", "quaternion:8"])
+def test_derived_group_matches_row_table(ident):
+    G = rb.named_group(ident)
+    for op in all_ops(ident):
+        B = op.images
+        want = [G.col(G.inv(int(B[g])))[G.row(G.mul(g, int(B[g])))]
+                for g in range(G.order)]
+        got = rb.derived_group(op, validate=False)
+        assert np.array_equal(got.mul_block(np.arange(G.order), np.arange(G.order)),
+                              np.array(want))
+
+
+@pytest.mark.parametrize("images", [
+    pytest.param([0, 1.7, 2, 3], id="float"),
+    pytest.param([0, 1, 2, 7], id="past-end"),
+    pytest.param([0, -1, 2, 3], id="negative"),
+    pytest.param([False, True, False, True], id="bool"),
+])
+def test_verify_rejects_bad_images(images):
+    G = rb.named_group("cyclic:4")
+    for mode in ("full", "sampled"):
+        with pytest.raises(InputFormatError):
+            rb.verify_rb(G, images, mode=mode)
+
+
+def test_verify_rejects_out_of_range_operator():
+    G = rb.named_group("cyclic:4")
+    with pytest.raises(InputFormatError):
+        rb.verify_rb(G, rb.RBOperator(G, [0, 1, 2, 4]))
