@@ -28,6 +28,10 @@ from .errors import ResourceCapError
 from .groups import _closure_members
 from .maps import GroupMap, inner_automorphism
 
+#: the most Cayley-edge checks an automorphism or isomorphism search may
+#: plan before it starts; a larger search is refused
+NODE_BUDGET = 10 ** 8
+
 
 def extend_by_generator_images(G, H, srcs, imgs):
     """The unique map G -> H with the given generator images, or None.
@@ -100,7 +104,7 @@ def _generating_pair(G):
     return None
 
 
-def _stabilizer_data(G, node_budget):
+def _stabilizer_data(G):
     """Base data for the transporter x stabilizer decomposition, or None.
 
     Picks a conjugacy class no automorphism can move (its class
@@ -130,7 +134,7 @@ def _stabilizer_data(G, node_budget):
     x, y = base
     elem_fps = [fps[cid[g]] for g in range(G.order)]
     cands = [h for h in range(1, G.order) if elem_fps[h] == elem_fps[y]]
-    if len(cands) * G.order * 2 > node_budget:
+    if len(cands) * G.order * 2 > NODE_BUDGET:
         raise ResourceCapError("automorphism search exceeds the node budget")
     # sigma fixes x, so it is inner exactly when some g centralizing x
     # conjugates y to sigma(y)
@@ -144,12 +148,12 @@ def _stabilizer_data(G, node_budget):
     return x, stab
 
 
-def _bijections_by_images(G, H, gens, node_budget, what):
+def _bijections_by_images(G, H, gens, what):
     """Yield (choice, images) for every isomorphism G -> H that sends
     ``gens`` to ``choice``, trying elements of matching class
     fingerprint in order.  Before searching, refuses more than 4
     generators and a candidate space whose edge checks would exceed
-    ``node_budget``."""
+    ``NODE_BUDGET``."""
     if len(gens) > 4:
         raise ResourceCapError(f"more than 4 generators; {what} search refused")
     fps_G = _elem_fps(G)
@@ -159,7 +163,7 @@ def _bijections_by_images(G, H, gens, node_budget, what):
     total = 1
     for c in cand_lists:
         total *= max(1, len(c))
-    if total * G.order * len(gens) > node_budget:
+    if total * G.order * len(gens) > NODE_BUDGET:
         raise ResourceCapError(f"{what} search exceeds the node budget")
     for choice in itertools.product(*cand_lists):
         img = extend_by_generator_images(G, H, gens, choice)
@@ -167,19 +171,19 @@ def _bijections_by_images(G, H, gens, node_budget, what):
             yield choice, img
 
 
-def _aut_by_backtracking(G, node_budget):
+def _aut_by_backtracking(G):
     gens = G.find_generating_set()
-    found = list(_bijections_by_images(G, G, gens, node_budget, "automorphism"))
+    found = list(_bijections_by_images(G, G, gens, "automorphism"))
     gen_tuples = {tuple(int(G.conjugate(g, t)) for g in gens) for t in range(G.order)}
     return [GroupMap(G, G, img, inner=choice in gen_tuples) for choice, img in found]
 
 
-def automorphism_group(G, *, node_budget=10 ** 8):
+def automorphism_group(G):
     """Every automorphism of G as a GroupMap with an ``inner`` flag,
     sorted by image array."""
-    data = _stabilizer_data(G, node_budget)
+    data = _stabilizer_data(G)
     if data is None:
-        auts = _aut_by_backtracking(G, node_budget)
+        auts = _aut_by_backtracking(G)
     else:
         # every automorphism is (an inner map moving x within its class)
         # o (an automorphism fixing x); the inner factor keeps the flag.
@@ -213,26 +217,26 @@ def _generated_keys(G, maps):
     return seen
 
 
-def aut_generators(G, *, node_budget=10 ** 8):
+def aut_generators(G):
     """A small (not minimal) generating collection of Aut(G): inner
     automorphisms at group generators plus the automorphisms fixing the
     base point of the stabilizer decomposition.  When G has no base,
     backtracking lists every automorphism, and one is kept only if it
     lies outside the group generated by the maps kept before it."""
     inner = [inner_automorphism(G, int(g)) for g in G.find_generating_set()]
-    data = _stabilizer_data(G, node_budget)
+    data = _stabilizer_data(G)
     if data is not None:
         return list({a.key(): a for a in inner + data[1]}.values())
     gens = list({a.key(): a for a in inner}.values())
     got = _generated_keys(G, gens)
-    for a in _aut_by_backtracking(G, node_budget):
+    for a in _aut_by_backtracking(G):
         if a.key() not in got:
             gens.append(a)
             got = _generated_keys(G, gens)
     return gens
 
 
-def find_isomorphism(G, H, *, node_budget=10 ** 8):
+def find_isomorphism(G, H):
     """An isomorphism G -> H as a GroupMap, or None, by generator-image
     backtracking; ResourceCapError when the search is refused."""
     if G.order != H.order or G.fingerprint() != H.fingerprint():
@@ -242,11 +246,11 @@ def find_isomorphism(G, H, *, node_budget=10 ** 8):
         pair = _generating_pair(G)
         if pair is not None:
             gens = pair
-    for _, img in _bijections_by_images(G, H, gens, node_budget, "isomorphism"):
+    for _, img in _bijections_by_images(G, H, gens, "isomorphism"):
         return GroupMap(G, H, img)
     return None
 
 
-def is_isomorphic(G, H, *, node_budget=10 ** 8):
+def is_isomorphic(G, H):
     """Whether find_isomorphism finds a map."""
-    return find_isomorphism(G, H, node_budget=node_budget) is not None
+    return find_isomorphism(G, H) is not None

@@ -21,6 +21,9 @@ from .rb import RBOperator, btilde, make_rb, verify_rb
 from .subgroups import (Factorization, Subgroup, all_subgroups, closure,
                         intersection, is_normal)
 
+#: the most data ``extension_search`` may plan to return
+EXTENSION_BUDGET = 300000
+
 
 def _decomposition_images(G, first: Subgroup, second: Subgroup, value_of_second):
     """images[x*y] = value_of_second[j] for the unique decomposition
@@ -40,8 +43,6 @@ def _decomposition_images(G, first: Subgroup, second: Subgroup, value_of_second)
 def splitting_from_exact(F: Factorization, order="HL") -> RBOperator:
     """B(hl) = l^-1 (order HL) or B(lh) = h^-1 (order LH) for an exact
     factorization G = HL; always a splitting operator."""
-    if not F.exact:
-        raise InputFormatError("factorization is not exact")
     if order not in ("HL", "LH"):
         raise InputFormatError("order must be HL or LH")
     G = F.group
@@ -59,6 +60,8 @@ def splitting_from_exact(F: Factorization, order="HL") -> RBOperator:
 def hom_to_abelian(G, H: Subgroup, phi: GroupMap, anti=False) -> RBOperator:
     """An (anti)homomorphism G -> H with H an abelian subgroup is a
     Rota-Baxter operator."""
+    if phi.images.shape != (G.order,):
+        raise InputFormatError("the map must give one image per element of G")
     Hgrp, _ = H.as_group(validate=False)
     if not Hgrp.is_abelian():
         raise InputFormatError("target subgroup is not abelian")
@@ -80,7 +83,7 @@ def lift_from_factor(F: Factorization, C) -> RBOperator:
     ``C`` is an RBOperator on L.as_group() or a positional image array
     over L's members.
     """
-    if not F.exact or intersection(F.h, F.l).order != 1:
+    if intersection(F.h, F.l).order != 1:
         raise InputFormatError("factorization is not exact")
     G = F.group
     Lgrp, to_parent = F.l.as_group(validate=False)
@@ -144,9 +147,7 @@ def _check_r2(inst: LemmaR2Instance):
         raise PropertyFailure("r-not-order-2-intersection")
     if not (inst.k.contains(inst.t) and not inst.k1.contains(inst.t)):
         raise PropertyFailure("t-not-in-k-minus-k1")
-    h1m = inst.h1.mask()
-    conj = G.col(inst.r)[G.row(G.inv(inst.r))[inst.h1.members]]
-    if not h1m[conj].all():
+    if not is_normal(G, inst.h1, within=closure(G, [inst.r])):
         raise PropertyFailure("r-does-not-normalize-h1")
 
 
@@ -229,10 +230,6 @@ class ExtensionData:
 
     def __post_init__(self):
         self.ba_images = np.asarray(self.ba_images, dtype=np.int64)
-
-    def ba_map(self):
-        Agrp, _ = self.a.as_group(validate=False)
-        return GroupMap(Agrp, Agrp, self.ba_images)
 
 
 def _coset_exponents(G, amask, fs):
@@ -366,14 +363,15 @@ def _endomorphism_images(Agrp):
     return out
 
 
-def extension_search(G, *, budget=300000) -> list[ExtensionData]:
+def extension_search(G) -> list[ExtensionData]:
     """Every consistent ExtensionData on G: all normal abelian A, every
     f with <A, f> = G, every endomorphism BA of A, every B(f) in A
     compatible with BA across the wrap-around.
 
     For normal A, <A, f> = G exactly when f's coset exponent o has
     o·|A| = |G|; one power walk per A gives o for every f.  BA runs over
-    ``_endomorphism_images`` (an irredundant generating set of A).
+    ``_endomorphism_images`` (an irredundant generating set of A).  A
+    search that would pass ``EXTENSION_BUDGET`` data is refused.
     """
     out = []
     n = G.order
@@ -388,7 +386,7 @@ def extension_search(G, *, budget=300000) -> list[ExtensionData]:
             continue
         Agrp, _ = A.as_group(validate=False)
         endos = _endomorphism_images(Agrp)
-        if len(out) + fs.size * len(endos) * A.order > budget:
+        if len(out) + fs.size * len(endos) * A.order > EXTENSION_BUDGET:
             raise ResourceCapError("extension search exceeds its budget")
         for f in fs:
             bf_pow = G.pow_vec(A.members, int(expo[f]))

@@ -86,20 +86,11 @@ def _codes_to_images(G, GG, codes):
     return images
 
 
-def rb_from_graph(H, G=None) -> RBOperator:
-    """The unique operator with the given graph; rejects subgroups whose
-    size or difference map disqualifies them.
-
-    ``H`` is an RBGraph, or a code array when ``G`` is supplied.
-    """
-    if isinstance(H, RBGraph):
-        GG = H.product
-        codes = H.members
-        G = GG.left
-    else:
-        GG = direct_square(G)
-        codes = np.sort(np.asarray(H, dtype=np.int64))
-    images = _codes_to_images(G, GG, codes)
+def rb_from_graph(H: RBGraph) -> RBOperator:
+    """The unique operator with the graph ``H``; rejects subgroups whose
+    size or difference map disqualifies them."""
+    G = H.product.left
+    images = _codes_to_images(G, H.product, H.members)
     op = make_rb(G, images)
     op.provenance["recipe"] = {"kind": "from-graph"}
     return op
@@ -126,9 +117,8 @@ def enumerate_rb(G, cap=ENUM_CAP) -> list[RBOperator]:
         return np.unique(d).size == codes.size
 
     diagonal = [GG.pair(g, g) for g in G.find_generating_set()]
-    subs = all_subgroups(GG, max_order=n, allowed_orders=divisors(n),
-                         prune=distinct_diffs, conjugators=diagonal,
-                         lattice_cap=max(10000, GG.order))
+    subs = all_subgroups(GG, allowed_orders=divisors(n), prune=distinct_diffs,
+                         conjugators=diagonal, lattice_cap=max(10000, GG.order))
     ops = []
     for S in subs:
         if S.order != n:
@@ -139,12 +129,13 @@ def enumerate_rb(G, cap=ENUM_CAP) -> list[RBOperator]:
     return ops
 
 
-def brute_force_rb(G, cap=BRUTE_CAP) -> list[RBOperator]:
+def brute_force_rb(G) -> list[RBOperator]:
     """Filter all n^(n-1) maps with B(e) = e against the defining
-    identity; the independent oracle for enumerate_rb."""
+    identity, for n <= BRUTE_CAP; the independent oracle for
+    enumerate_rb."""
     n = G.order
-    if n > cap:
-        raise ResourceCapError(f"brute_force_rb cap {cap} exceeded (order {n})")
+    if n > BRUTE_CAP:
+        raise ResourceCapError(f"brute_force_rb cap {BRUTE_CAP} exceeded (order {n})")
     total = n ** (n - 1)
     chunk = 200000
     keep = []
@@ -445,7 +436,7 @@ class ObstructionReport:
         }
 
 
-def nonsplitting_obstruction(G, *, subs=None, strict=None) -> ObstructionReport:
+def nonsplitting_obstruction(G, *, subs=None) -> ObstructionReport:
     """Necessary-condition filter for non-splitting operators.
 
     A non-splitting operator forces an ordered pair (A, C) of subgroups
@@ -460,8 +451,7 @@ def nonsplitting_obstruction(G, *, subs=None, strict=None) -> ObstructionReport:
     n = G.order
     if subs is None:
         subs = all_subgroups(G)
-    if strict is None:
-        strict = (not G.is_abelian()) and is_simple(G)
+    strict = (not G.is_abelian()) and is_simple(G)
     S = len(subs)
     M = np.stack([s.mask() for s in subs]).astype(np.float32)
     inter = np.rint(M @ M.T).astype(np.int64)

@@ -29,6 +29,10 @@ Element = int
 DENSE_CAP_BYTES = 200 * 1024 * 1024
 #: the largest order whose uint16 table fits DENSE_CAP_BYTES (10240)
 MAX_DENSE_ORDER = math.isqrt(DENSE_CAP_BYTES // 2)
+#: seeded random triples in the associativity check of a table past order 64
+AXIOM_SAMPLES = 1000
+#: the largest direct product ``ProductGroup`` builds
+PAIR_CAP = 10_000_000
 
 
 def _table_dtype(n):
@@ -54,13 +58,12 @@ class FiniteGroup:
     # construction
 
     @classmethod
-    def from_table(cls, table, name="table-group", gens=(), validate=True,
-                   rng_seed=0):
+    def from_table(cls, table, name="table-group", gens=(), validate=True):
         """Build a group from a full multiplication table.
 
         The table must be a square Latin array over 0..n-1 whose row and
         column 0 are the identity.  Associativity is checked in full for
-        n <= 64 and on >= 1000 seeded random triples above that.
+        n <= 64 and on ``AXIOM_SAMPLES`` seeded random triples above that.
         """
         arr = np.asarray(table)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -75,7 +78,7 @@ class FiniteGroup:
         arr = arr.astype(_table_dtype(n))
         g = cls(name=name, table=arr, gens=gens)
         if validate:
-            g.check_axioms(rng_seed=rng_seed)
+            g.check_axioms()
         return g
 
     @classmethod
@@ -141,9 +144,6 @@ class FiniteGroup:
     @property
     def identity(self) -> Element:
         return 0
-
-    def elements(self):
-        return range(self.order)
 
     def mul(self, g: Element, h: Element) -> Element:
         return int(self._table[g, h])
@@ -297,7 +297,7 @@ class FiniteGroup:
     # ------------------------------------------------------------------
     # validation
 
-    def check_axioms(self, rng_seed=0, sample=1000):
+    def check_axioms(self):
         n = self.order
         t = self._table
         ar = np.arange(n)
@@ -311,10 +311,10 @@ class FiniteGroup:
                 if not (t[t, c] == t[:, t[:, c]]).all():
                     raise InputFormatError("multiplication is not associative")
         else:
-            rng = np.random.default_rng(rng_seed)
-            a = rng.integers(0, n, size=sample)
-            b = rng.integers(0, n, size=sample)
-            c = rng.integers(0, n, size=sample)
+            rng = np.random.default_rng(0)
+            a = rng.integers(0, n, size=AXIOM_SAMPLES)
+            b = rng.integers(0, n, size=AXIOM_SAMPLES)
+            c = rng.integers(0, n, size=AXIOM_SAMPLES)
             left = self.mul_vec(self.mul_vec(a, b), c)
             right = self.mul_vec(a, self.mul_vec(b, c))
             if not (left == right).all():
@@ -392,11 +392,11 @@ class ProductGroup(FiniteGroup):
     A product whose table fits 8 MiB carries one; a larger product has
     no table and multiplies componentwise."""
 
-    def __init__(self, left, right, pair_cap=10_000_000):
+    def __init__(self, left, right):
         n = left.order * right.order
-        if n > pair_cap:
+        if n > PAIR_CAP:
             raise ResourceCapError(
-                f"product order {n} exceeds the pair cap {pair_cap}")
+                f"product order {n} exceeds the pair cap {PAIR_CAP}")
         self.left = left
         self.right = right
         nr = right.order
@@ -458,6 +458,6 @@ class ProductGroup(FiniteGroup):
         return self.pair(self.left.mul_rows(al, bl), self.right.mul_rows(ar, br))
 
 
-def direct_square(G, pair_cap=10_000_000) -> ProductGroup:
+def direct_square(G) -> ProductGroup:
     """The product group G x G."""
-    return ProductGroup(G, G, pair_cap=pair_cap)
+    return ProductGroup(G, G)

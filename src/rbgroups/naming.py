@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import FiniteGroup, _closure_members
-from .subgroups import Subgroup, _factorint
+from .subgroups import Subgroup, _factorint, is_normal
 
 _SA_FP_CACHE = {}
 
@@ -116,13 +116,7 @@ def _split_metacyclic_name(G):
         if k == 1 or k % p == 0:
             continue
         mem = _closure_members(G, [int(x) for x in cand if x])
-        if mem.size != size:
-            continue
-        mm = np.zeros(n, dtype=bool)
-        mm[mem] = True
-        # normal iff every conjugate of every member stays inside
-        stable = all(mm[G.conjugate_all(int(s))].all() for s in mem if int(s))
-        if not stable:
+        if mem.size != size or not is_normal(G, Subgroup(G, mem)):
             continue
         comp = np.nonzero(orders == k)[0]
         if comp.size == 0:

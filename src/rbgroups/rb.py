@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InputFormatError, PropertyFailure
 from .groups import FiniteGroup, _closure_members, _table_dtype
+from .maps import GroupMap
 from .subgroups import Subgroup, is_normal, product_set
 
 _FULL_VERIFY_CAP = 10000
@@ -150,15 +151,13 @@ def verify_rb(G, op, mode="auto", *, seed=0, samples=10 ** 6,
     return VerifyResult(True, "sampled", samples, seed=seed)
 
 
-def make_rb(G, images, *, verify="auto", seed=0) -> RBOperator:
-    """Wrap an image array, verifying unless verify is None."""
+def make_rb(G, images) -> RBOperator:
+    """Wrap an image array, verified by ``verify_rb`` in auto mode."""
     op = RBOperator(G, _images_of(G, images))
-    if verify is not None:
-        res = verify_rb(G, op, mode=verify, seed=seed)
-        if not res.ok:
-            raise PropertyFailure("rb-identity", witness=res.witness)
-        op.mark(res.provenance())
-    return op
+    res = verify_rb(G, op)
+    if not res.ok:
+        raise PropertyFailure("rb-identity", witness=res.witness)
+    return op.mark(res.provenance())
 
 
 def trivial_e(G) -> RBOperator:
@@ -291,9 +290,6 @@ class SuiteVerdict:
     def ok(self):
         return all(self.clauses.values())
 
-    def failing(self):
-        return sorted(k for k, v in self.clauses.items() if not v)
-
 
 def prop_initial_suite(op: RBOperator) -> SuiteVerdict:
     """First-properties suite for a verified operator B:
@@ -311,19 +307,8 @@ def prop_initial_suite(op: RBOperator) -> SuiteVerdict:
         np.array_equal(btilde(bt).images, op.images))
     der = derived_group(op, validate=False)
     B = op.images
-    hom_ok = True
-    for g in range(G.order):
-        if not np.array_equal(B[der.row(g)], G.row(int(B[g]))[B]):
-            hom_ok = False
-            break
-    clauses["derived-hom"] = hom_ok
-    kmem = np.nonzero(B == 0)[0]
-    shift_ok = True
-    for k in kmem:
-        if not np.array_equal(B[G.row(int(k))], B):
-            shift_ok = False
-            break
-    clauses["kernel-shift"] = shift_ok
+    clauses["derived-hom"] = GroupMap(der, G, B).is_homomorphism(mode="full")
+    clauses["kernel-shift"] = bool((B[G.row(np.flatnonzero(B == 0))] == B).all())
     return SuiteVerdict(clauses)
 
 

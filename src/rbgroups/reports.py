@@ -39,11 +39,9 @@ def group_block(G, ref=None):
     return b
 
 
-def operator_block(op, include_images=True):
-    b = {"provenance": to_jsonable(op.provenance)}
-    if include_images:
-        b["images"] = [int(x) for x in op.images]
-    return b
+def operator_block(op):
+    return {"provenance": to_jsonable(op.provenance),
+            "images": [int(x) for x in op.images]}
 
 
 def to_jsonable(x):

@@ -84,7 +84,7 @@ class Subgroup:
         """A generating set: the recorded one, else all members."""
         return self.gens if self.gens else tuple(int(g) for g in self.members)
 
-    def as_group(self, name=None, validate=True):
+    def as_group(self, validate=True):
         """Re-index the subgroup as a standalone FiniteGroup.
 
         Returns (group, to_parent) where to_parent[i] is the parent index
@@ -99,7 +99,7 @@ class Subgroup:
         if (tab < 0).any():
             raise PropertyFailure("subgroup-not-closed")
         gens = tuple(int(pos[g]) for g in self.gens)
-        H = FiniteGroup.from_table(tab, name=name or f"{G.name}|sub{self.order}",
+        H = FiniteGroup.from_table(tab, name=f"{G.name}|sub{self.order}",
                                    gens=gens, validate=validate)
         return H, mem.copy()
 
@@ -245,17 +245,17 @@ def _perfect_seed_subgroups(G, max_order):
     return seeds
 
 
-def all_subgroups(G, max_order=None, *, lattice_cap=10000, allowed_orders=None,
-                  prune=None, conjugators=None):
-    """Every subgroup of order <= max_order, each exactly once, ordered by
-    (order, member tuple).
+def all_subgroups(G, *, lattice_cap=10000, allowed_orders=None, prune=None,
+                  conjugators=None):
+    """Every subgroup, each exactly once, ordered by (order, member tuple).
 
     ``allowed_orders`` restricts which orders may appear at all (used by
     the operator-graph search, where only divisors of a target order can
-    occur); ``prune`` is an optional predicate on member arrays — a
-    subgroup failing it is dropped together with its whole extension
-    subtree, which is sound whenever the property is inherited by
-    subgroups.
+    occur); a subgroup whose order is not allowed is dropped with its
+    whole extension subtree, so only perfect seeds up to the largest
+    allowed order are sought.  ``prune`` is an optional predicate on
+    member arrays — a subgroup failing it is dropped in the same way,
+    which is sound whenever the property is inherited by subgroups.
 
     A new subgroup is registered with its orbit under conjugation by
     ``conjugators`` (default: G's generators, giving conjugacy classes)
@@ -268,12 +268,10 @@ def all_subgroups(G, max_order=None, *, lattice_cap=10000, allowed_orders=None,
     n = G.order
     if n > lattice_cap:
         raise ResourceCapError(f"order {n} exceeds the lattice cap {lattice_cap}")
-    if max_order is None:
-        max_order = n
-    max_order = min(max_order, n)
-    ok_orders = set(d for d in divisors(n) if d <= max_order)
+    ok_orders = set(divisors(n))
     if allowed_orders is not None:
         ok_orders &= set(int(a) for a in allowed_orders)
+    seed_bound = max(ok_orders, default=0)
     if conjugators is None:
         conjugators = G.find_generating_set()
 
@@ -297,8 +295,8 @@ def all_subgroups(G, max_order=None, *, lattice_cap=10000, allowed_orders=None,
                     orbit.append(C)
 
     register(np.array([0], dtype=np.int64), ())
-    if max_order >= 60 and n >= 60:
-        for seed in _perfect_seed_subgroups(G, max_order):
+    if seed_bound >= 60:
+        for seed in _perfect_seed_subgroups(G, seed_bound):
             register(seed.members, seed.gens)
 
     primes = list(_factorint(n))
@@ -347,14 +345,10 @@ class Factorization:
 
     h: Subgroup
     l: Subgroup
-    exact: bool = True
 
     @property
     def group(self):
         return self.h.parent
-
-    def orders(self):
-        return (self.h.order, self.l.order)
 
 
 def exact_factorizations(G, subs=None):

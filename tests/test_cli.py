@@ -251,6 +251,10 @@ def test_permutation_group_past_dense_bound_exits_3(tmp_path):
     ("verify", "cyclic:4", '{"images": [0, "3", 2, 1]}'),
     ("verify", "cyclic:4", '{"images": [0, true, 2, 1]}'),
     ("factorize", "symmetric:3", "--detail-cap", "-1"),
+    ("construct", "hom-abelian", "cyclic:4", "--params",
+     '{"h_gens": [1], "images": [0, 1]}'),
+    ("construct", "hom-abelian", "cyclic:4", "--params",
+     '{"h_gens": [1], "images": [0, 1, 2, 3, 0]}'),
 ])
 def test_malformed_input_is_input_error(args):
     code, payload = run_json(*args)

@@ -118,6 +118,16 @@ def test_hom_to_abelian_rejects_non_hom():
         rb.hom_to_abelian(G, H, bad)
 
 
+@pytest.mark.parametrize("images", [[0, 1], [0, 1, 2, 3, 0]])
+def test_hom_to_abelian_rejects_wrong_length_images(images):
+    # refused for its length, before any homomorphism check
+    G = rb.named_group("cyclic:4")
+    H = rb.closure(G, [1])
+    phi = GroupMap(G, G, np.array(images, dtype=np.int64))
+    with pytest.raises(InputFormatError, match="one image per element"):
+        rb.hom_to_abelian(G, H, phi)
+
+
 @pytest.mark.parametrize("ident,count,nonsplit", [
     ("dihedral:8", 39, 15),
     ("symmetric:4", 75, 15),

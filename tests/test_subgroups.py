@@ -77,11 +77,23 @@ def test_lattice_orders_divide():
 
 
 def test_all_subgroups_max_order():
+    # a cut at order 8 keeps exactly the subgroups of order <= 8
     G = rb.named_group("symmetric:4")
-    subs = rb.all_subgroups(G, max_order=8)
-    assert {int(s.order) for s in subs} <= {1, 2, 3, 4, 6, 8, 24}
-    # proper subgroups above the cut are gone but G itself is reported
-    assert max(s.order for s in subs if s.order < 24) <= 8
+    subs = rb.all_subgroups(G, allowed_orders=range(1, 9))
+    assert [s.key() for s in subs] == \
+        [s.key() for s in rb.all_subgroups(G) if s.order <= 8]
+
+
+@pytest.mark.parametrize("cut", [40, 60])
+def test_all_subgroups_order_cut_seeds_perfect_subgroups(cut):
+    # perfect seeds are sought up to the largest allowed order: A5, which
+    # no prime step reaches, is found exactly when 60 is allowed
+    G = rb.named_group("symmetric:5")
+    subs = rb.all_subgroups(G, allowed_orders=range(1, cut + 1))
+    assert [s.key() for s in subs] == \
+        [s.key() for s in rb.all_subgroups(G) if s.order <= cut]
+    assert ("A5" in {rb.structure_name(s) for s in subs if s.order == 60}) \
+        == (cut >= 60)
 
 
 def test_allowed_orders_filter():
