@@ -2,9 +2,12 @@
 
 A non-splitting operator forces a covering pair of subgroups (A, C) with
 AC = G, R = A n C of order > 1, and index-|R| normal subgroups sitting
-inside A and C whose quotients agree.  Scanning all subgroup pairs and
-eliminating every candidate proves no non-splitting operator can exist
-— this is how the small projective groups are handled.
+inside A and C whose quotients agree.  Eliminating every candidate pair
+proves no non-splitting operator can exist — this is how the small
+projective groups are handled.  A pair's verdict depends only on the
+conjugacy classes of A and C and on |R|, so the scan takes A over one
+subgroup per conjugacy class and weights its pairs by the class size;
+the counts are those of a scan over all subgroup pairs.
 
 Run with:  python demos/05_obstruction_scan.py
 """

@@ -22,8 +22,7 @@ from .catalog import group_from_json
 from .errors import (GraphConditionError, InputFormatError, OutOfScaleError,
                      PropertyFailure, ResourceCapError)
 from .maps import GroupMap
-from .rb import (RBOperator, btilde, image, is_splitting, kernel, make_rb,
-                 structure_report, verify_rb)
+from .rb import is_splitting, make_rb, structure_report, verify_rb
 from .reports import (RunConfig, emit, group_block, operator_block, to_jsonable,
                       tool_block)
 from .subgroups import (Factorization, all_subgroups, closure,

@@ -436,37 +436,69 @@ class ObstructionReport:
         }
 
 
+def _class_labels(G, subs):
+    """The least id of each subgroup's conjugacy class within ``subs``,
+    which must be closed under conjugation; one that is not raises
+    InputFormatError."""
+    conj = [G.col(g)[G.row(G.inv(g))].astype(np.int64)
+            for g in G.find_generating_set()]
+    try:
+        maps = _id_maps(subs, conj)
+    except KeyError:
+        raise InputFormatError(
+            "subgroup list is not closed under conjugation") from None
+    return orbit_labels(len(subs), maps)
+
+
 def nonsplitting_obstruction(G, *, subs=None) -> ObstructionReport:
     """Necessary-condition filter for non-splitting operators.
 
     A non-splitting operator forces an ordered pair (A, C) of subgroups
-    (A = Im(B~), C = Im(B)) with A C = G and R = A ∩ C of order > 1,
-    together with N = ker(B) ⊴ A and M = ker(B~) ⊴ C, both of index |R|,
+    (A = Im(B~), C = Im(B)) with A C = G and R = A ∩ C of order r > 1,
+    together with N = ker(B) ⊴ A and M = ker(B~) ⊴ C, both of index r,
     with isomorphic quotients.  For simple non-abelian G the kernel on
     the A side is additionally proper and nontrivial (strict mode).  An
     empty survivor list proves nonexistence; survivors are candidates
-    only, never existence proofs.  Kernel candidates are read off one
-    subgroup containment matrix, in ascending subgroup id.
+    only, never existence proofs.
+
+    The scan runs on conjugacy classes of subgroups; ``subs`` must be
+    closed under conjugation (InputFormatError otherwise).  N and M are
+    chosen independently, conjugation carries normal subgroups of index
+    r to normal subgroups of index r, and the quotient fingerprints are
+    isomorphism invariants, so a pair's verdict depends only on
+    (class(A), class(C), r); it is decided once, on class
+    representatives, with kernel candidates in ascending subgroup id.
+    A runs over class representatives only.  Their rows of intersection
+    orders are summed over the concatenated member lists, so nothing of
+    size S x S or S x |G| is built, and each pair is weighted by
+    |class(A)|.  Every count is that of the scan over all ordered pairs,
+    and ``pairs_scanned`` still reports S^2.  Survivors are listed in
+    row-major order of (A, C) ids, from the recomputed rows of every A
+    whose class has one, since r may differ among the C of one order.
     """
     n = G.order
     if subs is None:
         subs = all_subgroups(G)
     strict = (not G.is_abelian()) and is_simple(G)
     S = len(subs)
-    M = np.stack([s.mask() for s in subs]).astype(np.float32)
-    inter = np.rint(M @ M.T).astype(np.int64)
+    labels = _class_labels(G, subs)
+    class_size = np.bincount(labels, minlength=S)
     orders = np.array([s.order for s in subs], dtype=np.int64)
-    cover = (orders[:, None] * orders[None, :]) == n * inter
-    contained = inter == orders[:, None]    # contained[i, j]: subs[i] <= subs[j]
-    survivors = []
-    reasons = {}
+    members = np.concatenate([s.members for s in subs])
+    starts = np.cumsum(orders) - orders
 
-    def note(a, c, r, why):
-        key = (int(orders[a]), int(orders[c]), int(r), why)
-        reasons[key] = reasons.get(key, 0) + 1
+    def inter_orders(a):
+        """|subs[a] ∩ C| for every C."""
+        return np.add.reduceat(subs[a].mask()[members], starts, dtype=np.int64)
+
+    def covering_row(a):
+        """Ids C with A C = G, in ascending order, and their |A ∩ C|."""
+        inter = inter_orders(a)
+        cs = np.flatnonzero(orders[a] * orders == n * inter)
+        return cs, inter[cs]
 
     qfp_cache = {}
-    normal_cache = {}
+    kernel_cache = {}
 
     def quotient_fp(big_idx, small_idx):
         key = (big_idx, small_idx)
@@ -475,61 +507,70 @@ def nonsplitting_obstruction(G, *, subs=None) -> ObstructionReport:
             qfp_cache[key] = Q.fingerprint()
         return qfp_cache[key]
 
-    def normal_inside(n_idx, a_idx):
-        key = (n_idx, a_idx)
-        if key not in normal_cache:
-            normal_cache[key] = is_normal(G, subs[n_idx], within=subs[a_idx])
-        return normal_cache[key]
-
     def kernels(big_idx, r, proper=False):
         """Ids of the normal subgroups of index r in subs[big_idx]."""
-        big_ord = orders[big_idx]
-        mask = contained[:, big_idx] & (orders * r == big_ord)
-        if proper:
-            mask &= (orders > 1) & (orders < big_ord)
-        return [i for i in np.flatnonzero(mask).tolist() if normal_inside(i, big_idx)]
+        key = (big_idx, r, proper)
+        if key not in kernel_cache:
+            big_ord = orders[big_idx]
+            mask = (orders * r == big_ord) & (inter_orders(big_idx) == orders)
+            if proper:
+                mask &= (orders > 1) & (orders < big_ord)
+            kernel_cache[key] = [i for i in np.flatnonzero(mask).tolist()
+                                 if is_normal(G, subs[i], within=subs[big_idx])]
+        return kernel_cache[key]
 
-    covering = np.argwhere(cover)
-    for a_idx, c_idx in covering:
-        a_idx, c_idx = int(a_idx), int(c_idx)
-        r = int(inter[a_idx, c_idx])
+    def verdict(a_idx, c_idx, r):
+        """None for a surviving pair, else the reason it is eliminated;
+        both ids are class representatives."""
         if r <= 1:
-            note(a_idx, c_idx, r, "intersection trivial (splitting regime)")
-            continue
-        a_ord, c_ord = int(orders[a_idx]), int(orders[c_idx])
+            return "intersection trivial (splitting regime)"
         n_cands = kernels(a_idx, r, proper=strict)
         if not n_cands:
-            note(a_idx, c_idx, r, "no admissible kernel on the A side")
-            continue
+            return "no admissible kernel on the A side"
         m_cands = kernels(c_idx, r)
         if not m_cands:
-            note(a_idx, c_idx, r, "no admissible kernel on the C side")
-            continue
-        matched = False
-        for ni in n_cands:
-            for mi in m_cands:
-                if quotient_fp(a_idx, ni) == quotient_fp(c_idx, mi):
-                    survivors.append({
-                        "a_order": a_ord, "c_order": c_ord, "r": r,
-                        "n_order": int(orders[ni]), "m_order": int(orders[mi]),
-                    })
-                    matched = True
-                    break
-            if matched:
-                break
-        if not matched:
-            note(a_idx, c_idx, r, "no isomorphic quotient pair")
+            return "no admissible kernel on the C side"
+        if any(quotient_fp(a_idx, ni) == quotient_fp(c_idx, mi)
+               for ni in n_cands for mi in m_cands):
+            return None
+        return "no isomorphic quotient pair"
+
+    verdicts = {}
+    reasons = {}
+    covering = 0
+    for a_idx in np.flatnonzero(labels == np.arange(S)).tolist():
+        cs, rs = covering_row(a_idx)
+        weight = int(class_size[a_idx])
+        covering += weight * cs.size
+        pairs, counts = np.unique(np.stack([labels[cs], rs], axis=1),
+                                  axis=0, return_counts=True)
+        for (c_idx, r), k in zip(pairs.tolist(), counts.tolist()):
+            why = verdicts[a_idx, c_idx, r] = verdict(a_idx, c_idx, r)
+            if why is not None:
+                key = (int(orders[a_idx]), int(orders[c_idx]), r, why)
+                reasons[key] = reasons.get(key, 0) + weight * k
+    surviving = {a for (a, _, _), why in verdicts.items() if why is None}
+    survivors = []
+    for a_idx in np.flatnonzero(np.isin(labels, list(surviving))).tolist():
+        a_ord = int(orders[a_idx])
+        cs, rs = covering_row(a_idx)
+        a_rep = int(labels[a_idx])
+        for c_idx, r in zip(cs.tolist(), rs.tolist()):
+            if verdicts[a_rep, int(labels[c_idx]), r] is None:
+                c_ord = int(orders[c_idx])
+                survivors.append({"a_order": a_ord, "c_order": c_ord, "r": r,
+                                  "n_order": a_ord // r, "m_order": c_ord // r})
     eliminated = [{"a_order": k[0], "c_order": k[1], "r": k[2],
                    "reason": k[3], "count": v}
                   for k, v in sorted(reasons.items())]
     if survivors:
-        verdict = ("necessary conditions leave candidates; "
-                   "survivors are not existence proofs")
+        verdict_text = ("necessary conditions leave candidates; "
+                        "survivors are not existence proofs")
     else:
-        verdict = "no non-splitting RB operator can exist"
+        verdict_text = "no non-splitting RB operator can exist"
     return ObstructionReport(group_name=G.name, group_order=n,
                              strict_mode=bool(strict),
                              pairs_scanned=int(S) * int(S),
-                             covering_pairs=int(cover.sum()),
+                             covering_pairs=int(covering),
                              survivors=survivors, eliminated=eliminated,
-                             verdict=verdict)
+                             verdict=verdict_text)

@@ -1,15 +1,17 @@
 """Lattice enumeration vs brute force, equivalence orbits, classification."""
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
 import rbgroups as rb
-from rbgroups.enumeration import (RBGraph, _id_maps, _image_names_of, _pair_orbits,
-                                  direct_square)
+from rbgroups.enumeration import (ObstructionReport, RBGraph, _class_labels, _id_maps,
+                                  _image_names_of, _pair_orbits, direct_square)
 from rbgroups.errors import GraphConditionError, InputFormatError
 from rbgroups.groups import orbit_labels
+from rbgroups.subgroups import all_subgroups, is_normal, is_simple, unchecked_quotient
 
 # (catalog id, operator count, splitting count, equivalence classes)
 # counts were computed once by exhaustive search and frozen
@@ -342,6 +344,146 @@ def test_obstruction_with_given_subgroups_never_rebuilds_lattice(ident, monkeypa
     monkeypatch.setattr("rbgroups.enumeration.all_subgroups", forbidden)
     rep = rb.nonsplitting_obstruction(G, subs=subs)
     assert rep.pairs_scanned == len(subs) ** 2
+
+
+def all_pairs_obstruction(G, *, subs=None):
+    """Oracle: the obstruction scan over all S^2 ordered pairs, reading
+    intersections, covering and containment off S x S matrices."""
+    n = G.order
+    if subs is None:
+        subs = all_subgroups(G)
+    strict = (not G.is_abelian()) and is_simple(G)
+    S = len(subs)
+    M = np.stack([s.mask() for s in subs]).astype(np.float32)
+    inter = np.rint(M @ M.T).astype(np.int64)
+    orders = np.array([s.order for s in subs], dtype=np.int64)
+    cover = (orders[:, None] * orders[None, :]) == n * inter
+    contained = inter == orders[:, None]    # contained[i, j]: subs[i] <= subs[j]
+    survivors = []
+    reasons = {}
+
+    def note(a, c, r, why):
+        key = (int(orders[a]), int(orders[c]), int(r), why)
+        reasons[key] = reasons.get(key, 0) + 1
+
+    qfp_cache = {}
+    normal_cache = {}
+
+    def quotient_fp(big_idx, small_idx):
+        key = (big_idx, small_idx)
+        if key not in qfp_cache:
+            Q, _ = unchecked_quotient(subs[big_idx], subs[small_idx])
+            qfp_cache[key] = Q.fingerprint()
+        return qfp_cache[key]
+
+    def normal_inside(n_idx, a_idx):
+        key = (n_idx, a_idx)
+        if key not in normal_cache:
+            normal_cache[key] = is_normal(G, subs[n_idx], within=subs[a_idx])
+        return normal_cache[key]
+
+    def kernels(big_idx, r, proper=False):
+        """Ids of the normal subgroups of index r in subs[big_idx]."""
+        big_ord = orders[big_idx]
+        mask = contained[:, big_idx] & (orders * r == big_ord)
+        if proper:
+            mask &= (orders > 1) & (orders < big_ord)
+        return [i for i in np.flatnonzero(mask).tolist() if normal_inside(i, big_idx)]
+
+    covering = np.argwhere(cover)
+    for a_idx, c_idx in covering:
+        a_idx, c_idx = int(a_idx), int(c_idx)
+        r = int(inter[a_idx, c_idx])
+        if r <= 1:
+            note(a_idx, c_idx, r, "intersection trivial (splitting regime)")
+            continue
+        a_ord, c_ord = int(orders[a_idx]), int(orders[c_idx])
+        n_cands = kernels(a_idx, r, proper=strict)
+        if not n_cands:
+            note(a_idx, c_idx, r, "no admissible kernel on the A side")
+            continue
+        m_cands = kernels(c_idx, r)
+        if not m_cands:
+            note(a_idx, c_idx, r, "no admissible kernel on the C side")
+            continue
+        matched = False
+        for ni in n_cands:
+            for mi in m_cands:
+                if quotient_fp(a_idx, ni) == quotient_fp(c_idx, mi):
+                    survivors.append({
+                        "a_order": a_ord, "c_order": c_ord, "r": r,
+                        "n_order": int(orders[ni]), "m_order": int(orders[mi]),
+                    })
+                    matched = True
+                    break
+            if matched:
+                break
+        if not matched:
+            note(a_idx, c_idx, r, "no isomorphic quotient pair")
+    eliminated = [{"a_order": k[0], "c_order": k[1], "r": k[2],
+                   "reason": k[3], "count": v}
+                  for k, v in sorted(reasons.items())]
+    if survivors:
+        verdict = ("necessary conditions leave candidates; "
+                   "survivors are not existence proofs")
+    else:
+        verdict = "no non-splitting RB operator can exist"
+    return ObstructionReport(group_name=G.name, group_order=n,
+                             strict_mode=bool(strict),
+                             pairs_scanned=int(S) * int(S),
+                             covering_pairs=int(cover.sum()),
+                             survivors=survivors, eliminated=eliminated,
+                             verdict=verdict)
+
+
+@pytest.mark.parametrize("ident", ["cyclic:4", "symmetric:4", "symmetric:5", "symmetric:6",
+                                   "psl2:11", "psl2:13", "paper16", "paper16~3",
+                                   "psl2:11~7"])
+def test_obstruction_matches_all_pairs_oracle(ident, relabelled):
+    G = relabelled(ident)
+    subs = rb.all_subgroups(G)
+    assert (rb.nonsplitting_obstruction(G, subs=subs).to_json()
+            == all_pairs_obstruction(G, subs=subs).to_json())
+
+
+def test_obstruction_allocates_nothing_quadratic():
+    G = rb.named_group("symmetric:6")
+    subs = rb.all_subgroups(G)
+    S = len(subs)
+    tracemalloc.start()
+    try:
+        rb.nonsplitting_obstruction(G, subs=subs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one int64 S x S matrix is S^2 * 8 bytes (16 MiB here)
+    assert peak < 2 * S * S * 8
+
+
+# conjugacy classes of subgroups, as GAP's ConjugacyClassesSubgroups counts them
+SUBGROUP_CLASSES = [("psl2:7", 15), ("psl2:8", 12), ("psl2:9", 22), ("psl2:11", 16),
+                    ("psl2:13", 16), ("symmetric:5", 19), ("symmetric:6", 56)]
+
+
+@pytest.mark.parametrize("ident,n_classes", SUBGROUP_CLASSES)
+def test_class_labels_are_conjugacy_classes(ident, n_classes):
+    G = rb.named_group(ident)
+    subs = rb.all_subgroups(G)
+    labels = _class_labels(G, subs)
+    reps = np.flatnonzero(labels == np.arange(len(subs)))
+    assert reps.size == n_classes
+    for a in reps:
+        conjugates = {rb.conjugate_subgroup(G, subs[a], g).key() for g in range(G.order)}
+        assert conjugates == {subs[i].key() for i in np.flatnonzero(labels == a)}
+
+
+def test_obstruction_refuses_subgroups_not_closed_under_conjugation():
+    G = rb.named_group("symmetric:4")
+    subs = rb.all_subgroups(G)
+    labels = _class_labels(G, subs)
+    drop = next(i for i in range(len(subs)) if np.count_nonzero(labels == labels[i]) > 1)
+    with pytest.raises(InputFormatError, match="conjugation"):
+        rb.nonsplitting_obstruction(G, subs=subs[:drop] + subs[drop + 1:])
 
 
 def test_orbit_size_counts_distinct_graphs():
