@@ -98,7 +98,7 @@ def lift_from_factor(F: Factorization, C) -> RBOperator:
     hm = F.h.mask()
     for u in np.unique(to_parent[ct.images]):
         u = int(u)
-        conj = G.col(u)[G.row(G.inv(u))[F.h.members]]
+        conj = G.conjugation_map(u)[F.h.members]
         if not hm[conj].all():
             raise PropertyFailure("companion-image-does-not-normalize-h",
                                   witness=u)

@@ -440,8 +440,7 @@ def _class_labels(G, subs):
     """The least id of each subgroup's conjugacy class within ``subs``,
     which must be closed under conjugation; one that is not raises
     InputFormatError."""
-    conj = [G.col(g)[G.row(G.inv(g))].astype(np.int64)
-            for g in G.find_generating_set()]
+    conj = [G.conjugation_map(g) for g in G.find_generating_set()]
     try:
         maps = _id_maps(subs, conj)
     except KeyError:

@@ -216,6 +216,11 @@ class FiniteGroup:
                 base = self.mul_vec(base, base)
         return acc
 
+    def conjugation_map(self, g: Element) -> np.ndarray:
+        """The permutation x -> g^-1 * x * g as an int64 array."""
+        g = int(g)
+        return self.col(g)[self.row(self.inv(g))].astype(np.int64)
+
     def conjugate_all(self, s: Element) -> np.ndarray:
         """Array v with v[x] = x^-1 * s * x."""
         w = self.col(s)[self.inverse]           # w[x] = x^-1 * s
@@ -417,6 +422,20 @@ class ProductGroup(FiniteGroup):
 
     def unpair(self, p: Element):
         return divmod(p, self.right.order)
+
+    def conjugation_map(self, g):
+        if self._table is not None:
+            return super().conjugation_map(g)
+        a, b = self.unpair(int(g))
+        return np.add.outer(self.left.conjugation_map(a) * self.right.order,
+                            self.right.conjugation_map(b)).ravel()
+
+    def conjugate_all(self, s):
+        if self._table is not None:
+            return super().conjugate_all(s)
+        a, b = self.unpair(int(s))
+        return np.add.outer(self.left.conjugate_all(a) * self.right.order,
+                            self.right.conjugate_all(b)).ravel()
 
     def mul(self, g, h):
         if self._table is not None:

@@ -88,5 +88,5 @@ def identity_map(G) -> GroupMap:
 
 def inner_automorphism(G, g) -> GroupMap:
     """x -> g^-1 x g."""
-    images = G.col(int(g))[G.row(G.inv(int(g)))]
+    images = G.conjugation_map(g)
     return GroupMap(G, G, images, inner=True)

@@ -8,11 +8,20 @@ subgroup through such a chain (repeatedly cut a prime-index normal
 subgroup under the derived quotient), so the search additionally seeds
 every perfect subgroup.  Perfect subgroups all lie in the perfect core
 (the last term of the derived series), so a solvable group needs no
-seeds.  Otherwise the core is a seed, and the others come from a
-bounded scan of pairs <x, y> inside it, x over conjugacy class
-representatives and y over the orbits of x's centralizer; this relies
-on perfect subgroups being 2-generated, see the docstring of
-``_perfect_seed_subgroups``.
+seeds.  Otherwise the core is a seed, and the others are sought in it.
+
+Seeds are sought only at orders that survive a sieve: a nontrivial
+perfect group has a nonabelian simple quotient, so its order is a
+multiple of a nonabelian simple order.  Below 12,180 = |PSL(2, 29)|
+those orders are ``SIMPLE_ORDERS``, taken from the classification of
+finite simple groups (the simple groups of these orders are PSL(2, q)
+for the prime powers 4 <= q <= 27, A7, PSL(3, 3), PSU(3, 3) and M11).
+Where no order a proper perfect subgroup of the core could have
+survives, as in psl2:7, psl2:13, psl2:23 and A5, nothing is scanned.
+Elsewhere the seeds come from a bounded scan of pairs <x, y> in the
+core, x over classes of cyclic subgroups and y over the orbits of the
+normalizer of <x>; this relies on perfect subgroups being 2-generated,
+see the docstring of ``_perfect_seed_subgroups``.
 
 The walk runs on classes: each new subgroup is registered with its
 orbit under conjugation (by default its conjugacy class) and only the
@@ -22,6 +31,7 @@ give the same answer on conjugate subgroups.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -30,6 +40,16 @@ import numpy as np
 from .errors import InputFormatError, PropertyFailure, ResourceCapError
 from .groups import (FiniteGroup, _closure_members, _greedy_generators,
                      orbit_labels)
+
+#: orders of the nonabelian simple groups below NEXT_SIMPLE_ORDER, by the
+#: classification of finite simple groups: PSL(2, q) for the prime powers
+#: 4 <= q <= 27, A7 (2520), PSL(3, 3) (5616), PSU(3, 3) (6048) and M11
+#: (7920)
+SIMPLE_ORDERS = (60, 168, 360, 504, 660, 1092, 2448, 2520, 3420, 4080,
+                 5616, 6048, 6072, 7800, 7920, 9828)
+#: the next nonabelian simple order, |PSL(2, 29)|
+NEXT_SIMPLE_ORDER = 12180
+
 
 def _factorint(n):
     """Prime factorization of n as {prime: multiplicity}, primes ascending."""
@@ -141,9 +161,9 @@ def normalizer_mask(G, sub: Subgroup) -> np.ndarray:
 
 def conjugate_subgroup(G, sub: Subgroup, g) -> Subgroup:
     """g^-1 * S * g."""
-    left, right = G.row(G.inv(g)), G.col(g)
-    return Subgroup(G, np.sort(right[left[sub.members]]),
-                    right[left[np.asarray(sub.gens, dtype=np.int64)]])
+    conj = G.conjugation_map(g)
+    return Subgroup(G, np.sort(conj[sub.members]),
+                    conj[np.asarray(sub.gens, dtype=np.int64)])
 
 
 def is_normal(G, sub: Subgroup, within: Subgroup | None = None) -> bool:
@@ -151,8 +171,7 @@ def is_normal(G, sub: Subgroup, within: Subgroup | None = None) -> bool:
     mm = sub.mask()
     gens = within.gen_elements() if within is not None else G.find_generating_set()
     for g in gens:
-        conj = G.col(int(g))[G.row(G.inv(int(g)))[sub.members]]
-        if not mm[conj].all():
+        if not mm[G.conjugation_map(g)[sub.members]].all():
             return False
     return True
 
@@ -169,7 +188,7 @@ def normal_closure(G, elems, under=None) -> Subgroup:
         mm[mem] = True
         extra = []
         for g in under:
-            conj = G.col(g)[G.row(G.inv(g))[mem]]
+            conj = G.conjugation_map(g)[mem]
             bad = conj[~mm[conj]]
             if bad.size:
                 extra.append(int(bad[0]))
@@ -203,45 +222,84 @@ def _perfect_core(G) -> Subgroup:
     return D
 
 
-def _perfect_seed_subgroups(G, max_order):
-    """Perfect subgroups of order <= max_order (excluding the trivial one).
+def _cyclic_class_labels(G):
+    """For each conjugacy class i (in ``G.conjugacy_classes()`` order),
+    the least class holding a generator of the cyclic subgroup of its
+    representative x, i.e. of some x^k with gcd(k, o(x)) = 1.  Two
+    classes get the same label exactly when their elements generate
+    conjugate cyclic subgroups."""
+    class_of = G.class_of()
+    labels = []
+    for cls in G.conjugacy_classes():
+        x = int(cls[0])
+        o = G.order_of(x)
+        labels.append(min(int(class_of[G.power(x, k)])
+                          for k in range(1, o + 1) if math.gcd(k, o) == 1))
+    return np.array(labels, dtype=np.int64)
+
+
+def _perfect_seed_subgroups(G, ok_orders):
+    """Perfect subgroups whose order lies in ``ok_orders`` (excluding the
+    trivial one).
 
     Every perfect subgroup lies in the perfect core P, which is itself
-    perfect and is recorded whole.  A proper one is sought as <x, y>
-    with x a representative of a conjugacy class inside P and y a
-    representative of an orbit of the centralizer C_G(x) on P (conjugate
-    pairs generate conjugate subgroups), under the bound |P|/2; the
-    perfect results are kept, possibly with repeats, and
-    ``all_subgroups`` adds their conjugates.  This assumes every perfect
-    subgroup is generated by two elements, which holds for every finite
-    simple group but is not proved here for the others.  A solvable G
-    has P = 1 and no scan.
+    perfect and is recorded whole.  A proper one has an order m that
+    divides |P| and is at most |P|/2.  The sieve keeps only the m that
+    are multiples of a member of ``SIMPLE_ORDERS``: a nontrivial perfect
+    group has a nonabelian simple quotient, whose order divides m and so
+    is in the table as long as m < ``NEXT_SIMPLE_ORDER`` (a larger
+    candidate is refused with ResourceCapError).  Where no m survives,
+    nothing is scanned: psl2:7, psl2:13, psl2:23 and A5 have none.
+
+    Otherwise a proper one is sought as <x, y>, closed under the bound
+    max m and kept when its order is a surviving m and it is perfect.
+    Conjugate pairs generate conjugate subgroups, and ``all_subgroups``
+    adds the conjugates of every seed, so one pair per class under the
+    following moves suffices.  <x^k, y> = <x, y> when x^k generates
+    <x>, so x runs over one element per class of cyclic subgroups
+    inside P.  <x, y^g> = <x^g, y^g> = <x, y>^g for g in N_G(<x>),
+    since x^g again generates <x>, so y runs over one element per orbit
+    of the normalizer N_G(<x>) on P, not just of the centralizer.
+    <x, y> = <y, x>, and a conjugate of y generates the cyclic subgroup
+    of its class's representative, so y's cyclic class is not below
+    x's.  This assumes every perfect subgroup is generated by two
+    elements, which holds for every finite simple group but is not
+    proved here for the others.  The assumption matters only where the sieve leaves
+    orders to scan: 168 in psl2:8, 60, 120 and 180 in A6, 60 in psl2:11.
+    A solvable G has P = 1 and no scan.
     """
     n = G.order
     core = _perfect_core(G)
     if core.order == 1:
         return []
-    seeds = [core] if core.order <= max_order else []
-    proper_bound = min(max_order, core.order // 2)
-    if proper_bound >= 60:
-        in_core = core.mask()
-        class_of = G.class_of()
-        for i, cls in enumerate(G.conjugacy_classes()):
-            x = int(cls[0])
-            if x == 0 or not in_core[x]:
+    seeds = [core] if core.order in ok_orders else []
+    proper = [m for m in ok_orders if core.order % m == 0 and 2 * m <= core.order]
+    if max(proper, default=0) >= NEXT_SIMPLE_ORDER:
+        raise ResourceCapError(
+            f"a perfect subgroup of order up to {max(proper)} may lie past "
+            f"the simple-order table (next simple order {NEXT_SIMPLE_ORDER})")
+    orders = {m for m in proper if any(m % s == 0 for s in SIMPLE_ORDERS)}
+    if not orders:
+        return seeds
+    bound = max(orders)
+    in_core = core.mask()
+    class_of = G.class_of()
+    cyclic_class = _cyclic_class_labels(G)
+    for i, cls in enumerate(G.conjugacy_classes()):
+        x = int(cls[0])
+        if x == 0 or cyclic_class[i] != i or not in_core[x]:
+            continue
+        cyc = Subgroup(G, _closure_members(G, [x]), (x,))
+        norm = np.flatnonzero(normalizer_mask(G, cyc))
+        maps = [G.conjugation_map(c) for c in _greedy_generators(G, norm)]
+        ys = np.unique(orbit_labels(n, maps)[core.members])
+        for y in ys[cyclic_class[class_of[ys]] >= i].tolist():
+            mem = _closure_members(G, [x, y], bound=bound)
+            if mem is None or mem.size not in orders:
                 continue
-            cent = np.flatnonzero(G.row(x) == G.col(x))
-            maps = [G.col(c)[G.row(G.inv(c))]
-                    for c in _greedy_generators(G, cent)]
-            ys = np.unique(orbit_labels(n, maps)[core.members])
-            # <x, y> = <y, x>: let x come from the lower class
-            for y in ys[class_of[ys] >= i].tolist():
-                mem = _closure_members(G, [x, y], bound=proper_bound)
-                if mem is None or mem.size < 60 or mem.size % 4:
-                    continue
-                dm = normal_closure(G, [G.commutator(x, y)], under=(x, y))
-                if dm.order == mem.size:
-                    seeds.append(Subgroup(G, mem, (x, y)))
+            dm = normal_closure(G, [G.commutator(x, y)], under=(x, y))
+            if dm.order == mem.size:
+                seeds.append(Subgroup(G, mem, (x, y)))
     return seeds
 
 
@@ -252,8 +310,8 @@ def all_subgroups(G, *, lattice_cap=10000, allowed_orders=None, prune=None,
     ``allowed_orders`` restricts which orders may appear at all (used by
     the operator-graph search, where only divisors of a target order can
     occur); a subgroup whose order is not allowed is dropped with its
-    whole extension subtree, so only perfect seeds up to the largest
-    allowed order are sought.  ``prune`` is an optional predicate on
+    whole extension subtree, so only perfect seeds of allowed orders are
+    sought.  ``prune`` is an optional predicate on
     member arrays — a subgroup failing it is dropped in the same way,
     which is sound whenever the property is inherited by subgroups.
 
@@ -261,7 +319,8 @@ def all_subgroups(G, *, lattice_cap=10000, allowed_orders=None, prune=None,
     ``conjugators`` (default: G's generators, giving conjugacy classes)
     and only it is extended, as an extension of a conjugate is a
     conjugate of an extension; ``prune`` must be invariant under these
-    conjugations.  Each extension <S, t> is built once: every t' in it
+    conjugations.  Each conjugator's permutation of G is computed once
+    per call.  Each extension <S, t> is built once: every t' in it
     outside S gives <S, t'> = <S, t>.  Only the recorded ``gens`` depend
     on which member of a class is found first.
     """
@@ -271,9 +330,9 @@ def all_subgroups(G, *, lattice_cap=10000, allowed_orders=None, prune=None,
     ok_orders = set(divisors(n))
     if allowed_orders is not None:
         ok_orders &= set(int(a) for a in allowed_orders)
-    seed_bound = max(ok_orders, default=0)
     if conjugators is None:
         conjugators = G.find_generating_set()
+    conj_maps = [G.conjugation_map(g) for g in conjugators]
 
     found = {}
     queue = deque()
@@ -288,15 +347,17 @@ def all_subgroups(G, *, lattice_cap=10000, allowed_orders=None, prune=None,
         orbit = deque([sub])
         while orbit:
             T = orbit.popleft()
-            for g in conjugators:
-                C = conjugate_subgroup(G, T, g)
-                if C.key() not in found:
-                    found[C.key()] = C
+            for conj in conj_maps:
+                mem = np.sort(conj[T.members])
+                key = mem.tobytes()
+                if key not in found:
+                    C = found[key] = Subgroup(
+                        G, mem, conj[np.asarray(T.gens, dtype=np.int64)])
                     orbit.append(C)
 
     register(np.array([0], dtype=np.int64), ())
-    if seed_bound >= 60:
-        for seed in _perfect_seed_subgroups(G, seed_bound):
+    if max(ok_orders, default=0) >= SIMPLE_ORDERS[0]:
+        for seed in _perfect_seed_subgroups(G, ok_orders):
             register(seed.members, seed.gens)
 
     primes = list(_factorint(n))

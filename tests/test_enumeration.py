@@ -238,6 +238,23 @@ def test_classify_splitting_small_groups(idx):
     assert rep.s == len(nontrivial)
 
 
+@pytest.mark.parametrize("ident,operators,s", [
+    ("alternating:5", 62, 1), ("psl2:7", 562, 2),
+    # under a minute each, at about 700 and 550 MB peak
+    pytest.param("alternating:6", 2, 0, marks=pytest.mark.slow),
+    pytest.param("psl2:8", 506, 1, marks=pytest.mark.slow)])
+def test_census_agrees_with_pair_route_on_simple_groups(ident, operators, s):
+    # the census sees no non-splitting operator, as the obstruction scan
+    # proves, and as many nontrivial splitting classes as the pair route
+    G = rb.named_group(ident)
+    ops = rb.enumerate_rb(G, cap=G.order)
+    assert len(ops) == operators
+    classes = rb.classify_equivalence(ops)
+    assert all(c.splitting for c in classes)
+    nontrivial = [c for c in classes if c.image_names[0] != "1"]
+    assert len(nontrivial) == rb.classify_splitting(G).s == s
+
+
 def test_classify_splitting_images_s3():
     rep = rb.classify_splitting(rb.named_group("symmetric:3"))
     assert [c.images for c in rep.classes] == [("2", "3")]

@@ -1,5 +1,6 @@
 """Subgroup closure, lattice search, quotients, exact factorizations."""
 
+import hashlib
 import itertools
 import math
 from collections import deque
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import rbgroups as rb
+import rbgroups.catalog as catalog
 import rbgroups.subgroups as sg
 from rbgroups.errors import InputFormatError, ResourceCapError
 from rbgroups.groups import orbit_labels
@@ -376,24 +378,147 @@ def test_lattice_cheap_counts(name):
     assert frobenius_counts_hold(G, subs)
 
 
-@pytest.mark.parametrize("ident,count", [("cyclic:240", 20), ("dihedral:240", 376)])
-def test_solvable_group_runs_no_seed_scan(ident, count, monkeypatch):
-    G = rb.named_group(ident)
+def spy_on_bounded_closures(monkeypatch):
+    """The bounds of the bounded ``_closure_members`` calls made from
+    now on, in call order."""
     closure = sg._closure_members
-    bounded = []
+    bounds = []
 
     def spy(G, gens, bound=None):
         if bound is not None:
-            bounded.append(tuple(gens))
+            bounds.append(bound)
         return closure(G, gens, bound)
 
     monkeypatch.setattr(sg, "_closure_members", spy)
+    return bounds
+
+
+@pytest.mark.parametrize("ident,count", [("cyclic:240", 20), ("dihedral:240", 376)])
+def test_solvable_group_runs_no_seed_scan(ident, count, monkeypatch):
+    G = rb.named_group(ident)
+    bounded = spy_on_bounded_closures(monkeypatch)
     assert len(rb.all_subgroups(G)) == count
     assert bounded == []
 
 
+@pytest.mark.parametrize("ident,count", [
+    ("psl2:7", 179), ("psl2:13", 942), ("psl2:23", 5915), ("alternating:5", 59)])
+def test_simple_order_sieve_skips_the_seed_scan(ident, count, monkeypatch):
+    # no order m | |G| with m <= |G|/2 is a multiple of a simple order
+    G = rb.named_group(ident)
+    bounded = spy_on_bounded_closures(monkeypatch)
+    assert len(rb.all_subgroups(G)) == count
+    assert bounded == []
+
+
+def test_psl2_11_seed_scan_is_bounded_by_a5(monkeypatch):
+    # 60 is the only candidate order of a proper perfect subgroup
+    G = rb.named_group("psl2:11")
+    bounded = spy_on_bounded_closures(monkeypatch)
+    subs = rb.all_subgroups(G)
+    assert sum(1 for s in subs if s.order == 60) == 22
+    assert bounded and set(bounded) == {60}
+
+
+def is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def test_simple_orders_table():
+    psl2 = {q * (q * q - 1) // math.gcd(2, q - 1)
+            for q in range(4, 28) if is_prime_power(q)}
+    # A7, PSL(3,3), PSU(3,3), M11
+    assert sg.SIMPLE_ORDERS == tuple(sorted(psl2 | {2520, 5616, 6048, 7920}))
+    assert sg.NEXT_SIMPLE_ORDER == 29 * (29 * 29 - 1) // 2
+
+
+def test_perfect_seeds_past_the_simple_order_table_are_refused():
+    # psl2:7 x psl2:7 could hold a perfect subgroup of order 14112 > 12180
+    GG = rb.direct_square(rb.named_group("psl2:7"))
+    with pytest.raises(ResourceCapError):
+        rb.all_subgroups(GG, lattice_cap=GG.order)
+
+
+@pytest.mark.parametrize("ident", [f"{family}:{k}" for family, params
+                                   in catalog._FAMILY_PARAMS.items() for k in params])
+def test_catalog_simple_groups_have_simple_orders(ident):
+    G = rb.named_group(ident)
+    if rb.is_simple(G) and not G.is_abelian():
+        assert G.order in sg.SIMPLE_ORDERS
+
+
+#: sha256 of the concatenated sorted member keys of ``all_subgroups``
+LATTICE_SHA256 = {
+    "psl2:7": "01a0c103ad8f87e78d208159a8b1a961e4ce0b3632c285dfd7134d9e38b6a377",
+    "psl2:8": "b5c372f024da24db6c76a595efed6cd53871615b7f3670ef6bf6eb56e139fe6b",
+    "psl2:9": "b22643f4c5c449bd0e823ac531fc3a1a980296e371b4cfdd7375c00f02fb7e0f",
+    "psl2:11": "25307ebf58a83e1b7f1cbc4b828aab69a071d2c685cb2e756debe090b6e0e37e",
+    "psl2:13": "3c0f3fd290af345a3da2be09bba1cf0403404ba601e9e80778666c662366d270",
+    "symmetric:5": "0cbebeb4d07d128edfd94b410e52087b171d0d653b3b57ec254ce9d2967b3756",
+    "symmetric:6": "657fc65a1bb786bb04b7eb00960c4247c3fa51533a3cf3cd3eb67a043c473598",
+    "SL(2,9)": "3a1cdeaa86d867d225650bd12a6126a4cef5265b032504157b424a34250c1474",
+}
+
+
+@pytest.mark.parametrize("name", list(LATTICE_SHA256))
+def test_lattice_digest(name):
+    G = adversarial_group(name) if name in ADVERSARIAL else rb.named_group(name)
+    keys = sorted(s.key() for s in rb.all_subgroups(G))
+    assert hashlib.sha256(b"".join(keys)).hexdigest() == LATTICE_SHA256[name]
+
+
 # ----------------------------------------------------------------------
 # the class walk against the per-subgroup walk
+
+
+def blind_seed_scan(G, max_order):
+    """Oracle: the perfect-seed scan without the order sieve.  Pairs
+    <x, y> run over x a conjugacy class representative in the perfect
+    core and y a representative of each orbit of x's centralizer, under
+    the bound |P|/2, and every perfect closure of order >= 60 is kept."""
+    n = G.order
+    core = sg._perfect_core(G)
+    if core.order == 1:
+        return []
+    seeds = [core] if core.order <= max_order else []
+    proper_bound = min(max_order, core.order // 2)
+    if proper_bound >= 60:
+        in_core = core.mask()
+        class_of = G.class_of()
+        for i, cls in enumerate(G.conjugacy_classes()):
+            x = int(cls[0])
+            if x == 0 or not in_core[x]:
+                continue
+            cent = np.flatnonzero(G.row(x) == G.col(x))
+            maps = [G.col(c)[G.row(G.inv(c))]
+                    for c in sg._greedy_generators(G, cent)]
+            ys = np.unique(orbit_labels(n, maps)[core.members])
+            # <x, y> = <y, x>: let x come from the lower class
+            for y in ys[class_of[ys] >= i].tolist():
+                mem = sg._closure_members(G, [x, y], bound=proper_bound)
+                if mem is None or mem.size < 60 or mem.size % 4:
+                    continue
+                dm = sg.normal_closure(G, [G.commutator(x, y)], under=(x, y))
+                if dm.order == mem.size:
+                    seeds.append(rb.Subgroup(G, mem, (x, y)))
+    return seeds
+
+
+def conjugation_closure(G, seeds):
+    """``seeds`` and all their conjugates, by member key."""
+    seen = {S.key(): S for S in seeds}
+    closing = deque(seen.values())
+    while closing:
+        S = closing.popleft()
+        for g in G.find_generating_set():
+            T = rb.conjugate_subgroup(G, S, int(g))
+            if T.key() not in seen:
+                seen[T.key()] = T
+                closing.append(T)
+    return seen
 
 
 def per_subgroup_walk(G, max_order=None, allowed_orders=None, prune=None):
@@ -414,17 +539,8 @@ def per_subgroup_walk(G, max_order=None, allowed_orders=None, prune=None):
             queue.append(rb.Subgroup(G, members, gens))
 
     register(np.array([0]), ())
-    seeds = sg._perfect_seed_subgroups(G, max_order) if max_order >= 60 and n >= 60 else []
-    seen = {S.key(): S for S in seeds}
-    closing = deque(seen.values())
-    while closing:
-        S = closing.popleft()
-        for g in G.find_generating_set():
-            T = rb.conjugate_subgroup(G, S, int(g))
-            if T.key() not in seen:
-                seen[T.key()] = T
-                closing.append(T)
-    for S in seen.values():
+    seeds = blind_seed_scan(G, max_order) if max_order >= 60 and n >= 60 else []
+    for S in conjugation_closure(G, seeds).values():
         register(S.members, S.gens)
 
     primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
@@ -460,6 +576,17 @@ def test_class_walk_matches_per_subgroup_walk(name, relabelled):
     G = adversarial_group(name) if name in ADVERSARIAL else relabelled(name)
     got = [s.members.tolist() for s in rb.all_subgroups(G)]
     assert got == [m.tolist() for m in per_subgroup_walk(G)]
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS + ["SL(2,5)", "A5xC2"])
+def test_sieved_seeds_match_blind_scan(name, relabelled):
+    # both seed sets, closed under conjugation, are every nontrivial
+    # perfect subgroup
+    G = adversarial_group(name) if name in ADVERSARIAL else relabelled(name)
+    sieved = sg._perfect_seed_subgroups(G, set(sg.divisors(G.order)))
+    blind = blind_seed_scan(G, G.order)
+    assert conjugation_closure(G, sieved).keys() == \
+        conjugation_closure(G, blind).keys()
 
 
 @pytest.mark.parametrize("ident", ["dihedral:8", "paper16"])
