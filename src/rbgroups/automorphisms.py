@@ -1,21 +1,24 @@
 """Automorphism groups and isomorphism testing.
 
-Automorphisms are found by extending generator images: a candidate
-assignment on a generating set either extends to a unique map (built by
-breadth-first search over the Cayley graph, checking every edge for
-multiplicativity on the way) or conflicts and dies.  Since the search
-checks all n*k edges, a surviving bijection is a genuine automorphism —
-no sampling involved.
+One image search serves both.  A candidate assignment of images to a
+generating set either extends to a unique map (built by breadth-first
+search over the Cayley graph, checking every edge for multiplicativity
+on the way) or conflicts and dies.  Since the search checks all n*k
+edges, a surviving bijection is a genuine isomorphism — no sampling
+involved.  A generator's candidates are the elements of its class
+fingerprint, and an automorphism is flagged inner when some conjugation
+sends the searched generators to the same images.
 
-The candidate space is cut down with a stabilizer decomposition
-wherever G has a base: a conjugacy class C that every automorphism must
-preserve (its class fingerprint is shared by no other class), a base
-point x in C and a mate y with <x, y> = G.  Then every automorphism is
+One base serves both too: a pair (x, y) with <x, y> = G and x in a
+conjugacy class C that every automorphism must preserve (its class
+fingerprint is shared by no other class).  Every automorphism is
 (conjugation moving x within C) composed with an automorphism fixing x,
-and the latter are enumerated by candidate images of y alone.  A group
-without a base (every class fingerprint repeated, as in an elementary
-abelian group) falls back to backtracking over the images of a whole
-generating set.
+and the latter come from the image search on (x, y) with x pinned, so
+only y's image varies.  The isomorphism search of a nonabelian group
+with more than two stored generators runs on the base as well.  Only a
+group without a base (every class fingerprint repeated, as in an
+elementary abelian group) is searched on its whole stored generating
+set, with backtracking over all their images.
 """
 
 from __future__ import annotations
@@ -85,81 +88,41 @@ def _elem_fps(G):
     return [fps[cid[x]] for x in range(G.order)]
 
 
-def _generating_pair(G):
-    """A pair (x, y) with <x, y> = G, x taken from a rare fingerprint
-    class; None when no pair turns up within a bounded scan."""
-    elem_fps = _elem_fps(G)
-    counts = {}
-    for f in elem_fps[1:]:
-        counts[f] = counts.get(f, 0) + 1
-    by_rarity = sorted(range(1, G.order), key=lambda g: (counts[elem_fps[g]], g))
-    tried = 0
-    for x in by_rarity[:8]:
-        for y in range(1, G.order):
-            if _closure_members(G, [x, y]).size == G.order:
-                return x, y
-            tried += 1
-            if tried > 4 * G.order:
-                return None
-    return None
+def _base(G):
+    """The base (x, y) of G, or None when G has none.
 
-
-def _stabilizer_data(G):
-    """Base data for the transporter x stabilizer decomposition, or None.
-
-    Picks a conjugacy class no automorphism can move (its class
-    fingerprint is unique), a base point x in it and a mate y with
-    <x, y> = G, then enumerates every automorphism fixing x.  Returns
-    (x, stab) where ``stab`` holds those automorphisms as GroupMaps
-    with their ``inner`` flags set; None when no such base exists.
+    x is the least element of the first non-identity conjugacy class
+    that no automorphism can move (its class fingerprint is unique) and
+    that generates G together with some y; y is the first such element.
     """
-    classes, cid, fps = class_fingerprints(G)
+    classes, _, fps = class_fingerprints(G)
     counts = {}
     for f in fps:
         counts[f] = counts.get(f, 0) + 1
-    base = None
     for c, f in zip(classes, fps):
         if counts[f] != 1 or (len(c) == 1 and c[0] == 0):
             continue
         x = int(min(c))
         for y in range(1, G.order):
-            mem = _closure_members(G, [x, y])
-            if mem.size == G.order:
-                base = (x, y)
-                break
-        if base is not None:
-            break
-    if base is None:
-        return None
-    x, y = base
-    elem_fps = [fps[cid[g]] for g in range(G.order)]
-    cands = [h for h in range(1, G.order) if elem_fps[h] == elem_fps[y]]
-    if len(cands) * G.order * 2 > NODE_BUDGET:
-        raise ResourceCapError("automorphism search exceeds the node budget")
-    # sigma fixes x, so it is inner exactly when some g centralizing x
-    # conjugates y to sigma(y)
-    conj_x = G.conjugate_all(x)
-    inner_y = {int(v) for v in G.conjugate_all(y)[conj_x == x]}
-    stab = []
-    for y2 in cands:
-        img = extend_by_generator_images(G, G, (x, y), (x, y2))
-        if img is not None and np.unique(img).size == G.order:
-            stab.append(GroupMap(G, G, img, inner=y2 in inner_y))
-    return x, stab
+            if _closure_members(G, [x, y]).size == G.order:
+                return x, y
+    return None
 
 
-def _bijections_by_images(G, H, gens, what):
+def _bijections_by_images(G, H, gens, what, fix_first=False):
     """Yield (choice, images) for every isomorphism G -> H that sends
     ``gens`` to ``choice``, trying elements of matching class
-    fingerprint in order.  Before searching, refuses more than 4
-    generators and a candidate space whose edge checks would exceed
-    ``NODE_BUDGET``."""
+    fingerprint in order; with ``fix_first`` the first generator is sent
+    to itself.  Before searching, refuses more than 4 generators and a
+    candidate space whose edge checks would exceed ``NODE_BUDGET``."""
     if len(gens) > 4:
         raise ResourceCapError(f"more than 4 generators; {what} search refused")
     fps_G = _elem_fps(G)
     fps_H = fps_G if H is G else _elem_fps(H)
     cand_lists = [[x for x in range(1, H.order) if fps_H[x] == fps_G[g]]
                   for g in gens]
+    if fix_first:
+        cand_lists[0] = [gens[0]]
     total = 1
     for c in cand_lists:
         total *= max(1, len(c))
@@ -171,11 +134,27 @@ def _bijections_by_images(G, H, gens, what):
             yield choice, img
 
 
+def _automorphisms_by_images(G, gens, fix_first=False):
+    """Every automorphism that ``_bijections_by_images`` finds on
+    ``gens``, flagged inner when some conjugation sends ``gens`` to the
+    same images."""
+    conj = [G.conjugate_all(g).tolist() for g in gens]
+    inner = {tuple(v[t] for v in conj) for t in range(G.order)}
+    return [GroupMap(G, G, img, inner=choice in inner) for choice, img
+            in _bijections_by_images(G, G, gens, "automorphism", fix_first)]
+
+
+def _stabilizer_data(G):
+    """(x, stab) for the base (x, y) of G, with ``stab`` every
+    automorphism fixing x; None when G has no base."""
+    base = _base(G)
+    if base is None:
+        return None
+    return base[0], _automorphisms_by_images(G, base, fix_first=True)
+
+
 def _aut_by_backtracking(G):
-    gens = G.find_generating_set()
-    found = list(_bijections_by_images(G, G, gens, "automorphism"))
-    gen_tuples = {tuple(int(G.conjugate(g, t)) for g in gens) for t in range(G.order)}
-    return [GroupMap(G, G, img, inner=choice in gen_tuples) for choice, img in found]
+    return _automorphisms_by_images(G, G.find_generating_set())
 
 
 def automorphism_group(G):
@@ -243,9 +222,7 @@ def find_isomorphism(G, H):
         return None
     gens = G.find_generating_set()
     if len(gens) > 2 and not G.is_abelian():
-        pair = _generating_pair(G)
-        if pair is not None:
-            gens = pair
+        gens = _base(G) or gens
     for _, img in _bijections_by_images(G, H, gens, "isomorphism"):
         return GroupMap(G, H, img)
     return None

@@ -19,7 +19,7 @@ from .groups import _closure_members
 from .maps import GroupMap
 from .rb import RBOperator, btilde, make_rb, verify_rb
 from .subgroups import (Factorization, Subgroup, all_subgroups, closure,
-                        intersection, is_normal)
+                        exact_factorizations, intersection, is_normal)
 
 #: the most data ``extension_search`` may plan to return
 EXTENSION_BUDGET = 300000
@@ -169,42 +169,33 @@ def lemma_r2_construct(inst: LemmaR2Instance) -> RBOperator:
 
 def lemma_r2_search(G, subs=None) -> list[LemmaR2Instance]:
     """All instances of the construction's hypotheses on G, in a
-    deterministic order."""
-    n = G.order
+    deterministic order: the exact factorizations G = H1 K with |K| even,
+    by (|K|, K, H1) in key order, then H and K1 in ``subs`` order."""
     if subs is None:
         subs = all_subgroups(G)
     by_order = {}
     for s in subs:
         by_order.setdefault(s.order, []).append(s)
+    pairs = sorted(((K, H1) for f in exact_factorizations(G, subs)
+                    for K, H1 in ((f.h, f.l), (f.l, f.h)) if K.order % 2 == 0),
+                   key=lambda p: (p[0].order, p[0].key(), p[1].key()))
     out = []
-    for korder in sorted(by_order):
-        if korder % 2 or n % korder:
+    for K, H1 in pairs:
+        km = K.mask()
+        k1s = [S for S in by_order.get(K.order // 2, []) if km[S.members].all()]
+        if not k1s:
             continue
-        h1_order = n // korder
-        if h1_order not in by_order:
-            continue
-        for K in by_order[korder]:
-            km = K.mask()
-            k1s = [S for S in by_order.get(korder // 2, [])
-                   if km[S.members].all()]
-            if not k1s:
+        for H in by_order.get(2 * H1.order, []):
+            if not H.mask()[H1.members].all():
                 continue
-            for H1 in by_order[h1_order]:
-                if np.intersect1d(H1.members, K.members).size != 1:
-                    continue
-                h1m = H1.mask()
-                for H in by_order.get(2 * h1_order, []):
-                    if not H.mask()[H1.members].all():
-                        continue
-                    R = np.intersect1d(H.members, K.members)
-                    if R.size != 2:
-                        continue
-                    r = int(R[1])
-                    for K1 in k1s:
-                        t = int(min(set(map(int, K.members))
-                                    - set(map(int, K1.members))))
-                        out.append(LemmaR2Instance(h=H, k=K, h1=H1, k1=K1,
-                                                   r=r, t=t))
+            R = np.intersect1d(H.members, K.members)
+            if R.size != 2:
+                continue
+            r = int(R[1])
+            for K1 in k1s:
+                t = int(min(set(map(int, K.members))
+                            - set(map(int, K1.members))))
+                out.append(LemmaR2Instance(h=H, k=K, h1=H1, k1=K1, r=r, t=t))
     return out
 
 

@@ -233,18 +233,21 @@ def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
     ``groups.orbit_labels`` labels every graph with the least id of its
     orbit, whose operator is the class representative.
 
-    With ``verify_invariants`` every orbit member is converted back to
-    an operator and the class invariants (splitting flag, derived-group
-    fingerprint, |Im(B B~)|) are checked constant.
+    With ``verify_invariants`` the class invariants (splitting flag,
+    derived-group fingerprint, |Im(B B~)|) are checked constant over the
+    given operators.
     """
     if not ops:
         return []
     G = ops[0].group
     GG = direct_square(G)
     by_key = {}
+    op_of = {}
     for op in ops:
         codes = graph_of(op, GG).members
-        by_key[codes.tobytes()] = codes
+        key = codes.tobytes()
+        by_key[key] = codes
+        op_of[key] = op
     keys = sorted(by_key)
     index = {k: i for i, k in enumerate(keys)}
     graphs = np.stack([by_key[k] for k in keys])
@@ -266,20 +269,22 @@ def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
             image_names=_image_names_of(rep),
             graph_keys=frozenset(keys[j] for j in members))
         if verify_invariants:
-            _check_orbit_invariants(G, GG, cls)
+            _check_orbit_invariants(cls, op_of)
         classes.append(cls)
     classes.sort(key=lambda c: c.representative.key())
     return classes
 
 
-def _check_orbit_invariants(G, GG, cls: EquivalenceClass):
-    """GG-lemma class invariants, recomputed member by member."""
+def _check_orbit_invariants(cls: EquivalenceClass, op_of):
+    """GG-lemma class invariants, recomputed member by member on the
+    given operators (``op_of`` maps graph key to operator); each graph
+    has passed ``graph_of``'s subgroup check, the operator identity in
+    graph form."""
     ref_split = None
     ref_fp = None
     ref_bbt = None
     for k in sorted(cls.graph_keys):
-        codes = np.frombuffer(k, dtype=np.int64)
-        member = rb_from_graph(RBGraph(GG, codes.copy()))
+        member = op_of[k]
         split = is_splitting(member)
         fp = derived_group(member, validate=False).fingerprint()
         bbt = int(im_bbt(member).size)

@@ -1,5 +1,7 @@
 """Automorphism groups and isomorphism search."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,83 @@ def test_find_isomorphism_refuses_five_generators():
 def test_find_isomorphism_none_when_distinct():
     assert rb.find_isomorphism(rb.named_group("dihedral:8"),
                                rb.named_group("quaternion:8")) is None
+
+
+def _maps_digest(maps):
+    h = hashlib.sha256()
+    for a in maps:
+        h.update(a.key())
+        h.update(b"1" if a.inner else b"0")
+    return h.hexdigest()[:16]
+
+
+# (generator count, digest, automorphism count, digest) of aut_generators
+# and automorphism_group: keys and inner flags in order, as first recorded
+@pytest.mark.parametrize("ident,n_gens,gens_digest,n_auts,auts_digest", [
+    ("cyclic:1", 0, "e3b0c44298fc1c14", 1, "918a9bbdc4900f7d"),
+    ("cyclic:8", 4, "223b4b12bd0d26fd", 4, "223b4b12bd0d26fd"),
+    ("cyclic:12", 4, "13ccb8c60219798c", 4, "13ccb8c60219798c"),
+    ("abelian:4x2", 3, "61935455d0a31aaa", 8, "ed0ac5cdcc34e59a"),
+    ("abelian:6x2", 4, "353e1d8074fd891b", 12, "f814d809a0a37ddc"),
+    ("elemabelian:2:3", 5, "b44e0d5183a5d4da", 168, "a5dbed93f3b1cc17"),
+    ("symmetric:3", 4, "29a297d0f6519095", 6, "ac7fa2ab67a7c102"),
+    ("dihedral:8", 5, "b90126a9dcc061c3", 8, "56894e53cf24b2e1"),
+    ("quaternion:8", 4, "3c34c73926a06518", 24, "5d2131618570cb91"),
+    ("alternating:4", 10, "3d444aff3140b6ec", 24, "bd297dc21009c06c"),
+    ("dihedral:12", 7, "47e6bd85ddcdd20a", 12, "ee8bee9c85fd960e"),
+    ("symmetric:4", 5, "602e50ffe7272ba9", 24, "dc87006de79d43e2"),
+    ("paper16", 5, "105f4631b9bb0c2a", 32, "3eb968601dd01afc"),
+    ("dihedral:16", 4, "826305b2708af123", 32, "f4f2e3750053284b"),
+    ("dihedral:24", 4, "ac071fcce90c420a", 48, "bd263f44968a2acf"),
+    ("alternating:5", 10, "302fa7146ef725de", 120, "f8fa1ee6f16c54e8"),
+    ("psl2:4", 10, "3ad0caeb9051c17e", 120, "6fc7a2ffbff3df82"),
+    ("psl2:5", 9, "f7c3643720a73e51", 120, "755dfadbfb6e27e4"),
+    ("psl2:7", 18, "67b3d707f7ec5ad1", 336, "be088a6d0ef08491"),
+    ("psl2:8", 30, "dbcb6475c2278674", 1512, "c07ace3f954e1503"),
+    ("psl2:9", 34, "cfd7b719223528ab", 1440, "6928a971aac01c96"),
+    ("psl2:11", 26, "dbe202a24f2e86b2", 1320, "ff337af390020425"),
+    ("psl2:13", 26, "c746277141f351b6", 2184, "0ba3327839a3b2b3"),
+])
+def test_automorphism_outputs_frozen(ident, n_gens, gens_digest, n_auts, auts_digest):
+    G = rb.named_group(ident)
+    gens = rb.aut_generators(G)
+    auts = rb.automorphism_group(G)
+    assert (len(gens), _maps_digest(gens)) == (n_gens, gens_digest)
+    assert (len(auts), _maps_digest(auts)) == (n_auts, auts_digest)
+
+
+@pytest.mark.parametrize("ident", [
+    "cyclic:8", "cyclic:12", "symmetric:3", "dihedral:8", "alternating:4",
+    "dihedral:12", "symmetric:4", "alternating:5", "psl2:4", "psl2:5",
+])
+def test_stabilizer_is_backtracking_fixing_base_point(ident):
+    G = rb.named_group(ident)
+    x, stab = automorphisms._stabilizer_data(G)
+    got = sorted((a.key(), a.inner) for a in stab)
+    want = sorted((a.key(), a.inner) for a in automorphisms._aut_by_backtracking(G)
+                  if a.images[x] == x)
+    assert got == want
+
+
+def test_find_isomorphism_without_base_uses_stored_generators(monkeypatch):
+    # paper16 has no base; given three stored generators, the search runs
+    # on all three
+    P = rb.named_group("paper16")
+    G = rb.FiniteGroup.from_table(P.mul_block(np.arange(16), np.arange(16)),
+                                  name="paper16-3gens", gens=(1, 4, 8))
+    assert G.find_generating_set() == (1, 4, 8)
+    assert automorphisms._base(G) is None
+    searched = []
+    real = automorphisms._bijections_by_images
+
+    def spy(G, H, gens, *args):
+        searched.append(tuple(gens))
+        return real(G, H, gens, *args)
+
+    monkeypatch.setattr(automorphisms, "_bijections_by_images", spy)
+    for H in (G, P):
+        phi = rb.find_isomorphism(G, H)
+        assert phi is not None
+        assert phi.is_bijective()
+        assert phi.is_homomorphism(mode="full")
+    assert searched == [(1, 4, 8), (1, 4, 8)]

@@ -1,5 +1,6 @@
 """Operator constructions: factorization splits, lifts, the two lemmas."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -356,3 +357,29 @@ def test_extension_rejects_nonabelian_a():
                          ba_images=np.zeros(6, dtype=np.int64), bf=0)
     with pytest.raises(InputFormatError, match="A is not abelian"):
         rb.extension_construct(data)
+
+
+# (instance count, digest of the (h, k, h1, k1, r, t) tuples in order), as
+# first recorded; the twelve groups hold 1,131 instances
+@pytest.mark.parametrize("ident,count,digest", [
+    ("symmetric:3", 6, "96b7b8015792aa48"),
+    ("dihedral:8", 39, "12e68a3726d2a2ea"),
+    ("quaternion:8", 3, "c30db27dc567ca7f"),
+    ("dihedral:12", 80, "b346adc42b51000a"),
+    ("alternating:4", 0, "e3b0c44298fc1c14"),
+    ("dihedral:16", 75, "1723cdf46fc4dad7"),
+    ("symmetric:4", 75, "8f660b06e8f02ee1"),
+    ("paper16", 173, "0ec558c43f948206"),
+    ("abelian:6x2", 30, "0f4da8709a0c9805"),
+    ("dihedral:24", 220, "79626358a1391dc9"),
+    ("cyclic:48", 2, "9e1e6ebdd583fa9f"),
+    ("dihedral:48", 428, "e4247ee2c8ec1c11"),
+])
+def test_lemma_r2_search_instances_frozen(ident, count, digest):
+    found = rb.lemma_r2_search(rb.named_group(ident))
+    h = hashlib.sha256()
+    for i in found:
+        h.update(repr((i.h.members.tolist(), i.k.members.tolist(),
+                       i.h1.members.tolist(), i.k1.members.tolist(),
+                       i.r, i.t)).encode())
+    assert (len(found), h.hexdigest()[:16]) == (count, digest)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import rbgroups as rb
+from rbgroups import enumeration
 from rbgroups.enumeration import (ObstructionReport, RBGraph, _class_labels, _id_maps,
                                   _image_names_of, _pair_orbits, direct_square)
-from rbgroups.errors import GraphConditionError, InputFormatError
+from rbgroups.errors import GraphConditionError, InputFormatError, PropertyFailure
 from rbgroups.groups import orbit_labels
 from rbgroups.subgroups import all_subgroups, is_normal, is_simple, unchecked_quotient
 
@@ -223,6 +224,34 @@ def test_orbit_invariants_hold():
     for c in rb.classify_equivalence(ops, verify_invariants=True):
         assert c.size >= 1
         assert c.representative.key() in {o.key() for o in ops}
+
+
+def test_orbit_invariant_break_is_reported(monkeypatch):
+    # one member of a class gets a different derived-group fingerprint
+    G = rb.named_group("dihedral:8")
+    ops = rb.enumerate_rb(G)
+    GG = direct_square(G)
+    classes = rb.classify_equivalence(ops)
+    cls = next(c for c in classes if c.size > 1)
+    target = next(op for op in ops if rb.graph_of(op, GG).key() in cls.graph_keys
+                  and op.key() != cls.representative.key())
+    real = enumeration.derived_group
+
+    class Changed:
+        def fingerprint(self):
+            return "changed"
+
+    def patched(op, *, validate=True):
+        if op.key() == target.key():
+            return Changed()
+        return real(op, validate=validate)
+
+    monkeypatch.setattr(enumeration, "derived_group", patched)
+    assert len(rb.classify_equivalence(ops, verify_invariants=False)) == len(classes)
+    with pytest.raises(PropertyFailure) as info:
+        rb.classify_equivalence(ops, verify_invariants=True)
+    assert info.value.clause == "orbit-invariant-broken"
+    assert info.value.witness == rb.graph_of(target, GG).key()
 
 
 @pytest.mark.parametrize("idx", range(len(CENSUS)), ids=[c[0] for c in CENSUS])

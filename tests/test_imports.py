@@ -33,3 +33,52 @@ def test_unused_imports_are_found():
                          ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(tree):
+    """(name, node) for every module-level function, class or constant
+    whose name starts with exactly one underscore."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out += [(name, node) for name in names
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def unread_private_names(sources):
+    """Private module-level names (see ``private_definitions``) that no
+    source reads outside the name's own definition, as a name or as an
+    attribute."""
+    trees = [ast.parse(src) for src in sources]
+    defs = [(name, node) for tree in trees for name, node in private_definitions(tree)]
+    unread = []
+    for name, own in defs:
+        inside = {id(n) for n in ast.walk(own)}
+        read = any((isinstance(n, ast.Name) and n.id == name
+                    and isinstance(n.ctx, ast.Load))
+                   or (isinstance(n, ast.Attribute) and n.attr == name)
+                   for tree in trees for n in ast.walk(tree) if id(n) not in inside)
+        if not read:
+            unread.append(name)
+    return sorted(unread)
+
+
+def test_unread_private_names_are_found():
+    sources = ["_A = 1\n_B = 2\n\ndef _f():\n    return _f()\n\n"
+               "class _C:\n    pass\n\ndef g():\n    return _A\n",
+               "import m\n\ndef h():\n    return m._B\n"]
+    assert unread_private_names(sources) == ["_C", "_f"]
+
+
+def test_every_private_name_is_read():
+    sources = [p.read_text() for p in MODULES]
+    assert sum(len(private_definitions(ast.parse(s))) for s in sources) > 0
+    assert unread_private_names(sources) == []
