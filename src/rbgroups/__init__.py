@@ -25,7 +25,7 @@ from .enumeration import (ClassificationReport, EquivalenceClass, QTransform,
                           q_transform_generators, rb_from_graph)
 from .errors import (GraphConditionError, InputFormatError, OutOfScaleError,
                      PropertyFailure, RBGroupsError, ResourceCapError)
-from .groups import FiniteGroup, ProductGroup, direct_square
+from .groups import ComponentwiseProduct, FiniteGroup, ProductGroup, direct_square
 from .maps import GroupMap, identity_map, inner_automorphism
 from .naming import abelian_invariants, structure_name
 from .rb import (OldDiagnostic, RBOperator, RBStructureReport, SuiteVerdict,

@@ -109,20 +109,14 @@ def _base(G):
     return None
 
 
-def _bijections_by_images(G, H, gens, what, fix_first=False):
-    """Yield (choice, images) for every isomorphism G -> H that sends
-    ``gens`` to ``choice``, trying elements of matching class
-    fingerprint in order; with ``fix_first`` the first generator is sent
-    to itself.  Before searching, refuses more than 4 generators and a
-    candidate space whose edge checks would exceed ``NODE_BUDGET``."""
+def _homomorphisms_by_images(G, H, gens, cand_lists, what):
+    """Yield (choice, images) for every homomorphism G -> H that sends
+    ``gens`` to ``choice``, with ``choice`` running over the product of
+    ``cand_lists`` in order.  Before searching, refuses more than 4
+    generators and a candidate space whose edge checks would exceed
+    ``NODE_BUDGET``."""
     if len(gens) > 4:
         raise ResourceCapError(f"more than 4 generators; {what} search refused")
-    fps_G = _elem_fps(G)
-    fps_H = fps_G if H is G else _elem_fps(H)
-    cand_lists = [[x for x in range(1, H.order) if fps_H[x] == fps_G[g]]
-                  for g in gens]
-    if fix_first:
-        cand_lists[0] = [gens[0]]
     total = 1
     for c in cand_lists:
         total *= max(1, len(c))
@@ -130,7 +124,23 @@ def _bijections_by_images(G, H, gens, what, fix_first=False):
         raise ResourceCapError(f"{what} search exceeds the node budget")
     for choice in itertools.product(*cand_lists):
         img = extend_by_generator_images(G, H, gens, choice)
-        if img is not None and np.unique(img).size == G.order:
+        if img is not None:
+            yield choice, img
+
+
+def _bijections_by_images(G, H, gens, what, fix_first=False):
+    """Yield (choice, images) for every isomorphism G -> H that sends
+    ``gens`` to ``choice``, trying elements of matching class
+    fingerprint in order; with ``fix_first`` the first generator is sent
+    to itself; refused as ``_homomorphisms_by_images`` refuses."""
+    fps_G = _elem_fps(G)
+    fps_H = fps_G if H is G else _elem_fps(H)
+    cand_lists = [[x for x in range(1, H.order) if fps_H[x] == fps_G[g]]
+                  for g in gens]
+    if fix_first:
+        cand_lists[0] = [gens[0]]
+    for choice, img in _homomorphisms_by_images(G, H, gens, cand_lists, what):
+        if np.unique(img).size == G.order:
             yield choice, img
 
 

@@ -178,7 +178,10 @@ def _id_order(parts):
         # 2^64 is past every cap already; keeps p^m cheap for a huge m
         return p ** min(m, 64)
     if parts[0] == "abelian" and len(parts) == 2:
-        return prod(int(d) for d in parts[1].split("x"))
+        dims = [int(d) for d in parts[1].split("x")]
+        if min(dims) < 1:
+            raise InputFormatError("abelian:d1xd2... needs every factor >= 1")
+        return prod(dims)
     if parts[0] in _FAMILY_PARAMS and len(parts) == 2:
         n = int(parts[1])
         if n not in _FAMILY_PARAMS[parts[0]]:

@@ -22,7 +22,8 @@ from .catalog import group_from_json
 from .errors import (GraphConditionError, InputFormatError, OutOfScaleError,
                      PropertyFailure, ResourceCapError)
 from .maps import GroupMap
-from .rb import is_splitting, make_rb, structure_report, verify_rb
+from .rb import (is_splitting, make_rb, structure_report, trivial_e, trivial_inv,
+                 verify_rb)
 from .reports import (RunConfig, emit, group_block, operator_block, to_jsonable,
                       tool_block)
 from .subgroups import (Factorization, all_subgroups, closure,
@@ -105,10 +106,8 @@ def _subgroup_from_params(G, params, key):
 
 def _build_recipe(G, recipe, params):
     if recipe == "trivial-e":
-        from .rb import trivial_e
         return trivial_e(G)
     if recipe == "trivial-inv":
-        from .rb import trivial_inv
         return trivial_inv(G)
     if recipe == "split":
         H = _subgroup_from_params(G, params, "h_gens")
@@ -165,9 +164,6 @@ def _build_recipe(G, recipe, params):
         op = make_rb(G, candidate.images)
         op.provenance["recipe"] = {"kind": "extension", "f": int(data.f),
                                    "condition_holds": bool(cond)}
-        return op
-    if recipe == "paper16":
-        _, op = cons.paper16_fixture()
         return op
     raise InputFormatError(f"unknown recipe: {recipe}")
 

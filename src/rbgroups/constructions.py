@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automorphisms import extend_by_generator_images
+from .automorphisms import _homomorphisms_by_images, extend_by_generator_images
+from .catalog import named_group
 from .errors import InputFormatError, PropertyFailure, ResourceCapError
 from .groups import _closure_members
 from .maps import GroupMap
@@ -331,27 +332,21 @@ def _endomorphism_images(Agrp):
     """All endomorphism image arrays of an abelian group, positionally.
 
     Generator images are tried over an irredundant generating set (a
-    recorded generator is dropped while the others still generate).
-    Every candidate is checked on all Cayley edges, so the set of
+    recorded generator is dropped while the others still generate), each
+    among the elements whose order divides the generator's.  Every
+    candidate is checked on all Cayley edges, so the set of
     endomorphisms does not depend on that choice, only their order does.
     """
-    import itertools
     gens = list(Agrp.find_generating_set())
     for g in tuple(gens):
         rest = [h for h in gens if h != g]
         if _closure_members(Agrp, rest).size == Agrp.order:
             gens = rest
-    if not gens:
-        return [np.zeros(1, dtype=np.int64)]
     orders = Agrp.element_orders()
     cands = [[x for x in range(Agrp.order) if orders[int(g)] % orders[x] == 0]
              for g in gens]
-    out = []
-    for choice in itertools.product(*cands):
-        img = extend_by_generator_images(Agrp, Agrp, gens, choice)
-        if img is not None:
-            out.append(img)
-    return out
+    return [img for _, img in
+            _homomorphisms_by_images(Agrp, Agrp, gens, cands, "endomorphism")]
 
 
 def extension_search(G) -> list[ExtensionData]:
@@ -362,7 +357,9 @@ def extension_search(G) -> list[ExtensionData]:
     For normal A, <A, f> = G exactly when f's coset exponent o has
     o·|A| = |G|; one power walk per A gives o for every f.  BA runs over
     ``_endomorphism_images`` (an irredundant generating set of A).  A
-    search that would pass ``EXTENSION_BUDGET`` data is refused.
+    search that would pass ``EXTENSION_BUDGET`` data, or an A whose
+    endomorphism search is refused (more than 4 generators, or past
+    ``automorphisms.NODE_BUDGET``), raises ResourceCapError.
     """
     out = []
     n = G.order
@@ -394,7 +391,6 @@ def extension_search(G) -> list[ExtensionData]:
 def paper16_fixture():
     """The order-16 group with its non-splitting operator, built through
     the extension construction from A = <a^2, b, c> and f = a."""
-    from .catalog import named_group
     G = named_group("paper16")
     A = closure(G, [2, 4, 8])          # a^2, b, c
     Agrp, to_parent = A.as_group(validate=False)

@@ -3,8 +3,8 @@ classification, and the non-splitting obstruction filter.
 
 An operator B corresponds to its graph H_B = {(B(g), g B(g))} inside
 G x G; subgroups of order |G| whose difference map (a,b) -> b a^-1 is a
-bijection are exactly the graphs of operators.  Equivalence acts on
-graphs through pairs of automorphisms and a coordinate swap.
+bijection are exactly the graphs of operators.  Equivalence acts through
+two side maps of G, plain (g, h) -> (fa(g), fb(h)) or swapped.
 
 Splitting operators have product graphs L x H coming from exact
 factorizations, and every equivalence transform preserves productness,
@@ -21,12 +21,13 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .automorphisms import aut_generators
+from .constructions import splitting_from_exact
 from .errors import (GraphConditionError, InputFormatError, PropertyFailure,
                      ResourceCapError)
 from .groups import ProductGroup, direct_square, orbit_labels
-from .maps import GroupMap, identity_map, inner_automorphism
 from .naming import structure_name
-from .rb import RBOperator, btilde, derived_group, im_bbt, is_splitting, make_rb
+from .rb import (RBOperator, btilde, derived_group, im_bbt, image, is_splitting,
+                 make_rb)
 from .subgroups import (Factorization, all_subgroups, divisors,
                         exact_factorizations, is_normal, is_simple,
                         unchecked_quotient)
@@ -165,46 +166,37 @@ def brute_force_rb(G) -> list[RBOperator]:
 
 @dataclass
 class QTransform:
-    """One generator of the equivalence action on graphs.
+    """One generator of the equivalence action on graphs, given by two
+    side maps of G (image arrays):
 
-    plain:   (g, h) -> (phi(g), phi(h^x))
-    swapped: (g, h) -> (phi(h^x), phi(g))
+    plain:   (g, h) -> (fa(g), fb(h))
+    swapped: (g, h) -> (fb(h), fa(g))
     """
 
     kind: str
-    phi: GroupMap
-    x: int
+    fa: np.ndarray
+    fb: np.ndarray
     label: str
-    _fa: np.ndarray = _dc_field(default=None, repr=False)
-    _fb: np.ndarray = _dc_field(default=None, repr=False)
 
-    def __post_init__(self):
-        G = self.phi.source
-        alpha = inner_automorphism(G, self.x)
-        self._fa = self.phi.images
-        self._fb = self.phi.images[alpha.images]
-
-    def apply_codes(self, GG: ProductGroup, codes):
-        a, b = GG.unpair(codes)
+    def permutation(self):
+        """p[c] is the code of the image of the pair with code c, coded
+        pair(g, h) = g*|G| + h as in ``direct_square``."""
+        n = self.fa.size
         if self.kind == "plain":
-            out = GG.pair(self._fa[a], self._fb[b])
-        else:
-            out = GG.pair(self._fb[b], self._fa[a])
-        return np.sort(out)
+            return np.add.outer(self.fa * n, self.fb).ravel()
+        return np.add.outer(self.fa, self.fb * n).ravel()
 
 
-def q_transform_generators(G, auts=None) -> list[QTransform]:
-    """Generators of the full equivalence action: (phi, x=e) over
-    automorphism generators, (id, alpha_x) over group generators, and
-    the swap."""
-    auts = auts if auts is not None else aut_generators(G)
-    out = []
-    for i, phi in enumerate(auts):
-        out.append(QTransform("plain", phi, 0, f"phi{i}"))
-    ident = identity_map(G)
-    for x in G.find_generating_set():
-        out.append(QTransform("plain", ident, int(x), f"alpha{int(x)}"))
-    out.append(QTransform("swapped", ident, 0, "swap"))
+def q_transform_generators(G) -> list[QTransform]:
+    """Generators of the full equivalence action: each automorphism
+    generator phi (fa = fb = phi), the conjugation twist at each group
+    generator x (fa = id, fb = h -> h^x), and the swap (fa = fb = id)."""
+    ident = np.arange(G.order, dtype=np.int64)
+    out = [QTransform("plain", phi.images, phi.images, f"phi{i}")
+           for i, phi in enumerate(aut_generators(G))]
+    out += [QTransform("plain", ident, G.conjugation_map(x), f"alpha{int(x)}")
+            for x in G.find_generating_set()]
+    out.append(QTransform("swapped", ident, ident, "swap"))
     return out
 
 
@@ -218,7 +210,6 @@ class EquivalenceClass:
 
 
 def _image_names_of(op: RBOperator):
-    from .rb import image
     names = [structure_name(image(op)), structure_name(image(btilde(op)))]
     return tuple(sorted(names))
 
@@ -229,7 +220,8 @@ def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
     ``ops`` must be closed under the equivalence generators, as the
     output of ``enumerate_rb`` is; a list that is not raises
     InputFormatError.  The distinct graphs are numbered in key order,
-    each transform becomes one id permutation, and
+    each transform permutes the stacked graph codes and becomes one id
+    permutation, and
     ``groups.orbit_labels`` labels every graph with the least id of its
     orbit, whose operator is the class representative.
 
@@ -253,9 +245,9 @@ def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
     graphs = np.stack([by_key[k] for k in keys])
     maps = []
     for t in q_transform_generators(G):
+        moved = np.sort(t.permutation()[graphs], axis=1)
         try:
-            maps.append(np.array([index[row.tobytes()]
-                                  for row in t.apply_codes(GG, graphs)]))
+            maps.append(np.array([index[row.tobytes()] for row in moved]))
         except KeyError:
             raise InputFormatError(
                 f"operator list is not closed under the transform {t.label}") from None
@@ -345,7 +337,7 @@ def _pair_orbits(facts, transforms):
     states = np.unique(np.concatenate([ids[:, 0] * k + ids[:, 1],
                                        ids[:, 1] * k + ids[:, 0]]))
     u, v = np.divmod(states, k)
-    sides = _id_maps(factors, [f for t in transforms for f in (t._fa, t._fb)])
+    sides = _id_maps(factors, [f for t in transforms for f in (t.fa, t.fb)])
     maps = []
     for t, pa, pb in zip(transforms, sides[::2], sides[1::2]):
         image = pa[u] * k + pb[v] if t.kind == "plain" else pb[v] * k + pa[u]
@@ -367,7 +359,6 @@ def classify_splitting(G, *, subs=None) -> ClassificationReport:
     orbit's representative, which is named and fully verified, is its
     least pair in key order.
     """
-    from .constructions import splitting_from_exact
     if subs is None:
         subs = all_subgroups(G)
     facts = exact_factorizations(G, subs)

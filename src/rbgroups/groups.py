@@ -9,9 +9,9 @@ identity, which pins the element numbering, and refuses a closure past
 the bound before allocating anything.
 
 Higher-level algorithms talk to the vector accessors (``row``, ``col``,
-``mul_block``, ``mul_rows``, ``mul_vec``).  ``ProductGroup`` is the one
-group without a table: when G x G is too large for one it multiplies
-componentwise.
+``mul_block``, ``mul_rows``, ``mul_vec``).  ``ComponentwiseProduct`` is
+the one group without a table: it multiplies in its two factors, and
+``direct_square`` chooses it, once, when G x G is too large for a table.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class FiniteGroup:
             if p.dtype.kind not in "iu" or p.shape != (degree,) \
                     or sorted(p.tolist()) != list(range(degree)):
                 raise InputFormatError("generator is not a permutation of range(degree)")
-        dtype = np.int8 if degree <= 127 else np.int16
+        dtype = np.min_scalar_type(degree - 1)
         gens = [p.astype(dtype) for p in gens]
         cap = min(order_cap, MAX_DENSE_ORDER)
         ident = np.arange(degree, dtype=dtype)
@@ -392,10 +392,8 @@ def orbit_labels(size, maps):
 
 
 class ProductGroup(FiniteGroup):
-    """Direct product with pair encoding pair(a, b) = a * |right| + b.
-
-    A product whose table fits 8 MiB carries one; a larger product has
-    no table and multiplies componentwise."""
+    """Direct product with pair encoding pair(a, b) = a * |right| + b,
+    carrying its full Cayley table."""
 
     def __init__(self, left, right):
         n = left.order * right.order
@@ -405,17 +403,22 @@ class ProductGroup(FiniteGroup):
         self.left = left
         self.right = right
         nr = right.order
-        table = None
-        if 2 * n * n <= 8 * 1024 * 1024:
-            tl = left.mul_block(np.arange(left.order), np.arange(left.order))
-            tr = right.mul_block(np.arange(nr), np.arange(nr))
-            big = (tl[:, None, :, None] * nr + tr[None, :, None, :]).reshape(n, n)
-            table = big.astype(_table_dtype(n))
         super().__init__(
-            name=f"{left.name} x {right.name}", table=table,
+            name=f"{left.name} x {right.name}", table=self._product_table(),
             gens=tuple(int(g) * nr for g in left.find_generating_set())
             + tuple(int(g) for g in right.find_generating_set()),
             inverse=np.add.outer(left.inverse * nr, right.inverse).ravel())
+
+    def _product_table(self):
+        nl, nr = self.left.order, self.right.order
+        n = nl * nr
+        if n > MAX_DENSE_ORDER:
+            raise ResourceCapError(
+                f"product order {n} exceeds the dense table bound {MAX_DENSE_ORDER}")
+        tl = self.left.mul_block(np.arange(nl), np.arange(nl))
+        tr = self.right.mul_block(np.arange(nr), np.arange(nr))
+        big = (tl[:, None, :, None] * nr + tr[None, :, None, :]).reshape(n, n)
+        return big.astype(_table_dtype(n))
 
     def pair(self, a: Element, b: Element) -> Element:
         return a * self.right.order + b
@@ -423,60 +426,55 @@ class ProductGroup(FiniteGroup):
     def unpair(self, p: Element):
         return divmod(p, self.right.order)
 
+
+class ComponentwiseProduct(ProductGroup):
+    """A direct product without a table: every product is taken in the
+    two factors."""
+
+    def _product_table(self):
+        return None
+
     def conjugation_map(self, g):
-        if self._table is not None:
-            return super().conjugation_map(g)
         a, b = self.unpair(int(g))
         return np.add.outer(self.left.conjugation_map(a) * self.right.order,
                             self.right.conjugation_map(b)).ravel()
 
     def conjugate_all(self, s):
-        if self._table is not None:
-            return super().conjugate_all(s)
         a, b = self.unpair(int(s))
         return np.add.outer(self.left.conjugate_all(a) * self.right.order,
                             self.right.conjugate_all(b)).ravel()
 
     def mul(self, g, h):
-        if self._table is not None:
-            return super().mul(g, h)
         (a, b), (c, d) = self.unpair(g), self.unpair(h)
         return self.pair(self.left.mul(a, c), self.right.mul(b, d))
 
     def row(self, g):
-        if self._table is not None:
-            return super().row(g)
         a, b = self.unpair(np.asarray(g, dtype=np.int64))
         rows = (self.left.row(a).astype(np.int64)[..., :, None] * self.right.order
                 + self.right.row(b)[..., None, :])
         return rows.reshape(*np.shape(g), self.order)
 
     def col(self, h):
-        if self._table is not None:
-            return super().col(h)
         c, d = self.unpair(int(h))
         return np.add.outer(self.left.col(c).astype(np.int64) * self.right.order,
                             self.right.col(d)).ravel()
 
     def mul_vec(self, a, b):
-        if self._table is not None:
-            return super().mul_vec(a, b)
         (al, ar), (bl, br) = self.unpair(np.asarray(a)), self.unpair(np.asarray(b))
         return self.pair(self.left.mul_vec(al, bl), self.right.mul_vec(ar, br))
 
     def mul_block(self, A, B):
-        if self._table is not None:
-            return super().mul_block(A, B)
         (al, ar), (bl, br) = self.unpair(np.asarray(A)), self.unpair(np.asarray(B))
         return self.pair(self.left.mul_block(al, bl), self.right.mul_block(ar, br))
 
     def mul_rows(self, a, B):
-        if self._table is not None:
-            return super().mul_rows(a, B)
         (al, ar), (bl, br) = self.unpair(np.asarray(a)), self.unpair(np.asarray(B))
         return self.pair(self.left.mul_rows(al, bl), self.right.mul_rows(ar, br))
 
 
 def direct_square(G) -> ProductGroup:
-    """The product group G x G."""
-    return ProductGroup(G, G)
+    """The product group G x G: with a table when the table fits 8 MiB
+    (2 bytes per entry), else componentwise."""
+    n = G.order * G.order
+    cls = ProductGroup if 2 * n * n <= 8 * 1024 * 1024 else ComponentwiseProduct
+    return cls(G, G)

@@ -13,10 +13,13 @@ A4 rather than 2^2:3), then dihedral, then p^m:k.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .catalog import named_group
 from .groups import FiniteGroup, _closure_members
-from .subgroups import Subgroup, _factorint, is_normal
+from .subgroups import Subgroup, _factorint, derived_subgroup, is_normal
 
 _SA_FP_CACHE = {}
 
@@ -57,16 +60,13 @@ def abelian_invariants(G: FiniteGroup):
 
 
 def _full_fp(G):
-    from .subgroups import derived_subgroup
     return G.fingerprint() + (derived_subgroup(G).order,)
 
 
 def _sa_reference_fps(order):
     """Fingerprints of the S_k / A_k with the given order (degree <= 7)."""
     if order not in _SA_FP_CACHE:
-        from .catalog import named_group
         entries = []
-        import math
         for k in range(3, 8):
             if math.factorial(k) == order:
                 entries.append((f"S{k}", _full_fp(named_group(f"symmetric:{k}"))))

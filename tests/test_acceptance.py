@@ -190,7 +190,7 @@ def test_criterion_8_equivalence_action():
         swap = next(t for t in rb.q_transform_generators(G)
                     if t.label == "swap")
         for op in ops:
-            moved = swap.apply_codes(GG, rb.graph_of(op, GG).members)
+            moved = np.sort(swap.permutation()[rb.graph_of(op, GG).members])
             assert moved.tobytes() == rb.graph_of(rb.btilde(op), GG).key()
     report(8, "equivalence invariants and companion swap")
 

@@ -125,7 +125,8 @@ def test_catalog_id_over_cap_refused_before_building(monkeypatch):
 
 @pytest.mark.parametrize("ident", ["elemabelian:1:100000000",
                                    "elemabelian:0:5", "elemabelian:2:0",
-                                   "symmetric:8", "alternating:2"])
+                                   "symmetric:8", "alternating:2",
+                                   "abelian:-1x-1", "abelian:-2x-2"])
 def test_catalog_bad_family_parameter_refused_from_id(monkeypatch, ident):
     def no_build(*args, **kwargs):
         raise AssertionError("group built for a bad id")

@@ -10,7 +10,7 @@ import rbgroups as rb
 from rbgroups.automorphisms import extend_by_generator_images
 from rbgroups.constructions import (ExtensionData, LemmaR2Instance,
                                     _endomorphism_images)
-from rbgroups.errors import InputFormatError, PropertyFailure
+from rbgroups.errors import InputFormatError, PropertyFailure, ResourceCapError
 from rbgroups.maps import GroupMap
 
 
@@ -248,6 +248,12 @@ def test_extension_sweep_frozen_counts(ident, count, operators):
     hits = rb.extension_search(G)
     assert len(hits) == count
     assert sum(rb.extension_construct(d)[1] for d in hits) == operators
+
+
+def test_extension_search_refuses_endomorphism_search_past_budget():
+    # the hyperplanes 2^5 of 2^6 need 5 generator images (32^5 candidates)
+    with pytest.raises(ResourceCapError, match="endomorphism search refused"):
+        rb.extension_search(rb.named_group("elemabelian:2:6"))
 
 
 @pytest.mark.parametrize("ident", ["cyclic:16", "abelian:4x2", "paper16"])

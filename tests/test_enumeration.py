@@ -177,7 +177,7 @@ def bfs_equivalence_classes(ops):
         while queue:
             cur = queue.popleft()
             for t in transforms:
-                nxt = t.apply_codes(GG, cur)
+                nxt = np.sort(t.permutation()[cur])
                 if nxt.tobytes() not in seen:
                     seen[nxt.tobytes()] = nxt
                     queue.append(nxt)
@@ -214,7 +214,7 @@ def test_swap_transform_realizes_companion():
     GG = direct_square(G)
     swap = next(t for t in rb.q_transform_generators(G) if t.label == "swap")
     for op in rb.enumerate_rb(G):
-        moved = swap.apply_codes(GG, rb.graph_of(op, GG).members)
+        moved = np.sort(swap.permutation()[rb.graph_of(op, GG).members])
         assert moved.tobytes() == rb.graph_of(rb.btilde(op), GG).key()
 
 
@@ -560,7 +560,7 @@ def bfs_pair_orbits(facts, transforms):
         while queue:
             u, v = queue.popleft()
             for t in transforms:
-                a, b = (t._fa[u], t._fb[v]) if t.kind == "plain" else (t._fb[v], t._fa[u])
+                a, b = (t.fa[u], t.fb[v]) if t.kind == "plain" else (t.fb[v], t.fa[u])
                 a, b = np.sort(a), np.sort(b)
                 if (a.tobytes(), b.tobytes()) not in seen:
                     seen.add((a.tobytes(), b.tobytes()))
@@ -591,7 +591,7 @@ def test_inner_id_maps_give_subgroup_conjugacy_classes():
     G = rb.named_group("psl2:11")
     by_key = {s.key(): s for f in rb.exact_factorizations(G) for s in (f.h, f.l)}
     subs = [by_key[k] for k in sorted(by_key)]
-    inner = [t._fb for t in rb.q_transform_generators(G) if t.label.startswith("alpha")]
+    inner = [t.fb for t in rb.q_transform_generators(G) if t.label.startswith("alpha")]
     labels = orbit_labels(len(subs), _id_maps(subs, inner))
     orbits = {}
     for i, s in enumerate(subs):

@@ -1,4 +1,6 @@
-"""Every top-level import of a package module is read somewhere in it."""
+"""Every top-level import of a package module is read somewhere in it,
+and no function imports again from a module its file imports at top
+level."""
 
 import ast
 import pathlib
@@ -33,6 +35,44 @@ def test_unused_imports_are_found():
                          ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _sources(node):
+    """The modules an import statement reads from, as (level, name)."""
+    if isinstance(node, ast.Import):
+        return {(0, a.name) for a in node.names}
+    if node.module is None:         # from . import x
+        return {(node.level, a.name) for a in node.names}
+    return {(node.level, node.module)}
+
+
+def repeated_imports(source):
+    """Names of the functions that import from a module the file
+    already imports at top level."""
+    tree = ast.parse(source)
+    top = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            top |= _sources(node)
+    return sorted({fn.name for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and _sources(node) & top})
+
+
+def test_repeated_imports_are_found():
+    source = ("import math\nfrom .a import b\nfrom . import c\n\n"
+              "def f():\n    import math\n\n"
+              "def g():\n    from .a import d\n\n"
+              "def h():\n    from . import c as e\n\n"
+              "def k():\n    from .b import x\n    from . import y\n    import os\n")
+    assert repeated_imports(source) == ["f", "g", "h"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_repeats_a_top_level_import(path):
+    assert repeated_imports(path.read_text()) == []
 
 
 def private_definitions(tree):

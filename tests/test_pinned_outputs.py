@@ -1,0 +1,119 @@
+"""Pinned outputs of the G x G layer and of the endomorphism search.
+
+Each value is the sha256 of the ``repr`` of a list of plain Python
+values, on the catalog labelling: every ``classify_equivalence`` field
+in class order (the census and graph-census groups of the benchmark,
+and the psl2:7 census), each equivalence generator as (kind, label, fa,
+fb), and every ``_endomorphism_images`` list over the abelian subgroups
+of the benchmark's extension groups.  A restructuring of the code
+under them must leave every digest as it is.
+"""
+
+import hashlib
+
+import pytest
+
+import rbgroups as rb
+from rbgroups.constructions import _endomorphism_images
+
+CLASS_DIGESTS = {
+    "cyclic:2": "aa220105f73e37e6e07db1ec3151adb93433e4d54f4c7c974dd5d2bc47068117",
+    "cyclic:3": "d27ce7ed7cdcde2af5dbc3c650596a002f97f5c69eaabe74fbb55ca4d3b1d343",
+    "cyclic:4": "8424dfbccd10df58547bde69abaf16ebc8347fb70f3c7839eb29d4f5edad98b7",
+    "cyclic:5": "e696171ad48435872a2ee8786b0c1878703903f8a083df0cc13512dc8d7f2d71",
+    "cyclic:6": "1d98d6d4dc8281416d9a73339eb7ec909d7767be14a677650b5686360733a6ad",
+    "cyclic:7": "262d7dd02f1b70d36248a3facd813389e9100bb0c2c364046746f70e6f9c156c",
+    "cyclic:8": "9c7cec2ad2be7e6b19b53cb21418ee2be32956b8457df2a974bf1f808821f9f0",
+    "elemabelian:2:2": "8063af11f51883a541c1a764dee358f3a2a73a7127fdedd05c87d3617436f47a",
+    "abelian:4x2": "3be603bb5724be8dd67f432e2cfd250dbc5202a6a6d4d2b9b7dacf82874f1ff7",
+    "elemabelian:2:3": "ca6e1cf14466fc221c9989fe95fadf1461ac29c8982930cff69d4dcd4d9d0a9a",
+    "symmetric:3": "980dc856785497c319d3dd515c6c643cdffe19f9171e180daa397319439d48f1",
+    "dihedral:8": "b0aedd3b662281d74fb03767c67ec0fcdd540cb3fc937960bb529cf661a2329e",
+    "quaternion:8": "f56123bd4b570f1e7f4b8afc851941630801960d51beda2474f9c1a44f1c5842",
+    "dihedral:12": "491d1c3e3dc85bd49f32cfc7678792315cd3e85ea05709b87a0a9eb8666db17e",
+    "alternating:4": "eae79e3a1fdb60ad9c0bc8abc6378eadff481cc2dd545909d7a7e6ab77d7299a",
+    "dihedral:16": "d8a48bd656de836c75c952096673778ab5239bb2e1f17371b83181519c0f3c60",
+    "paper16": "86c8dab371d24e5897a75d8968eeab1d9b253b479788013ef27f056983e3e2ca",
+    "psl2:7": "f496454f5d393408f2affd5449d478033983835ea00809119372dae4dcab6194",
+}
+
+TRANSFORM_DIGESTS = {
+    "cyclic:2": "efa76e62ffd0e4276316c51e1e0378ecfcc644efd1ad5d8d5161ffaac64fa82e",
+    "cyclic:3": "60599a3e26ba863d5e41a1ccbdd87ea0b4906cd96f01a6a279c8a2d35ed08774",
+    "cyclic:4": "e870ca92737350cb199a216876f45652609c99fb831b6419b559d8b874fe3fc7",
+    "cyclic:5": "dde115b063f4ce8545ddd162902ba7579ef3d543f6977e3bd07800f73da7055b",
+    "cyclic:6": "80a341c5a278db3a88ab7d1bfc6a2e5d29efa07234b124b77d28efc1268add79",
+    "cyclic:7": "6a9af619d79ff68a825ac055b2870d5ea6749f4d52fd919a5f1b7835cc1b8696",
+    "cyclic:8": "ed74bc7e163c4b6bbc6fcf8f683d8ba5d6057b389e3f570979364f82a7edeec2",
+    "elemabelian:2:2": "012801f1b426ccec86108637070a0f238befb4f5b19b75de05d3f07038a67b0a",
+    "abelian:4x2": "bd2acd2497864b0a58eefb577d312f542a5525ea73691085c18c5f89d3c6387e",
+    "elemabelian:2:3": "e31c04694363059f2be6d5e26f005e9a3f2208f6d8606c55f06ae4ddf55e8523",
+    "symmetric:3": "2cbd3ad340c49a8630c7654e0059fbfc05c4cdb8347abe08507a1bef50a86aa8",
+    "dihedral:8": "0252f2d14a6b2c09ab854e3d1c6a56753390f28b14166cbe98c5457d9f4c6e94",
+    "quaternion:8": "0ea25f0fabe243b62f6edcb34c2c6d68bdfe060a06c55f7d3a30d5e73245ec1d",
+    "dihedral:12": "ade0f7da503858a723d6d0bd234da96586f074e9669eaf99a955297bf5ea0d4f",
+    "alternating:4": "8a4af46a37a13df23df4225a352385c3c3820baecccf3c1bbedcc1c168104496",
+    "dihedral:16": "968c2ad6dd4f732f59a3000c9ba90df8138b6314c571788d6b919d5cb7c5dab6",
+    "paper16": "ee8ce71db6006f32c58fc3c67da5ed1a285d7012e9d46992be744f65f02053b1",
+    "psl2:7": "ea31f0047c90ef578ab30b5e3dc5a2fce1f03e8ddaa236c7f90f301a05d54e60",
+}
+
+ENDOMORPHISM_DIGESTS = {
+    "cyclic:4": "173b14ec27be63e776a5629354e6cec4562673afec643e7e3f26792dc54838cf",
+    "cyclic:6": "6c21eb65cfa9436816fb0db16cb0eba3ba0276744b46b7f001bbafed4bb749ab",
+    "cyclic:8": "34be2f5960bcccb053f90d247ff57e3e8c88f16aac1f44572bc48359f3150894",
+    "cyclic:9": "eab3074b66a50f86f80de3c6e4a8589118569d7b5e23209dcb37917cc45eb0ca",
+    "cyclic:12": "382cdbdaad84610537a8b1d4c72de8af5fcdb7f5765a6847ef80983c0de79610",
+    "cyclic:16": "a8b0329c6d7736c09eeb5be3348440f1bfc6e2639d013be19e93ad0317e37152",
+    "cyclic:24": "809ace6402638296ec524a5a66ee4eb0660c6acc6b992cae051f408958dcaba3",
+    "cyclic:32": "87120784190d8872bb5a45a33f682a0c4fcb5a6cf7d5190e950bf280c24c8ed4",
+    "elemabelian:2:2": "46f4c1afda54fc85d22c0b3cd54a3e9a8b825567027862ceadf4036325878199",
+    "abelian:4x2": "30e18eaea7963a35aa98307ceb31e82caf9e54a10c8adc0ee5ad0fccb1bb027f",
+    "elemabelian:2:3": "93f664b4b80f161a6ffd58eeda445c5f7dd8ece1ba237ed1efa9c587a4f17ee9",
+    "symmetric:3": "e65e514d3dc7a27caa38025867d8edcf0e7bf09459f0872c4c757024e6b34c8d",
+    "dihedral:8": "6e0559b8345eafbcb4c840fd71e42b8eff4452d019a3f17c23bf63009b234902",
+    "quaternion:8": "d7faac40b8e15d74ce200b1d66e1c5b85cd51a732734e08261ad369baa05c314",
+    "alternating:4": "39b10a02c019df106177e617c446ad5c366e765ff8c4d04fb4b9294dad7ff314",
+    "dihedral:12": "5587ea51d734887357c5d671476378ff9eee5b2c1d787fbaf3efaa5c1a6f9e90",
+    "dihedral:16": "5f38701a3f352a7c95bde45f5964036375cc063f582eb3deb6cfc8b3a8e49a3f",
+    "paper16": "0fe189a1e0c4cd67d0df44bae46c5dcde8c10b841dbcd79bd598b376e63c0f33",
+    "symmetric:4": "5cb64726ad782e97c03af0706ed5b950e10edd4ddd72e76f574bc84001abc4a2",
+    "dihedral:24": "3df9b7ce479be25fcb175cfb6d39a3c9e04e87caa78fc286442b9670e03923a7",
+    "dihedral:32": "8a3eb9ccb9fe6f6653b2d417ca01597b4ac9f667e1b208a66baafee91573de69",
+}
+
+
+def digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("ident", sorted(CLASS_DIGESTS))
+def test_classify_equivalence_fields_pinned(ident):
+    G = rb.named_group(ident)
+    ops = rb.enumerate_rb(G, cap=200)
+    fields = []
+    for c in rb.classify_equivalence(ops):
+        rep = c.representative
+        fields.append((rep.images.tolist(), rep.provenance, c.size, c.splitting,
+                       c.image_names, sorted(c.graph_keys)))
+    assert digest(fields) == CLASS_DIGESTS[ident]
+
+
+@pytest.mark.parametrize("ident", sorted(TRANSFORM_DIGESTS))
+def test_transform_generators_pinned(ident):
+    G = rb.named_group(ident)
+    got = [(t.kind, t.label, t.fa.tolist(), t.fb.tolist())
+           for t in rb.q_transform_generators(G)]
+    assert digest(got) == TRANSFORM_DIGESTS[ident]
+
+
+@pytest.mark.parametrize("ident", sorted(ENDOMORPHISM_DIGESTS))
+def test_endomorphism_images_pinned(ident):
+    G = rb.named_group(ident)
+    lists = []
+    for A in rb.all_subgroups(G):
+        Agrp, _ = A.as_group(validate=False)
+        if Agrp.is_abelian():
+            lists.append((A.members.tolist(),
+                          [e.tolist() for e in _endomorphism_images(Agrp)]))
+    assert digest(lists) == ENDOMORPHISM_DIGESTS[ident]
