@@ -36,8 +36,8 @@ def main():
 
     print("\nB is not an endomorphism and not an antiendomorphism:")
     phi = rb.GroupMap(G, G, op.images)
-    print(f"  hom: {phi.is_homomorphism(mode='full')}, "
-          f"antihom: {phi.is_homomorphism(mode='full', anti=True)}")
+    print(f"  hom: {phi.is_homomorphism()}, "
+          f"antihom: {phi.is_homomorphism(anti=True)}")
 
     print("\nno factorization split reproduces it:")
     clashes = 0

@@ -117,7 +117,10 @@ def _build_recipe(G, recipe, params):
     if recipe == "hom-abelian":
         H = _subgroup_from_params(G, params, "h_gens")
         phi = GroupMap(G, G, _index_list(params, "images", G.order))
-        return cons.hom_to_abelian(G, H, phi, anti=bool(params.get("anti", False)))
+        anti = params.get("anti", False)
+        if not isinstance(anti, bool):
+            raise InputFormatError("hom-abelian: anti must be true or false")
+        return cons.hom_to_abelian(G, H, phi, anti=anti)
     if recipe == "lift":
         H = _subgroup_from_params(G, params, "h_gens")
         L = _subgroup_from_params(G, params, "l_gens")
@@ -381,8 +384,7 @@ def main(argv=None):
         emit({"command": args.command, "config": cfg.block(),
               "tool": tool_block(), "entry": exc.report_entry()}, cfg.out)
         return EXIT_CAP
-    except (InputFormatError, json.JSONDecodeError, FileNotFoundError,
-            ValueError) as exc:
+    except (InputFormatError, json.JSONDecodeError, OSError, ValueError) as exc:
         emit({"command": args.command, "error": str(exc),
               "kind": "input"}, cfg.out)
         return EXIT_INPUT

@@ -68,7 +68,7 @@ def hom_to_abelian(G, H: Subgroup, phi: GroupMap, anti=False) -> RBOperator:
         raise InputFormatError("target subgroup is not abelian")
     if not H.mask()[phi.images].all():
         raise InputFormatError("map does not land inside the subgroup")
-    if not phi.is_homomorphism(mode="full", anti=anti):
+    if not phi.is_homomorphism(anti=anti):
         kind = "antihomomorphism" if anti else "homomorphism"
         raise InputFormatError(f"map is not a {kind}")
     op = make_rb(G, phi.images)
@@ -317,7 +317,7 @@ def extension_construct(data: ExtensionData):
     if (images < 0).any():
         raise InputFormatError("transversal failed to decompose every element")
     candidate = GroupMap(G, G, images)
-    is_rb = verify_rb(G, images, want_witness=False).ok
+    is_rb = verify_rb(G, images).ok
     u = np.unique(G.mul_vec(G.inverse, images[G.inverse]))
     # [u, f] = (f u)^-1 (u f) for every u in Im(B~)
     comm = G.mul_vec(G.inverse[G.row(f)[u]], G.col(f)[u])

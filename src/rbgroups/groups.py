@@ -29,14 +29,8 @@ Element = int
 DENSE_CAP_BYTES = 200 * 1024 * 1024
 #: the largest order whose uint16 table fits DENSE_CAP_BYTES (10240)
 MAX_DENSE_ORDER = math.isqrt(DENSE_CAP_BYTES // 2)
-#: seeded random triples in the associativity check of a table past order 64
-AXIOM_SAMPLES = 1000
 #: the largest direct product ``ProductGroup`` builds
 PAIR_CAP = 10_000_000
-
-
-def _table_dtype(n):
-    return np.uint16 if n <= 0xFFFF else np.int32
 
 
 class FiniteGroup:
@@ -62,8 +56,10 @@ class FiniteGroup:
         """Build a group from a full multiplication table.
 
         The table must be a square Latin array over 0..n-1 whose row and
-        column 0 are the identity.  Associativity is checked in full for
-        n <= 64 and on ``AXIOM_SAMPLES`` seeded random triples above that.
+        column 0 are the identity, and associative; ``check_axioms``
+        checks all of this exactly unless ``validate`` is false.  An
+        order past ``MAX_DENSE_ORDER`` is refused (ResourceCapError)
+        before the table is converted or checked.
         """
         arr = np.asarray(table)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -71,11 +67,14 @@ class FiniteGroup:
         n = arr.shape[0]
         if n == 0:
             raise InputFormatError("empty table")
+        if n > MAX_DENSE_ORDER:
+            raise ResourceCapError(
+                f"table order {n} exceeds the dense table bound {MAX_DENSE_ORDER}")
         if arr.dtype.kind not in "iu":
             raise InputFormatError("table entries must be integers")
         if arr.min() < 0 or arr.max() >= n:
             raise InputFormatError("table entries must lie in 0..n-1")
-        arr = arr.astype(_table_dtype(n))
+        arr = arr.astype(np.uint16)
         g = cls(name=name, table=arr, gens=gens)
         if validate:
             g.check_axioms()
@@ -131,7 +130,7 @@ class FiniteGroup:
         gen_rows = [np.fromiter((index[c.tobytes()] for c in p[pm]), count=n,
                                 dtype=np.int64) for p in gens]
         # g = parent∘p, so g∘h = parent∘(p∘h); BFS lists parents first
-        table = np.empty((n, n), dtype=_table_dtype(n))
+        table = np.empty((n, n), dtype=np.uint16)
         table[0] = np.arange(n)
         for g in range(1, n):
             table[g] = table[parent[g]][gen_rows[via[g]]]
@@ -303,27 +302,33 @@ class FiniteGroup:
     # validation
 
     def check_axioms(self):
+        """Raise InputFormatError unless the table is a group table.
+
+        Row and column 0 must be the identity.  Associativity is Light's
+        test: (x s) y = x (s y) for all x, y and every s of a generating
+        set found from the table itself (not from ``gens``).  The s that
+        pass are closed under products, and the left-normed products of
+        that set reach every element, so the test is exact.  It reads
+        blocks of isqrt(n) rows, so no temporary is as large as the
+        table.  An associative table with identity is a Latin square
+        exactly when 0 lies in every row, since a monoid in which every
+        element has a right inverse is a group.
+        """
         n = self.order
         t = self._table
         ar = np.arange(n)
-        if not ((np.sort(t, axis=1) == ar).all() and (np.sort(t, axis=0) == ar[:, None]).all()):
-            raise InputFormatError("table is not a Latin square")
         if not ((t[0] == ar).all() and (t[:, 0] == ar).all()):
             raise InputFormatError("index 0 is not the identity")
-        if n <= 64:
-            t = t.astype(np.int64)
-            for c in range(n):
-                if not (t[t, c] == t[:, t[:, c]]).all():
+        rows = math.isqrt(n)
+        for s in _greedy_generators(self, range(1, n)):
+            for start in range(0, n, rows):
+                blk = t[start:start + rows]
+                # rows of (x s) y against x (s y), for x in the block
+                if not np.array_equal(t[blk[:, s]], np.take(blk, t[s], axis=1)):
                     raise InputFormatError("multiplication is not associative")
-        else:
-            rng = np.random.default_rng(0)
-            a = rng.integers(0, n, size=AXIOM_SAMPLES)
-            b = rng.integers(0, n, size=AXIOM_SAMPLES)
-            c = rng.integers(0, n, size=AXIOM_SAMPLES)
-            left = self.mul_vec(self.mul_vec(a, b), c)
-            right = self.mul_vec(a, self.mul_vec(b, c))
-            if not (left == right).all():
-                raise InputFormatError("multiplication is not associative (sampled)")
+        # self.inverse[x] is where row x takes its least value
+        if (t[ar, self.inverse] != 0).any():
+            raise InputFormatError("table is not a Latin square")
 
     def find_generating_set(self):
         """Stored generators, else a deterministic greedy generating set."""
@@ -418,7 +423,7 @@ class ProductGroup(FiniteGroup):
         tl = self.left.mul_block(np.arange(nl), np.arange(nl))
         tr = self.right.mul_block(np.arange(nr), np.arange(nr))
         big = (tl[:, None, :, None] * nr + tr[None, :, None, :]).reshape(n, n)
-        return big.astype(_table_dtype(n))
+        return big.astype(np.uint16)
 
     def pair(self, a: Element, b: Element) -> Element:
         return a * self.right.order + b

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .errors import InputFormatError, PropertyFailure
-from .groups import FiniteGroup, _closure_members, _table_dtype
+from .groups import FiniteGroup, _closure_members
 from .maps import GroupMap
 from .subgroups import Subgroup, is_normal, product_set
 
@@ -105,8 +105,7 @@ def _inverse_derived_blocks(G, B):
         yield gs, G.mul_rows(b, G.inverse[y])
 
 
-def verify_rb(G, op, mode="auto", *, seed=0, samples=10 ** 6,
-              want_witness=True) -> VerifyResult:
+def verify_rb(G, op, mode="auto", *, seed=0, samples=10 ** 6) -> VerifyResult:
     """Check the defining identity.
 
     Full mode checks all n^2 pairs in blocks of k = max(1, 8192 // n)
@@ -125,7 +124,7 @@ def verify_rb(G, op, mode="auto", *, seed=0, samples=10 ** 6,
         raise InputFormatError(f"verify needs mode auto, full or sampled and "
                                f"samples >= 1 (got {mode!r}, {samples})")
     if B[0] != 0:
-        return VerifyResult(False, "full", 0, witness=(0, 0) if want_witness else None)
+        return VerifyResult(False, "full", 0, witness=(0, 0))
     if mode == "full":
         b_of_inv = B[G.inverse]             # B(g o h) = b_of_inv[(g o h)^-1]
         for gs, t in _inverse_derived_blocks(G, B):
@@ -133,8 +132,7 @@ def verify_rb(G, op, mode="auto", *, seed=0, samples=10 ** 6,
             if bad.any():
                 i, h = divmod(int(bad.argmax()), n)
                 g = int(gs[i])
-                return VerifyResult(False, "full", (g + 1) * n,
-                                    witness=(g, h) if want_witness else None)
+                return VerifyResult(False, "full", (g + 1) * n, witness=(g, h))
         return VerifyResult(True, "full", n * n)
     rng = np.random.default_rng(seed)
     gs = rng.integers(0, n, size=samples)
@@ -147,7 +145,7 @@ def verify_rb(G, op, mode="auto", *, seed=0, samples=10 ** 6,
     if bad.size:
         i = int(bad[0])
         return VerifyResult(False, "sampled", samples, seed=seed,
-                            witness=(int(gs[i]), int(hs[i])) if want_witness else None)
+                            witness=(int(gs[i]), int(hs[i])))
     return VerifyResult(True, "sampled", samples, seed=seed)
 
 
@@ -224,7 +222,7 @@ def derived_group(op: RBOperator, *, validate=True) -> FiniteGroup:
     G = op.group
     n = G.order
     B = _images_of(G, op)
-    table = np.empty((n, n), dtype=_table_dtype(n))
+    table = np.empty((n, n), dtype=np.uint16)
     for gs, t in _inverse_derived_blocks(G, B):
         table[gs] = G.inverse[t]
     return FiniteGroup.from_table(table, name=f"derived({G.name})", validate=validate)
@@ -302,12 +300,12 @@ def prop_initial_suite(op: RBOperator) -> SuiteVerdict:
     G = op.group
     bt = btilde(op)
     clauses = {}
-    clauses["companion-rb"] = verify_rb(G, bt, want_witness=False).ok
+    clauses["companion-rb"] = verify_rb(G, bt).ok
     clauses["companion-involution"] = bool(
         np.array_equal(btilde(bt).images, op.images))
     der = derived_group(op, validate=False)
     B = op.images
-    clauses["derived-hom"] = GroupMap(der, G, B).is_homomorphism(mode="full")
+    clauses["derived-hom"] = GroupMap(der, G, B).is_homomorphism()
     clauses["kernel-shift"] = bool((B[G.row(np.flatnonzero(B == 0))] == B).all())
     return SuiteVerdict(clauses)
 

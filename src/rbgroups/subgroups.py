@@ -485,25 +485,15 @@ def unchecked_quotient(H: Subgroup, N: Subgroup):
     return Q, proj
 
 
-def is_simple(G, method="auto"):
-    """No proper nontrivial normal subgroup.
-
-    ``classes`` (the ``auto`` choice) checks that every nontrivial
-    conjugacy class has full normal closure; this suffices because every
-    nontrivial normal subgroup contains a nontrivial class.  ``lattice``
-    scans all subgroups for normality and is kept as an independent
-    oracle.
-    """
+def is_simple(G):
+    """No proper nontrivial normal subgroup: every nontrivial conjugacy
+    class has full normal closure.  This suffices because every
+    nontrivial normal subgroup contains a nontrivial class."""
     if G.order == 1:
         return False
-    if method in ("auto", "classes"):
-        for c in G.conjugacy_classes():
-            if len(c) == 1 and c[0] == 0:
-                continue
-            if normal_closure(G, [int(c[0])]).order != G.order:
-                return False
-        return True
-    for s in all_subgroups(G):
-        if 1 < s.order < G.order and is_normal(G, s):
+    for c in G.conjugacy_classes():
+        if len(c) == 1 and c[0] == 0:
+            continue
+        if normal_closure(G, [int(c[0])]).order != G.order:
             return False
     return True

@@ -43,7 +43,7 @@ def test_automorphisms_are_bijective_homs():
     G = rb.named_group("dihedral:8")
     for a in rb.automorphism_group(G):
         assert a.is_bijective()
-        assert a.is_homomorphism(mode="full")
+        assert a.is_homomorphism()
 
 
 def test_automorphisms_closed_under_composition():
@@ -159,7 +159,7 @@ def test_find_isomorphism_returns_valid_map():
     phi = rb.find_isomorphism(G, H)
     assert phi is not None
     assert phi.is_bijective()
-    assert phi.is_homomorphism(mode="full")
+    assert phi.is_homomorphism()
 
 
 def test_find_isomorphism_honours_node_budget(monkeypatch):
@@ -259,5 +259,5 @@ def test_find_isomorphism_without_base_uses_stored_generators(monkeypatch):
         phi = rb.find_isomorphism(G, H)
         assert phi is not None
         assert phi.is_bijective()
-        assert phi.is_homomorphism(mode="full")
+        assert phi.is_homomorphism()
     assert searched == [(1, 4, 8), (1, 4, 8)]

@@ -255,11 +255,33 @@ def test_permutation_group_past_dense_bound_exits_3(tmp_path):
      '{"h_gens": [1], "images": [0, 1]}'),
     ("construct", "hom-abelian", "cyclic:4", "--params",
      '{"h_gens": [1], "images": [0, 1, 2, 3, 0]}'),
+    ("classify-splitting", "<dir>"),
+    ("verify", "cyclic:4", "<dir>"),
+    ("construct", "split", "cyclic:6", "--params", "<dir>"),
+    ("construct", "hom-abelian", "cyclic:4", "--params",
+     '{"h_gens": [1], "images": [0, 1, 2, 3], "anti": "no"}'),
+    ("construct", "hom-abelian", "cyclic:4", "--params",
+     '{"h_gens": [1], "images": [0, 1, 2, 3], "anti": 0.5}'),
 ])
-def test_malformed_input_is_input_error(args):
-    code, payload = run_json(*args)
+def test_malformed_input_is_input_error(args, tmp_path):
+    # "<dir>" stands for a directory given where a JSON file belongs
+    code, payload = run_json(*(str(tmp_path) if a == "<dir>" else a for a in args))
     assert code == 2
     assert payload["kind"] == "input"
+
+
+def test_non_associative_cayley_input_exits_2(tmp_path):
+    # Z_400 with one intercalate swapped: Latin, identity 0, not a group
+    n = 400
+    table = [[(g + h) % n for h in range(n)] for g in range(n)]
+    table[3][5] = table[203][205] = 208
+    table[3][205] = table[203][5] = 8
+    spec = tmp_path / "fake400.json"
+    spec.write_text(json.dumps({"cayley": table}))
+    code, payload = run_json("factorize", str(spec))
+    assert code == 2
+    assert payload == {"command": "factorize", "kind": "input",
+                       "error": "multiplication is not associative"}
 
 
 def test_cayley_input_over_cap_order_exits_3():

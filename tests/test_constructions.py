@@ -213,8 +213,8 @@ def test_paper16_fixture_frozen():
 def test_paper16_operator_is_not_a_hom():
     G, op = rb.paper16_fixture()
     phi = GroupMap(G, G, op.images)
-    assert not phi.is_homomorphism(mode="full")
-    assert not phi.is_homomorphism(mode="full", anti=True)
+    assert not phi.is_homomorphism()
+    assert not phi.is_homomorphism(anti=True)
 
 
 def test_paper16_not_from_any_factorization():

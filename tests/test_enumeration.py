@@ -63,7 +63,7 @@ def test_abelian_operators_are_endomorphisms():
             continue
         for op in rb.enumerate_rb(G):
             phi = rb.GroupMap(G, G, op.images)
-            assert phi.is_homomorphism(mode="full")
+            assert phi.is_homomorphism()
 
 
 @pytest.mark.parametrize("ident,endo_count", [

@@ -7,14 +7,21 @@ import pytest
 
 import rbgroups as rb
 from rbgroups.errors import InputFormatError, ResourceCapError
-from rbgroups.groups import (ComponentwiseProduct, FiniteGroup, ProductGroup,
-                            orbit_labels)
+from rbgroups.groups import (MAX_DENSE_ORDER, ComponentwiseProduct, FiniteGroup,
+                            ProductGroup, orbit_labels)
 
 
 def test_from_table_rejects_non_group():
     bad = np.zeros((3, 3), dtype=np.int64)  # constant row: no inverses
     with pytest.raises(InputFormatError):
         FiniteGroup.from_table(bad)
+
+
+def test_from_table_rejects_monoid_without_inverses():
+    # {e, z} with z z = z: associative with identity 0, but z has no
+    # inverse, so 0 is missing from its row
+    with pytest.raises(InputFormatError, match="not a Latin square"):
+        FiniteGroup.from_table([[0, 1], [1, 1]])
 
 
 def test_from_table_rejects_non_square():
@@ -165,6 +172,96 @@ def test_from_permutations_symmetric():
 
 def test_check_axioms_passes():
     rb.named_group("dihedral:12").check_axioms()
+
+
+def _associative_oracle(table):
+    """(a b) c = a (b c) for all a, b, c, one column c at a time."""
+    t = np.asarray(table, dtype=np.int64)
+    return all((t[t, c] == t[:, t[:, c]]).all() for c in range(len(t)))
+
+
+def _accepted(table):
+    try:
+        FiniteGroup.from_table(table)
+    except InputFormatError:
+        return False
+    return True
+
+
+def _table(G):
+    ar = np.arange(G.order)
+    return G.mul_block(ar, ar)
+
+
+# every catalog family at each of its orders up to 64 (a sample of the
+# abelian shapes)
+_CATALOG_UP_TO_64 = [
+    *(f"cyclic:{n}" for n in range(1, 65)),
+    *(f"dihedral:{n}" for n in range(4, 65, 2)),
+    *(f"elemabelian:{p}:{m}" for p, top in ((2, 6), (3, 3), (5, 2), (7, 2))
+      for m in range(1, top + 1)),
+    "abelian:4x2", "abelian:6x2", "abelian:4x4", "abelian:8x2", "abelian:2x2x3",
+    "abelian:4x2x2", "abelian:3x3x3", "abelian:6x6", "abelian:8x8",
+    "quaternion:8", "paper16",
+    *(f"symmetric:{n}" for n in range(1, 5)),
+    *(f"alternating:{n}" for n in range(3, 6)),
+    "psl2:4", "psl2:5",
+]
+
+
+def test_catalog_tables_pass_light_test_and_oracle():
+    for ident in _CATALOG_UP_TO_64:
+        t = _table(rb.named_group(ident))
+        assert t.shape[0] <= 64
+        assert _associative_oracle(t), ident
+        assert _accepted(t), ident
+
+
+def _intercalate_swaps(t):
+    """Each table with one 2 x 2 subsquare [[a, b], [b, a]] off row
+    and column 0 turned into [[b, a], [a, b]]: still a Latin square
+    with identity 0, maybe not associative."""
+    n = len(t)
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                for c2 in range(c1 + 1, n):
+                    a, b = t[r1, c1], t[r1, c2]
+                    if t[r2, c2] == a and t[r2, c1] == b:
+                        u = t.copy()
+                        u[r1, c1] = u[r2, c2] = b
+                        u[r1, c2] = u[r2, c1] = a
+                        yield u
+
+
+@pytest.mark.parametrize("ident,groups,swaps", [
+    # Z4's one swap, on rows and columns {1, 3}, gives the table of Z2^2
+    ("cyclic:4", 1, 1), ("cyclic:12", 0, 25), ("dihedral:8", 0, 45)])
+def test_light_test_matches_oracle_on_intercalate_swaps(ident, groups, swaps):
+    verdicts = []
+    for u in _intercalate_swaps(_table(rb.named_group(ident))):
+        verdicts.append(_accepted(u))
+        assert verdicts[-1] == _associative_oracle(u)
+    assert (sum(verdicts), len(verdicts)) == (groups, swaps)
+
+
+@pytest.mark.parametrize("n", [200, 400, 1000])
+def test_non_associative_latin_square_refused(n):
+    # Z_n with one intercalate swapped: a Latin square with identity 0
+    # in which only a small share of the triples fail associativity
+    t = np.add.outer(np.arange(n), np.arange(n)) % n
+    h = n // 2
+    t[3, 5] = t[3 + h, 5 + h] = 8 + h
+    t[3, 5 + h] = t[3 + h, 5] = 8
+    with pytest.raises(InputFormatError, match="not associative"):
+        FiniteGroup.from_table(t)
+
+
+def test_table_past_dense_bound_refused_before_conversion():
+    n = MAX_DENSE_ORDER + 1
+    # a broadcast view: refused before any n x n array is made
+    with pytest.raises(ResourceCapError):
+        FiniteGroup.from_table(np.broadcast_to(np.zeros(1, dtype=np.int64), (n, n)))
 
 
 # sha256 of the full int64 product block of catalog permutation groups:

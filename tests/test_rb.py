@@ -212,12 +212,12 @@ def test_provenance_tracking():
 # ----------------------------------------------------------------------
 # the blocked full check against the row-at-a-time loop it replaced
 
-def _row_oracle(G, B, want_witness=True):
+def _row_oracle(G, B):
     """(ok, checked, witness) of the full check done one row g at a
     time: B(g) B(h) against B(g B(g) h B(g)^-1) for every h."""
     n = G.order
     if B[0] != 0:
-        return False, 0, (0, 0) if want_witness else None
+        return False, 0, (0, 0)
     checked = 0
     for g in range(n):
         bg = int(B[g])
@@ -226,15 +226,15 @@ def _row_oracle(G, B, want_witness=True):
         checked += n
         if not np.array_equal(lhs, rhs):
             h = int(np.nonzero(lhs != rhs)[0][0])
-            return False, checked, (g, h) if want_witness else None
+            return False, checked, (g, h)
     return True, checked, None
 
 
-def _assert_matches_oracle(G, B, want_witness):
+def _assert_matches_oracle(G, B):
     B = np.asarray(B, dtype=np.int64)
-    res = rb.verify_rb(G, B, mode="full", want_witness=want_witness)
+    res = rb.verify_rb(G, B, mode="full")
     assert res.mode == "full"
-    assert (res.ok, res.checked, res.witness) == _row_oracle(G, B, want_witness)
+    assert (res.ok, res.checked, res.witness) == _row_oracle(G, B)
     return res
 
 
@@ -244,10 +244,9 @@ def _broken(images, x, step=1):
     return B
 
 
-@pytest.mark.parametrize("want_witness", [True, False])
 @pytest.mark.parametrize("ident", ["paper16", "symmetric:4"])
 @pytest.mark.parametrize("rows", [1, 2, 3, 7, None])
-def test_blocked_verify_matches_row_oracle(monkeypatch, ident, rows, want_witness):
+def test_blocked_verify_matches_row_oracle(monkeypatch, ident, rows):
     # A one-image change first fails on row 1 (every row g >= 1 meets
     # the changed image at h = x), so the block size is moved around
     # that row instead: with 1 or 2 rows per block row 1 is the last row
@@ -259,9 +258,8 @@ def test_blocked_verify_matches_row_oracle(monkeypatch, ident, rows, want_witnes
         monkeypatch.setattr(rb.rb, "_BLOCK_ENTRIES", rows * n)
     ops = rb.enumerate_rb(G, cap=n)
     for i, op in enumerate(ops):
-        assert _assert_matches_oracle(G, op.images, want_witness).ok
-        res = _assert_matches_oracle(G, _broken(op.images, 1 + i % (n - 1)),
-                                     want_witness)
+        assert _assert_matches_oracle(G, op.images).ok
+        res = _assert_matches_oracle(G, _broken(op.images, 1 + i % (n - 1)))
         assert not res.ok and res.checked == 2 * n
 
 
@@ -278,9 +276,8 @@ def test_blocked_verify_first_failure_late(monkeypatch, rows):
     B = np.empty(6, dtype=np.int64)
     B[sigma] = sigma[[0, 2, 0, 2, 2, 0]]
     monkeypatch.setattr(rb.rb, "_BLOCK_ENTRIES", rows * 6)
-    for want_witness in (True, False):
-        res = _assert_matches_oracle(G, B, want_witness)
-        assert res.checked == 4 * 6
+    res = _assert_matches_oracle(G, B)
+    assert res.checked == 4 * 6
 
 
 @pytest.mark.parametrize("ident", ["psl2:7", "psl2:8"])
@@ -292,8 +289,7 @@ def test_blocked_verify_partial_last_block(ident):
     split = rb.splitting_from_exact(rb.exact_factorizations(G)[-1])
     maps = [np.zeros(n, dtype=np.int64), G.inverse, split.images]
     for B in maps + [_broken(B, n - 1) for B in maps]:
-        for want_witness in (True, False):
-            _assert_matches_oracle(G, B, want_witness)
+        _assert_matches_oracle(G, B)
 
 
 def test_blocked_verify_one_row_blocks():
@@ -303,16 +299,14 @@ def test_blocked_verify_one_row_blocks():
     broken = np.zeros(n, dtype=np.int64)
     broken[1] = 1
     for B in (np.zeros(n, dtype=np.int64), G.inverse, broken):
-        _assert_matches_oracle(G, B, True)
-    _assert_matches_oracle(G, broken, False)
+        _assert_matches_oracle(G, B)
 
 
 def test_blocked_verify_without_table():
     G = rb.direct_square(rb.named_group("alternating:5"))
     assert G._table is None
     for B in (G.inverse, _broken(G.inverse, 7)):
-        for want_witness in (True, False):
-            _assert_matches_oracle(G, B, want_witness)
+        _assert_matches_oracle(G, B)
 
 
 @pytest.mark.parametrize("ident", ["cyclic:6", "elemabelian:2:3", "abelian:4x2",
