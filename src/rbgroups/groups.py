@@ -310,9 +310,12 @@ class FiniteGroup:
         pass are closed under products, and the left-normed products of
         that set reach every element, so the test is exact.  It reads
         blocks of isqrt(n) rows, so no temporary is as large as the
-        table.  An associative table with identity is a Latin square
-        exactly when 0 lies in every row, since a monoid in which every
-        element has a right inverse is a group.
+        table.  Each s is tested once kept; the kept s that pass generate
+        a group if every row is a permutation, so each at least doubles
+        it, and more than log2(n) of them refuse the table.  An
+        associative table with identity is a Latin square exactly when 0
+        lies in every row, since a monoid in which every element has a
+        right inverse is a group.  Stored ``gens`` must generate.
         """
         n = self.order
         t = self._table
@@ -320,7 +323,9 @@ class FiniteGroup:
         if not ((t[0] == ar).all() and (t[:, 0] == ar).all()):
             raise InputFormatError("index 0 is not the identity")
         rows = math.isqrt(n)
-        for s in _greedy_generators(self, range(1, n)):
+        for kept, s in enumerate(_greedy_generators(self, range(1, n)), 1):
+            if 2 ** kept > n:
+                raise InputFormatError("table is not a Latin square")
             for start in range(0, n, rows):
                 blk = t[start:start + rows]
                 # rows of (x s) y against x (s y), for x in the block
@@ -329,12 +334,15 @@ class FiniteGroup:
         # self.inverse[x] is where row x takes its least value
         if (t[ar, self.inverse] != 0).any():
             raise InputFormatError("table is not a Latin square")
+        if self.gens and _closure_members(self, self.gens).size != n:
+            raise InputFormatError("gens do not generate the group")
 
     def find_generating_set(self):
-        """Stored generators, else a deterministic greedy generating set."""
+        """Stored generators (``check_axioms`` makes sure they generate),
+        else a deterministic greedy generating set."""
         if self.gens:
             return self.gens
-        self.gens = _greedy_generators(self, range(1, self.order))
+        self.gens = tuple(_greedy_generators(self, range(1, self.order)))
         return self.gens
 
     def _rename(self, name):
@@ -372,14 +380,14 @@ def _closure_members(G, gens, bound=None):
 
 def _greedy_generators(G, members):
     """Generators of <members>: each member, in order, that is not yet
-    in the closure of those kept."""
+    in the closure of those kept, yielded before the closure grows."""
     got = np.zeros(G.order, dtype=bool)
     gens = []
     for g in map(int, members):
         if g and not got[g]:
+            yield g
             gens.append(g)
             got[_closure_members(G, gens)] = True
-    return tuple(gens)
 
 
 def orbit_labels(size, maps):

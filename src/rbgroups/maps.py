@@ -45,7 +45,7 @@ class GroupMap:
         and phi(x s) = phi(x) phi(s) (phi(s) phi(x) when ``anti``) for
         every x and every s of ``source.find_generating_set()``.  The s
         that pass are closed under products, so the identity then holds
-        for all of the source.
+        for all of the source (stored generators must generate it).
         """
         G, H, img = self.source, self.target, self.images
         if img[0] != 0:

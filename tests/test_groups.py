@@ -257,6 +257,32 @@ def test_non_associative_latin_square_refused(n):
         FiniteGroup.from_table(t)
 
 
+def test_left_zero_band_refused_after_few_generators(monkeypatch):
+    # x y = x for x, y >= 1, identity 0: associative, every s passes
+    # Light's test and each kept generator grows the closure by one, so
+    # unbounded it would keep n - 1 generators at about n^3 / 3 work
+    n = 2000
+    t = np.broadcast_to(np.arange(n)[:, None], (n, n)).copy()
+    t[0] = np.arange(n)
+    calls = []
+    closure = rb.groups._closure_members
+    monkeypatch.setattr(rb.groups, "_closure_members",
+                        lambda *a, **k: calls.append(1) or closure(*a, **k))
+    with pytest.raises(InputFormatError, match="not a Latin square"):
+        FiniteGroup.from_table(t)
+    # in a group each kept generator at least doubles the closure
+    assert len(calls) <= int(np.log2(n))
+
+
+def test_gens_that_do_not_generate_refused():
+    t = np.add.outer(np.arange(6), np.arange(6)) % 6
+    FiniteGroup.from_table(t, gens=(1,))
+    with pytest.raises(InputFormatError, match="do not generate"):
+        FiniteGroup.from_table(t, gens=(2,))
+    # unvalidated tables are taken on trust
+    FiniteGroup.from_table(t, gens=(2,), validate=False)
+
+
 def test_table_past_dense_bound_refused_before_conversion():
     n = MAX_DENSE_ORDER + 1
     # a broadcast view: refused before any n x n array is made

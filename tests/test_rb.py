@@ -1,5 +1,7 @@
 """The defining identity, companions, structure reports, property suites."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,25 @@ def test_operator_is_hom_from_derived():
         for g in range(6):
             for h in range(6):
                 assert B[D.mul(g, h)] == G.mul(int(B[g]), int(B[h]))
+
+
+def test_derived_hom_clause_exact_on_unchecked_maps():
+    # the clause is the defining identity itself, so it must agree with
+    # the full pairwise check on maps that are not operators as well
+    rng = np.random.default_rng(0)
+    cases = [("cyclic:4", np.array(m)) for m in itertools.product(range(4), repeat=4)]
+    cases += [("symmetric:3", np.concatenate([[0], rng.integers(0, 6, 5)]))
+              for _ in range(150)]
+    seen = set()
+    for ident, B in cases:
+        G = rb.named_group(ident)
+        op = rb.RBOperator(G, B)
+        D = rb.derived_group(op, validate=False)
+        full = all(B[D.mul(g, h)] == G.mul(int(B[g]), int(B[h]))
+                   for g in range(G.order) for h in range(G.order))
+        assert rb.prop_initial_suite(op).clauses["derived-hom"] == full, (ident, B)
+        seen.add(full)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("ident", ["cyclic:8", "symmetric:3", "dihedral:8",
