@@ -22,7 +22,7 @@ def main():
     G, op = rb.paper16_fixture()
     print(f"group of order {G.order}; operator images {list(map(int, op.images))}")
 
-    res = rb.verify_rb(G, op, mode="full")
+    res = rb.verify_rb(G, op)
     print(f"identity verified on all {res.checked} pairs: {res.ok}")
 
     rep = rb.structure_report(op)

@@ -28,11 +28,10 @@ from .errors import (GraphConditionError, InputFormatError, OutOfScaleError,
 from .groups import ComponentwiseProduct, FiniteGroup, ProductGroup, direct_square
 from .maps import GroupMap, identity_map, inner_automorphism
 from .naming import abelian_invariants, structure_name
-from .rb import (OldDiagnostic, RBOperator, RBStructureReport, SuiteVerdict,
-                 VerifyResult, btilde, conjugate_rb, derived_group, im_bbt,
-                 image, is_splitting, kernel, lemma_old_diagnostic, make_rb,
-                 prop_initial_suite, structure_report, trivial_e, trivial_inv,
-                 verify_rb)
+from .rb import (RBOperator, RBStructureReport, SuiteVerdict, VerifyResult,
+                 btilde, conjugate_rb, derived_group, im_bbt, image,
+                 is_splitting, kernel, make_rb, prop_initial_suite,
+                 structure_report, trivial_e, trivial_inv, verify_rb)
 from .subgroups import (Factorization, Subgroup, all_subgroups, closure,
                         conjugate_subgroup, derived_subgroup,
                         exact_factorizations, intersection, is_normal,

@@ -70,8 +70,7 @@ def cmd_verify(args, cfg):
     images = _index_list(obj, "images", G.order)
     if images.shape != (G.order,):
         raise InputFormatError("images must list one element index per group element")
-    res = verify_rb(G, images, mode=args.mode, seed=cfg.seed,
-                    samples=cfg.sample_count)
+    res = verify_rb(G, images)
     payload = _envelope("verify", cfg)
     payload["group"] = group_block(G, ref)
     payload["verdict"] = bool(res.ok)
@@ -325,7 +324,6 @@ def build_parser():
     sp = sub.add_parser("verify", help="check the defining identity")
     sp.add_argument("group")
     sp.add_argument("operator", help="operator JSON (inline or path)")
-    sp.add_argument("--mode", choices=["auto", "full", "sampled"], default="auto")
     common(sp)
     sp.set_defaults(func=cmd_verify)
 
@@ -381,21 +379,23 @@ def main(argv=None):
     try:
         return args.func(args, cfg)
     except OutOfScaleError as exc:
-        emit({"command": args.command, "config": cfg.block(),
-              "tool": tool_block(), "entry": exc.report_entry()}, cfg.out)
-        return EXIT_CAP
+        payload, code = {"command": args.command, "config": cfg.block(),
+                         "tool": tool_block(), "entry": exc.report_entry()}, EXIT_CAP
     except (InputFormatError, json.JSONDecodeError, OSError, ValueError) as exc:
-        emit({"command": args.command, "error": str(exc),
-              "kind": "input"}, cfg.out)
-        return EXIT_INPUT
+        payload, code = {"command": args.command, "error": str(exc),
+                         "kind": "input"}, EXIT_INPUT
     except ResourceCapError as exc:
-        emit({"command": args.command, "error": str(exc),
-              "kind": "resource-cap"}, cfg.out)
-        return EXIT_CAP
+        payload, code = {"command": args.command, "error": str(exc),
+                         "kind": "resource-cap"}, EXIT_CAP
     except (PropertyFailure, GraphConditionError) as exc:
-        emit({"command": args.command, "error": str(exc),
-              "kind": "semantic"}, cfg.out)
-        return EXIT_NEGATIVE
+        payload, code = {"command": args.command, "error": str(exc),
+                         "kind": "semantic"}, EXIT_NEGATIVE
+    try:
+        emit(payload, cfg.out)
+    except OSError as exc:          # the --out path itself is unusable
+        emit({"command": args.command, "error": str(exc), "kind": "input"})
+        return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .errors import (GraphConditionError, InputFormatError, PropertyFailure,
 from .groups import ProductGroup, direct_square, orbit_labels
 from .naming import structure_name
 from .rb import (RBOperator, btilde, derived_group, im_bbt, image, is_splitting,
-                 make_rb)
+                 make_rb, verify_rb)
 from .subgroups import (Factorization, all_subgroups, divisors,
                         exact_factorizations, is_normal, is_simple,
                         unchecked_quotient)
@@ -49,29 +49,17 @@ class RBGraph:
     def key(self):
         return self.members.tobytes()
 
-    def check_subgroup(self):
-        codes = self.members
-        if codes.size == 0 or codes[0] != 0:
-            raise GraphConditionError("identity missing from graph")
-        prods = self.product.mul_block(codes, codes)
-        pos = np.searchsorted(codes, prods)
-        pos[pos >= codes.size] = 0
-        if not (codes[pos] == prods).all():
-            raise GraphConditionError("graph is not closed under products")
-        return True
-
 
 def graph_of(B: RBOperator, product: ProductGroup | None = None) -> RBGraph:
-    """H_B = {(B(g), g B(g))}, with the subgroup property checked."""
+    """H_B = {(B(g), g B(g))}; GraphConditionError unless it is a
+    subgroup of G x G, that is, unless ``verify_rb`` passes B."""
     G = B.group
+    if not verify_rb(G, B).ok:
+        raise GraphConditionError("graph is not closed under products")
     GG = product if product is not None else direct_square(G)
     a = B.images
     b = G.mul_vec(np.arange(G.order), a)
-    graph = RBGraph(GG, GG.pair(a, b))
-    if np.unique(graph.members).size != G.order:
-        raise GraphConditionError("graph has repeated pairs")
-    graph.check_subgroup()
-    return graph
+    return RBGraph(GG, GG.pair(a, b))
 
 
 def _codes_to_images(G, GG, codes):
@@ -269,9 +257,8 @@ def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
 
 def _check_orbit_invariants(cls: EquivalenceClass, op_of):
     """GG-lemma class invariants, recomputed member by member on the
-    given operators (``op_of`` maps graph key to operator); each graph
-    has passed ``graph_of``'s subgroup check, the operator identity in
-    graph form."""
+    given operators (``op_of`` maps graph key to operator); each
+    operator has passed ``graph_of``'s check."""
     ref_split = None
     ref_fp = None
     ref_bbt = None

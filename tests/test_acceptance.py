@@ -45,7 +45,7 @@ def report(n, label, detail=""):
 def test_criterion_1_order16_fixture():
     t0 = time.monotonic()
     G, op = rb.paper16_fixture()
-    res = rb.verify_rb(G, op, mode="full")
+    res = rb.verify_rb(G, op)
     elapsed = time.monotonic() - t0
     assert G.order == 16
     assert res.ok

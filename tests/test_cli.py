@@ -245,8 +245,7 @@ def test_permutation_group_past_dense_bound_exits_3(tmp_path):
     ("construct", "split", "cyclic:6", "--params", '{"h_gens": [99], "l_gens": [3]}'),
     ("construct", "split", "cyclic:6", "--params", '{"h_gens": [-1], "l_gens": [3]}'),
     ("construct", "split", "cyclic:6", "--params", "[1]"),
-    ("verify", "cyclic:4", '{"images": [0, 1, 1, 1]}', "--mode", "sampled",
-     "--samples", "0"),
+    ("factorize", "cyclic:4", "--out", "<dir>"),
     ("verify", "cyclic:4", '{"images": [0, 3.7, 2, 1]}'),
     ("verify", "cyclic:4", '{"images": [0, "3", 2, 1]}'),
     ("verify", "cyclic:4", '{"images": [0, true, 2, 1]}'),
@@ -262,10 +261,12 @@ def test_permutation_group_past_dense_bound_exits_3(tmp_path):
      '{"h_gens": [1], "images": [0, 1, 2, 3], "anti": "no"}'),
     ("construct", "hom-abelian", "cyclic:4", "--params",
      '{"h_gens": [1], "images": [0, 1, 2, 3], "anti": 0.5}'),
+    ("factorize", "cyclic:4", "--out", "<dir>/missing/out.json"),
 ])
 def test_malformed_input_is_input_error(args, tmp_path):
-    # "<dir>" stands for a directory given where a JSON file belongs
-    code, payload = run_json(*(str(tmp_path) if a == "<dir>" else a for a in args))
+    # "<dir>" stands for a directory given where a JSON file belongs; a
+    # bad --out path is reported on stdout
+    code, payload = run_json(*(a.replace("<dir>", str(tmp_path)) for a in args))
     assert code == 2
     assert payload["kind"] == "input"
 

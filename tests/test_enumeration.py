@@ -96,11 +96,17 @@ def test_graph_roundtrip_on_tableless_product():
         assert np.array_equal(back.images, op.images)
 
 
+def _is_subgroup(H):
+    codes = H.members
+    prods = H.product.mul_block(codes, codes)
+    return codes[0] == 0 and np.isin(prods, codes).all()
+
+
 def test_graph_is_subgroup():
     G = rb.named_group("symmetric:3")
     GG = direct_square(G)
     for op in rb.enumerate_rb(G):
-        assert rb.graph_of(op, GG).check_subgroup()
+        assert _is_subgroup(rb.graph_of(op, GG))
 
 
 def test_diagonal_subgroup_is_not_a_graph():
@@ -109,17 +115,19 @@ def test_diagonal_subgroup_is_not_a_graph():
     GG = direct_square(G)
     codes = GG.pair(np.arange(4), np.arange(4))
     H = RBGraph(GG, codes)
-    H.check_subgroup()
+    assert _is_subgroup(H)
     with pytest.raises(GraphConditionError):
         rb.rb_from_graph(H)
 
 
 def test_non_subgroup_rejected():
+    # [0, 1, 0, 1] on Z4 fails the identity at (1, 1): its graph is no subgroup
     G = rb.named_group("cyclic:4")
     GG = direct_square(G)
-    codes = np.array([0, GG.pair(np.array([1]), np.array([2]))[0]])
+    op = rb.RBOperator(G, [0, 1, 0, 1])
+    assert not _is_subgroup(RBGraph(GG, GG.pair(op.images, G.mul_vec(np.arange(4), op.images))))
     with pytest.raises(GraphConditionError):
-        RBGraph(GG, codes).check_subgroup()
+        rb.graph_of(op, GG)
 
 
 def test_product_subgroup_gives_splitting_op():

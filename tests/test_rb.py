@@ -7,7 +7,7 @@ import pytest
 
 import rbgroups as rb
 import rbgroups.rb as rb_module
-from rbgroups.errors import InputFormatError, PropertyFailure
+from rbgroups.errors import InputFormatError, PropertyFailure, ResourceCapError
 
 
 def all_ops(ident):
@@ -53,34 +53,6 @@ def test_make_rb_validates_shape():
     G = rb.named_group("cyclic:4")
     with pytest.raises(Exception):
         rb.make_rb(G, [0, 1])
-
-
-def test_sampled_mode_consistent():
-    G = rb.named_group("psl2:4")
-    op = rb.trivial_inv(G)
-    full = rb.verify_rb(G, op, mode="full")
-    sampled = rb.verify_rb(G, op, mode="sampled", seed=7, samples=2000)
-    assert full.ok and sampled.ok
-    assert sampled.mode == "sampled"
-    assert sampled.checked == 2000
-
-
-def test_sampled_mode_seed_reproducible():
-    G = rb.named_group("cyclic:4")
-    bad = np.array([0, 1, 0, 1], dtype=np.int64)
-    a = rb.verify_rb(G, bad, mode="sampled", seed=3, samples=50)
-    b = rb.verify_rb(G, bad, mode="sampled", seed=3, samples=50)
-    assert a.ok == b.ok
-    assert a.witness == b.witness
-
-
-@pytest.mark.parametrize("mode,samples", [("sampled", 0), ("sampled", -1),
-                                          ("sample", 50), ("fast", 50)])
-def test_verify_rejects_bad_mode_or_sample_count(mode, samples):
-    # [0, 1, 1, 1] is no operator on Z4, yet zero samples used to pass it
-    G = rb.named_group("cyclic:4")
-    with pytest.raises(InputFormatError):
-        rb.verify_rb(G, np.array([0, 1, 1, 1]), mode=mode, samples=samples)
 
 
 @pytest.mark.parametrize("ident", ["cyclic:6", "symmetric:3", "dihedral:8"])
@@ -210,18 +182,6 @@ def test_quotient_index_equality():
             assert imb.order // kerbt.order == r.order
 
 
-def test_old_convention_differs():
-    G = rb.named_group("symmetric:3")
-    flags = []
-    for op in all_ops("symmetric:3"):
-        d = rb.lemma_old_diagnostic(G, op)
-        assert d.new_holds
-        flags.append(d.old_holds)
-        if not d.old_holds:
-            assert d.witness_old is not None
-    assert flags.count(False) == 4      # the two conventions genuinely differ
-
-
 def test_provenance_tracking():
     G = rb.named_group("cyclic:6")
     op = rb.trivial_e(G)
@@ -231,7 +191,7 @@ def test_provenance_tracking():
 
 
 # ----------------------------------------------------------------------
-# the blocked full check against the row-at-a-time loop it replaced
+# verify_rb against a row-at-a-time scan of all n^2 pairs
 
 def _row_oracle(G, B):
     """(ok, checked, witness) of the full check done one row g at a
@@ -253,7 +213,7 @@ def _row_oracle(G, B):
 
 def _assert_matches_oracle(G, B):
     B = np.asarray(B, dtype=np.int64)
-    res = rb.verify_rb(G, B, mode="full")
+    res = rb.verify_rb(G, B)
     assert res.mode == "full"
     assert (res.ok, res.checked, res.witness) == _row_oracle(G, B)
     return res
@@ -330,6 +290,75 @@ def test_blocked_verify_without_table():
         _assert_matches_oracle(G, B)
 
 
+def _columns_short_of_g(G, B):
+    """Whether the column set S' of B is smaller than G, after checking
+    that {e} ∪ S' ∪ (S' o S') is all of G, as the exactness argument
+    needs (g o h = g B(g) h B(g)^-1, computed here entry by entry)."""
+    B = np.asarray(B, dtype=np.int64)
+    cols = rb_module._spanning_columns(G, B)
+    covered = {0, *cols.tolist()}
+    for g in cols.tolist():
+        bg = int(B[g])
+        covered.update(G.col(G.inv(bg))[G.row(G.mul(g, bg))[cols]].tolist())
+    assert covered == set(range(G.order))
+    return cols.size < G.order
+
+
+@pytest.mark.parametrize("ident", ["cyclic:4", "elemabelian:2:2", "symmetric:3",
+                                   "cyclic:5", "cyclic:6"])
+def test_spanning_verify_matches_row_oracle_on_every_map(monkeypatch, ident):
+    # one entry short of n^2 sends every map through the column set S';
+    # its first scan is one block, the all-columns rescan two
+    G = rb.named_group(ident)
+    n = G.order
+    monkeypatch.setattr(rb.rb, "_BLOCK_ENTRIES", n * n - 1)
+    short = 0
+    for tail in itertools.product(range(n), repeat=n - 1):
+        B = np.array((0,) + tail, dtype=np.int64)
+        _assert_matches_oracle(G, B)
+        short += _columns_short_of_g(G, B)
+    assert short or ident == "cyclic:5"      # the seeded draw holds all of Z5
+
+
+@pytest.mark.parametrize("ident", ["psl2:13", "psl2:23"])
+def test_spanning_verify_matches_row_oracle_on_perturbed_operators(ident):
+    G = rb.named_group(ident)
+    n = G.order
+    assert n * n > rb_module._BLOCK_ENTRIES
+    facts = rb.exact_factorizations(G)
+    ops = [np.zeros(n, dtype=np.int64), G.inverse] + [
+        rb.splitting_from_exact(f).images for f in facts[:4]]
+    for i, B in enumerate(ops):
+        assert _columns_short_of_g(G, B)
+        assert rb.verify_rb(G, B).ok
+        for x in (1 + i, n // 2 + i, n - 1 - i):
+            for step in (1, n // 3):
+                _assert_matches_oracle(G, _broken(B, x, step))
+
+
+def test_spanning_verify_on_many_uncovered_columns():
+    # on Z1000 the trivial operators' S o S is a sumset of S's at most
+    # 2⌈√1000⌉ = 64 elements, so S' takes many columns beyond S
+    G = rb.named_group("cyclic:1000")
+    for B in (np.zeros(1000, dtype=np.int64), G.inverse):
+        assert _columns_short_of_g(G, B)
+        assert 2 * 64 < rb_module._spanning_columns(G, B).size
+        for C in (B, _broken(B, 1), _broken(B, 999, 7)):
+            _assert_matches_oracle(G, C)
+
+
+def test_derived_group_refuses_past_dense_bound_before_allocating(monkeypatch):
+    G = rb.direct_square(rb.named_group("cyclic:102"))     # order 10404
+    op = rb.RBOperator(G, np.zeros(G.order, dtype=np.int64))
+
+    def refused(*args):
+        raise AssertionError("derived table filled before the order check")
+
+    monkeypatch.setattr(rb.rb, "_inverse_derived_blocks", refused)
+    with pytest.raises(ResourceCapError):
+        rb.derived_group(op, validate=False)
+
+
 @pytest.mark.parametrize("ident", ["cyclic:6", "elemabelian:2:3", "abelian:4x2",
                                    "symmetric:3", "dihedral:8", "quaternion:8"])
 def test_derived_group_matches_row_table(ident):
@@ -351,9 +380,8 @@ def test_derived_group_matches_row_table(ident):
 ])
 def test_verify_rejects_bad_images(images):
     G = rb.named_group("cyclic:4")
-    for mode in ("full", "sampled"):
-        with pytest.raises(InputFormatError):
-            rb.verify_rb(G, images, mode=mode)
+    with pytest.raises(InputFormatError):
+        rb.verify_rb(G, images)
 
 
 def test_verify_rejects_out_of_range_operator():
