@@ -28,8 +28,12 @@ _FAMILY_PARAMS = {"psl2": _PSL2_FIELDS, "symmetric": range(1, 8),
 
 
 def _cyclic(n):
-    ar = np.arange(n)
-    table = (ar[:, None] + ar[None, :]) % n
+    if n < 1:
+        raise InputFormatError("empty table")
+    # uint16 throughout: a sum of two entries stays below 2 * MAX_DENSE_ORDER < 2^16
+    ar = np.arange(n, dtype=np.uint16)
+    table = np.add.outer(ar, ar)
+    np.remainder(table, n, out=table)
     return FiniteGroup.from_table(table, name=f"cyclic:{n}", gens=(1 % n,) if n > 1 else ())
 
 
@@ -43,7 +47,7 @@ def _abelian(dims):
         radix[i] = radix[i + 1] * dims[i + 1]
     vecs = np.array([[(v // radix[i]) % dims[i] for i in range(len(dims))]
                      for v in range(n)])
-    table = np.zeros((n, n), dtype=np.int64)
+    table = np.zeros((n, n), dtype=np.uint16)
     for a in range(n):
         s = (vecs[a] + vecs) % np.array(dims)
         table[a] = s @ radix
@@ -58,7 +62,7 @@ def _dihedral(n):
     m = n // 2
     idx = np.arange(n)
     i1, s1 = idx % m, idx // m
-    table = np.zeros((n, n), dtype=np.int64)
+    table = np.zeros((n, n), dtype=np.uint16)
     for g in range(n):
         i, s = g % m, g // m
         sign = -1 if s else 1

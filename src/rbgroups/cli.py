@@ -91,9 +91,9 @@ def _index_list(params, key, bound):
     return np.asarray(vals, dtype=np.int64)
 
 
-def _index(params, key, bound, default=None):
-    """params[key] (or ``default``), checked to be an int in [0, bound)."""
-    val = params.get(key, default)
+def _index(params, key, bound):
+    """params[key], checked to be an int in [0, bound)."""
+    val = params.get(key)
     if type(val) is not int or not 0 <= val < bound:
         raise InputFormatError(f"{key} must be an element index in [0, {bound})")
     return val
@@ -143,15 +143,11 @@ def _build_recipe(G, recipe, params):
         K = _subgroup_from_params(G, params, "k_gens")
         H1 = _subgroup_from_params(G, params, "h1_gens")
         K1 = _subgroup_from_params(G, params, "k1_gens")
-        R = intersection(H, K)
-        if R.order != 2:
+        if intersection(H, K).order != 2:
             raise InputFormatError("lemma-r2: H ∩ K must have order 2")
-        r = _index(params, "r", G.order, int(R.members[1]))
-        kset = set(map(int, K.members)) - set(map(int, K1.members))
-        if not kset:
+        if K1.mask()[K.members].all():
             raise InputFormatError("lemma-r2: K1 must be proper in K")
-        t = _index(params, "t", G.order, min(kset))
-        inst = cons.LemmaR2Instance(h=H, k=K, h1=H1, k1=K1, r=r, t=t)
+        inst = cons.LemmaR2Instance(h=H, k=K, h1=H1, k1=K1)
         return cons.lemma_r2_construct(inst)
     if recipe == "extension":
         A = _subgroup_from_params(G, params, "a_gens")
@@ -211,7 +207,7 @@ def cmd_enumerate(args, cfg):
 
 
 def _classification_payload(G, ref, cfg):
-    subs = all_subgroups(G, lattice_cap=cfg.cap_lattice)
+    subs = all_subgroups(G)
     report = enum_mod.classify_splitting(G, subs=subs)
     body = report.to_json()
     if ref and ref.startswith("psl2:"):
@@ -272,7 +268,7 @@ def cmd_table2(args, cfg):
 
 def cmd_obstruct(args, cfg):
     G, ref = _resolve_group(args.group, cfg)
-    subs = all_subgroups(G, lattice_cap=cfg.cap_lattice)
+    subs = all_subgroups(G)
     report = enum_mod.nonsplitting_obstruction(G, subs=subs)
     payload = _envelope("obstruct-nonsplitting", cfg)
     payload["group"] = group_block(G, ref)
@@ -285,7 +281,7 @@ def cmd_factorize(args, cfg):
     if args.detail_cap < 0:
         raise InputFormatError("--detail-cap must be >= 0")
     G, ref = _resolve_group(args.group, cfg)
-    subs = all_subgroups(G, lattice_cap=cfg.cap_lattice)
+    subs = all_subgroups(G)
     facts = exact_factorizations(G, subs)
     payload = _envelope("factorize", cfg)
     payload["group"] = group_block(G, ref)
@@ -315,10 +311,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--cap-order", type=int, default=10000)
-        sp.add_argument("--cap-lattice", type=int, default=10000)
-        sp.add_argument("--samples", type=int, default=10 ** 6)
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("verify", help="check the defining identity")
@@ -373,14 +366,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(seed=args.seed, cap_order=args.cap_order,
-                    cap_lattice=args.cap_lattice, sample_count=args.samples,
-                    out=args.out)
+    cfg = RunConfig(cap_order=args.cap_order, out=args.out)
     try:
         return args.func(args, cfg)
     except OutOfScaleError as exc:
-        payload, code = {"command": args.command, "config": cfg.block(),
-                         "tool": tool_block(), "entry": exc.report_entry()}, EXIT_CAP
+        payload, code = _envelope(args.command, cfg), EXIT_CAP
+        payload["entry"] = exc.report_entry()
     except (InputFormatError, json.JSONDecodeError, OSError, ValueError) as exc:
         payload, code = {"command": args.command, "error": str(exc),
                          "kind": "input"}, EXIT_INPUT

@@ -114,21 +114,23 @@ def lift_from_factor(F: Factorization, C) -> RBOperator:
 class LemmaR2Instance:
     """Data for the order-two intersection construction.
 
-    h1 ⊴ h and k1 ⊴ k of index 2, G = h1*k exact, r the involution
-    spanning h ∩ k (which then normalizes h1), t a coset representative
-    of k1 in k.
+    h1 ⊴ h and k1 ⊴ k of index 2, G = h1*k exact, and h ∩ k of order 2,
+    spanned by an involution r that then normalizes h1.
     """
 
     h: Subgroup
     k: Subgroup
     h1: Subgroup
     k1: Subgroup
-    r: int
-    t: int
 
     @property
     def group(self):
         return self.h.parent
+
+    @property
+    def r(self):
+        """The non-identity member of h ∩ k, once that has order 2."""
+        return int(intersection(self.h, self.k).members[1])
 
 
 def _check_r2(inst: LemmaR2Instance):
@@ -144,27 +146,24 @@ def _check_r2(inst: LemmaR2Instance):
             intersection(inst.h1, inst.k).order != 1:
         raise PropertyFailure("g-not-h1k-exact")
     R = intersection(inst.h, inst.k)
-    if R.order != 2 or not R.contains(inst.r) or inst.r == 0:
+    if R.order != 2:
         raise PropertyFailure("r-not-order-2-intersection")
-    if not (inst.k.contains(inst.t) and not inst.k1.contains(inst.t)):
-        raise PropertyFailure("t-not-in-k-minus-k1")
-    if not is_normal(G, inst.h1, within=closure(G, [inst.r])):
+    if not is_normal(G, inst.h1, within=R):
         raise PropertyFailure("r-does-not-normalize-h1")
 
 
 def lemma_r2_construct(inst: LemmaR2Instance) -> RBOperator:
     """B(h1 k) = k^-1 r^d where d = 0 for k in k1 and 1 otherwise."""
     _check_r2(inst)
-    G = inst.group
+    G, r = inst.group, inst.r
     k1m = inst.k1.mask()
     kinv = G.inverse[inst.k.members]
     delta = ~k1m[inst.k.members]
-    vals = np.where(delta, G.col(inst.r)[kinv], kinv)
+    vals = np.where(delta, G.col(r)[kinv], kinv)
     images = _decomposition_images(G, inst.h1, inst.k, vals)
     op = make_rb(G, images)
     op.provenance["recipe"] = {"kind": "lemma-r2", "h_order": inst.h.order,
-                              "k_order": inst.k.order, "r": int(inst.r),
-                              "t": int(inst.t)}
+                              "k_order": inst.k.order, "r": r}
     return op
 
 
@@ -189,14 +188,9 @@ def lemma_r2_search(G, subs=None) -> list[LemmaR2Instance]:
         for H in by_order.get(2 * H1.order, []):
             if not H.mask()[H1.members].all():
                 continue
-            R = np.intersect1d(H.members, K.members)
-            if R.size != 2:
+            if np.intersect1d(H.members, K.members).size != 2:
                 continue
-            r = int(R[1])
-            for K1 in k1s:
-                t = int(min(set(map(int, K.members))
-                            - set(map(int, K1.members))))
-                out.append(LemmaR2Instance(h=H, k=K, h1=H1, k1=K1, r=r, t=t))
+            out += [LemmaR2Instance(h=H, k=K, h1=H1, k1=K1) for K1 in k1s]
     return out
 
 

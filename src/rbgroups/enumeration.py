@@ -107,7 +107,7 @@ def enumerate_rb(G, cap=ENUM_CAP) -> list[RBOperator]:
 
     diagonal = [GG.pair(g, g) for g in G.find_generating_set()]
     subs = all_subgroups(GG, allowed_orders=divisors(n), prune=distinct_diffs,
-                         conjugators=diagonal, lattice_cap=max(10000, GG.order))
+                         conjugators=diagonal)
     ops = []
     for S in subs:
         if S.order != n:

@@ -59,7 +59,8 @@ class FiniteGroup:
         column 0 are the identity, and associative; ``check_axioms``
         checks all of this exactly unless ``validate`` is false.  An
         order past ``MAX_DENSE_ORDER`` is refused (ResourceCapError)
-        before the table is converted or checked.
+        before the table is converted or checked.  A uint16 table is
+        kept as it is, not copied.
         """
         arr = np.asarray(table)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -74,7 +75,7 @@ class FiniteGroup:
             raise InputFormatError("table entries must be integers")
         if arr.min() < 0 or arr.max() >= n:
             raise InputFormatError("table entries must lie in 0..n-1")
-        arr = arr.astype(np.uint16)
+        arr = arr.astype(np.uint16, copy=False)
         g = cls(name=name, table=arr, gens=gens)
         if validate:
             g.check_axioms()

@@ -7,23 +7,18 @@ are sorted and no timestamps or machine identifiers are embedded.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class RunConfig:
-    seed: int = 0
     cap_order: int = 10000
-    cap_lattice: int = 10000
-    sample_count: int = 10 ** 6
     out: str | None = None
 
     def block(self):
-        d = asdict(self)
-        d.pop("out")
-        return d
+        return {"cap_order": self.cap_order}
 
 
 def tool_block():

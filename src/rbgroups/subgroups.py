@@ -303,8 +303,7 @@ def _perfect_seed_subgroups(G, ok_orders):
     return seeds
 
 
-def all_subgroups(G, *, lattice_cap=10000, allowed_orders=None, prune=None,
-                  conjugators=None):
+def all_subgroups(G, *, allowed_orders=None, prune=None, conjugators=None):
     """Every subgroup, each exactly once, ordered by (order, member tuple).
 
     ``allowed_orders`` restricts which orders may appear at all (used by
@@ -325,8 +324,6 @@ def all_subgroups(G, *, lattice_cap=10000, allowed_orders=None, prune=None,
     on which member of a class is found first.
     """
     n = G.order
-    if n > lattice_cap:
-        raise ResourceCapError(f"order {n} exceeds the lattice cap {lattice_cap}")
     ok_orders = set(divisors(n))
     if allowed_orders is not None:
         ok_orders &= set(int(a) for a in allowed_orders)

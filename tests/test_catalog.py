@@ -1,5 +1,8 @@
 """Catalog ids, projective groups, the order-16 fixture, JSON input."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -191,3 +194,24 @@ def test_cayley_input_over_cap_refused_before_building(monkeypatch):
     table = [[(g + h) % 11 for h in range(11)] for g in range(11)]
     with pytest.raises(OutOfScaleError):
         rb.group_from_json({"cayley": table}, order_cap=10)
+
+
+_PEAK_RSS = """
+import resource, sys
+import rbgroups as rb
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+G = rb.named_group(sys.argv[1])
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base
+print(grown * 1024, G._table.nbytes)
+"""
+
+
+@pytest.mark.parametrize("ident", ["cyclic:4096", "dihedral:4096", "abelian:64x64"])
+def test_catalog_table_built_at_table_width(ident):
+    # peak RSS above a bare import stays near the one uint16 table: no
+    # int64 table, no converted copy
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, ident],
+                          capture_output=True, text=True, check=True)
+    grown, table_bytes = map(int, proc.stdout.split())
+    assert table_bytes == 4096 ** 2 * 2
+    assert grown < 3 * table_bytes

@@ -111,13 +111,23 @@ R2_D8 = '"h_gens": [1, 2, 3, 4, 5, 6, 7], "k_gens": [4], "h1_gens": [1, 2, 3], "
     ("hom-abelian", "cyclic:4", '{"h_gens": [1], "images": "0123"}'),
     ("lift", "symmetric:3", '{"h_gens": [2], "l_gens": [1], "c": {"images": [0, 1.0]}}'),
     ("lift", "symmetric:3", '{"h_gens": [2], "l_gens": [1], "c": [0, 1]}'),
-    ("lemma-r2", "dihedral:8", '{' + R2_D8 + ', "r": 4.5}'),
-    ("lemma-r2", "dihedral:8", '{' + R2_D8 + ', "t": "4"}'),
 ])
 def test_construct_non_integer_params_are_input_errors(recipe, group, params):
     code, payload = run_json("construct", recipe, group, "--params", params)
     assert code == 2
     assert payload["kind"] == "input"
+
+
+def test_lemma_r2_ignores_r_and_t():
+    # the involution of H ∩ K is forced and t is never read, so both keys
+    # are ignored like any other unknown key
+    plain = run_json("construct", "lemma-r2", "dihedral:8", "--params", "{" + R2_D8 + "}")
+    extra = run_json("construct", "lemma-r2", "dihedral:8", "--params",
+                     "{" + R2_D8 + ', "r": 1, "t": "4"}')
+    assert plain[0] == 0
+    assert plain[1]["operator"] == extra[1]["operator"]
+    assert plain[1]["operator"]["provenance"]["recipe"]["r"] == 4
+    assert "t" not in plain[1]["operator"]["provenance"]["recipe"]
 
 
 def test_construct_missing_params_is_input_error():
@@ -165,11 +175,13 @@ def test_table2_rows():
 
 def test_table2_output_is_unchanged():
     # sha256 of the default table2 payload, recorded before the
-    # automorphism search was reduced to one algorithm
+    # automorphism search was reduced to one algorithm, and re-recorded
+    # when the config block lost seed, sample_count and cap_lattice (the
+    # rows compared equal as JSON before and after)
     proc = run_cli("table2")
     assert proc.returncode == 0
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-    assert digest == "a9edd569c0642e435e010b8f7598554e3044860277e7ce5d1a164ee44edc07ae"
+    assert digest == "17efb81cbd73d893aadc6b60013bac627360f1816137789633c350075dd6c0bc"
 
 
 def test_table2_out_of_scale_row():
@@ -229,7 +241,7 @@ def test_permutation_group_past_dense_bound_exits_3(tmp_path):
         "degree": 8,
         "generators": [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]}}))
     code, payload = run_json("verify", str(spec), '{"images": [0]}',
-                             "--cap-order", "50000", "--samples", "1000")
+                             "--cap-order", "50000")
     assert code == 3
     assert payload["kind"] == "resource-cap"
 
@@ -346,3 +358,29 @@ def test_help_exits_zero():
     for sub in ["verify", "construct", "enumerate", "classify-splitting",
                 "table2", "obstruct-nonsplitting", "factorize"]:
         assert sub in proc.stdout
+
+
+# one cheap call per subcommand
+SUBCOMMAND_CALLS = [
+    ("verify", "cyclic:4", '{"images": [0, 0, 0, 0]}'),
+    ("construct", "trivial-e", "cyclic:4"),
+    ("enumerate", "cyclic:3"),
+    ("classify-splitting", "cyclic:4"),
+    ("table2", "--q", "7"),
+    ("obstruct-nonsplitting", "psl2:7"),
+    ("factorize", "cyclic:4"),
+]
+
+
+@pytest.mark.parametrize("args", SUBCOMMAND_CALLS, ids=lambda a: a[0])
+def test_config_block_is_the_order_cap(args):
+    code, payload = run_json(*args, "--cap-order", "200")
+    assert code == 0
+    assert payload["config"] == {"cap_order": 200}
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--samples", "--cap-lattice"])
+def test_removed_flags_exit_2(flag):
+    proc = run_cli("enumerate", "cyclic:3", flag, "1")
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr

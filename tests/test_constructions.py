@@ -150,7 +150,7 @@ def test_lemma_r2_search_frozen_counts(ident, count, nonsplit):
 def test_lemma_r2_rejects_bad_instance():
     G = rb.named_group("dihedral:8")
     whole = rb.whole_group(G)
-    inst = LemmaR2Instance(h=whole, k=whole, h1=whole, k1=whole, r=0, t=0)
+    inst = LemmaR2Instance(h=whole, k=whole, h1=whole, k1=whole)
     with pytest.raises(PropertyFailure):
         rb.lemma_r2_construct(inst)
 
@@ -366,8 +366,8 @@ def test_extension_rejects_nonabelian_a():
 
 
 # (instance count, digest of the (h, k, h1, k1, r, t) tuples in order), as
-# first recorded; the twelve groups hold 1,131 instances
-@pytest.mark.parametrize("ident,count,digest", [
+# first recorded, with t = min(k - k1); the twelve groups hold 1,131 instances
+R2_GROUPS = [
     ("symmetric:3", 6, "96b7b8015792aa48"),
     ("dihedral:8", 39, "12e68a3726d2a2ea"),
     ("quaternion:8", 3, "c30db27dc567ca7f"),
@@ -380,12 +380,24 @@ def test_extension_rejects_nonabelian_a():
     ("dihedral:24", 220, "79626358a1391dc9"),
     ("cyclic:48", 2, "9e1e6ebdd583fa9f"),
     ("dihedral:48", 428, "e4247ee2c8ec1c11"),
-])
+]
+
+
+@pytest.mark.parametrize("ident,count,digest", R2_GROUPS)
 def test_lemma_r2_search_instances_frozen(ident, count, digest):
     found = rb.lemma_r2_search(rb.named_group(ident))
     h = hashlib.sha256()
     for i in found:
+        t = int(np.setdiff1d(i.k.members, i.k1.members).min())
         h.update(repr((i.h.members.tolist(), i.k.members.tolist(),
                        i.h1.members.tolist(), i.k1.members.tolist(),
-                       i.r, i.t)).encode())
+                       i.r, t)).encode())
     assert (len(found), h.hexdigest()[:16]) == (count, digest)
+
+
+@pytest.mark.parametrize("ident", [g[0] for g in R2_GROUPS])
+def test_lemma_r2_r_is_the_involution_of_h_meet_k(ident):
+    for i in rb.lemma_r2_search(rb.named_group(ident)):
+        meet = rb.intersection(i.h, i.k).members
+        assert meet.size == 2 and i.r == meet[meet != 0][0]
+        assert type(i.r) is int

@@ -10,10 +10,8 @@ from rbgroups.reports import (RunConfig, emit, group_block, operator_block,
 
 
 def test_run_config_block_drops_out():
-    cfg = RunConfig(seed=9, out="/tmp/x.json")
-    block = cfg.block()
-    assert "out" not in block
-    assert block["seed"] == 9
+    cfg = RunConfig(cap_order=9, out="/tmp/x.json")
+    assert cfg.block() == {"cap_order": 9}
 
 
 def test_tool_block():
