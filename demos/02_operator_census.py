@@ -2,8 +2,9 @@
 
 Enumerates every weight-1 Rota-Baxter operator on each group of order at
 most 8 from the catalog, cross-checks the subgroup-lattice enumeration
-against plain brute force, and groups the operators into equivalence
-classes.
+against the brute-force search (partial maps extended one column at a
+time, each checked against the defining identity alone), and groups the
+operators into equivalence classes.
 
 Run with:  python demos/02_operator_census.py
 """

@@ -32,7 +32,8 @@ from .subgroups import (Factorization, all_subgroups, divisors,
                         exact_factorizations, is_normal, is_simple,
                         unchecked_quotient)
 
-BRUTE_CAP = 8
+BRUTE_CAP = 24
+BRUTE_ROWS = 1 << 22
 ENUM_CAP = 16
 
 
@@ -119,35 +120,71 @@ def enumerate_rb(G, cap=ENUM_CAP) -> list[RBOperator]:
 
 
 def brute_force_rb(G) -> list[RBOperator]:
-    """Filter all n^(n-1) maps with B(e) = e against the defining
-    identity, for n <= BRUTE_CAP; the independent oracle for
-    enumerate_rb."""
+    """Every operator on G from the defining identity alone; the
+    independent oracle for enumerate_rb.
+
+    A search over partial maps with B(e) = e, one uint8 row each.  A
+    column c is fixed by turning each row into n rows, one per value of
+    B(c).  A row is dropped as soon as a pair (g, h) of fixed columns
+    fails B(g)B(h) = B(g B(g) h B(g)^-1) with the inner index fixed too;
+    each (row, pair) is checked once, at the column that fixes the last
+    of g, h and the inner index.  Pairs with g = e or h = e hold for
+    every such map.  After the last column every pair has been checked,
+    so the rows left are exactly the operators.
+
+    The next column is the least product of two fixed elements not yet
+    fixed, else the least element not yet fixed: the subgroup the fixed
+    columns generate is filled before a new generator joins.  Unlike
+    index order, this keeps the widest column of a relabelled group
+    near that of the catalog labelling (elemabelian:2:4 under a random
+    labelling: 2^20 rows, against 2^24 in index order).
+
+    Refused with ResourceCapError above order BRUTE_CAP, which bounds
+    the 3k pair checks of the k-th column, and before a column's array
+    would hold more than BRUTE_ROWS rows.
+    """
     n = G.order
     if n > BRUTE_CAP:
         raise ResourceCapError(f"brute_force_rb cap {BRUTE_CAP} exceeded (order {n})")
-    total = n ** (n - 1)
-    chunk = 200000
-    keep = []
-    pairs = [(g, h) for g in range(1, n) for h in range(1, n)]
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        mat = np.zeros((idx.size, n), dtype=np.int64)
-        for g in range(1, n):
-            mat[:, g] = (idx // (n ** (g - 1))) % n
-        alive = np.ones(idx.size, dtype=bool)
-        for g, h in pairs:
-            if not alive.any():
-                break
-            rows = np.nonzero(alive)[0]
-            bg = mat[rows, g]
-            lhs = G.mul_vec(bg, mat[rows, h])
-            inner = G.mul_vec(G.col(h)[G.row(g)[bg]], G.inverse[bg])
-            rhs = mat[rows, inner]
-            alive[rows[lhs != rhs]] = False
-        for row in np.nonzero(alive)[0]:
-            keep.append(mat[row].copy())
-    ops = [RBOperator(G, m, {"mode": "full", "checked": n * n}) for m in keep]
+    t = G.row(np.arange(n)).astype(np.uint8)
+    inv = G.inverse.astype(np.uint8)
+    conj = t[t, inv[:, None]]               # conj[b, h] = b h b^-1
+
+    def at(X, cols):
+        """X[i, cols[i]] for every row i."""
+        return np.take_along_axis(X, cols[:, None], axis=1)[:, 0]
+
+    def keep(X, ok):
+        return X if ok.all() else X[ok]
+
+    fixed = np.zeros(n, dtype=bool)
+    fixed[0] = True
+    rows = np.zeros((1, n), dtype=np.uint8)
+    for _ in range(1, n):
+        if rows.shape[0] * n > BRUTE_ROWS:
+            raise ResourceCapError(f"brute_force_rb row budget {BRUTE_ROWS} exceeded "
+                                   f"(order {n}, column {int(fixed.sum())})")
+        earlier = np.flatnonzero(fixed[1:]) + 1
+        reached = np.zeros(n, dtype=bool)
+        reached[t[np.ix_(fixed, fixed)]] = True
+        new = reached & ~fixed
+        c = int(np.flatnonzero(new if new.any() else ~fixed)[0])
+        before = fixed.copy()
+        fixed[c] = True
+        X = np.repeat(rows, n, axis=0)
+        X[:, c] = np.tile(np.arange(n, dtype=np.uint8), rows.shape[0])
+        # pairs with c in {g, h}, due where the inner index is fixed
+        for g, h in [(c, c)] + [(c, h) for h in earlier] + [(g, c) for g in earlier]:
+            bg = X[:, g]
+            inner = t[g, conj[bg, h]]
+            X = keep(X, ~fixed[inner] | (t[bg, X[:, h]] == at(X, inner)))
+        # pairs of earlier columns whose inner index is c
+        for g in earlier:
+            bg = X[:, g]
+            h = conj[inv[bg], t[inv[g], c]]
+            X = keep(X, ~before[h] | (t[bg, at(X, h)] == X[:, c]))
+        rows = X
+    ops = [RBOperator(G, row, {"mode": "full", "checked": n * n}) for row in rows]
     ops.sort(key=lambda o: o.key())
     return ops
 

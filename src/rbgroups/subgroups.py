@@ -49,6 +49,10 @@ SIMPLE_ORDERS = (60, 168, 360, 504, 660, 1092, 2448, 2520, 3420, 4080,
                  5616, 6048, 6072, 7800, 7920, 9828)
 #: the next nonabelian simple order, |PSL(2, 29)|
 NEXT_SIMPLE_ORDER = 12180
+#: most subgroups ``all_subgroups`` registers before it refuses the group
+#: with ResourceCapError, about 600 MB of them; the alternating:6 census
+#: registers 643,759 subgroups of A6 x A6, and (Z2)^9 has 8,283,458
+LATTICE_CAP = 1 << 20
 
 
 def _factorint(n):
@@ -321,7 +325,9 @@ def all_subgroups(G, *, allowed_orders=None, prune=None, conjugators=None):
     conjugations.  Each conjugator's permutation of G is computed once
     per call.  Each extension <S, t> is built once: every t' in it
     outside S gives <S, t'> = <S, t>.  Only the recorded ``gens`` depend
-    on which member of a class is found first.
+    on which member of a class is found first.  A group with more than
+    ``LATTICE_CAP`` subgroups to register is refused with
+    ResourceCapError.
     """
     n = G.order
     ok_orders = set(divisors(n))
@@ -329,17 +335,26 @@ def all_subgroups(G, *, allowed_orders=None, prune=None, conjugators=None):
         ok_orders &= set(int(a) for a in allowed_orders)
     if conjugators is None:
         conjugators = G.find_generating_set()
-    conj_maps = [G.conjugation_map(g) for g in conjugators]
+    # a central conjugator fixes every subgroup
+    conj_maps = [m for m in map(G.conjugation_map, conjugators)
+                 if (m != np.arange(n)).any()]
 
     found = {}
     queue = deque()
+
+    def add(key, sub):
+        if len(found) >= LATTICE_CAP:
+            raise ResourceCapError(
+                f"subgroup lattice cap {LATTICE_CAP} exceeded (order {n})")
+        found[key] = sub
 
     def register(members, gens):
         key = members.tobytes()
         if members.size not in ok_orders or key in found \
                 or (prune is not None and not prune(members)):
             return
-        sub = found[key] = Subgroup(G, members, gens)
+        sub = Subgroup(G, members, gens)
+        add(key, sub)
         queue.append(sub)
         orbit = deque([sub])
         while orbit:
@@ -348,8 +363,8 @@ def all_subgroups(G, *, allowed_orders=None, prune=None, conjugators=None):
                 mem = np.sort(conj[T.members])
                 key = mem.tobytes()
                 if key not in found:
-                    C = found[key] = Subgroup(
-                        G, mem, conj[np.asarray(T.gens, dtype=np.int64)])
+                    C = Subgroup(G, mem, conj[np.asarray(T.gens, dtype=np.int64)])
+                    add(key, C)
                     orbit.append(C)
 
     register(np.array([0], dtype=np.int64), ())

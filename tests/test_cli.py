@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from rbgroups import cli, subgroups
+
 CMD = [sys.executable, "-m", "rbgroups"]
 
 
@@ -231,6 +233,24 @@ def test_cap_order_refuses_psl2_from_its_id():
     code, payload = run_json("obstruct-nonsplitting", "psl2:23", "--cap-order", "10")
     assert code == 3
     assert payload["entry"]["reason"] == "order 6072 exceeds cap 10"
+
+
+def test_factorize_past_the_lattice_cap_exits_3(monkeypatch, capsys):
+    # (Z2)^9 (order 512) has 8,283,458 subgroups; under a cap of 2^15 the
+    # walk is refused within about a second
+    monkeypatch.setattr(subgroups, "LATTICE_CAP", 2 ** 15)
+    assert cli.main(["factorize", "elemabelian:2:9"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "resource-cap"
+    assert payload["error"] == "subgroup lattice cap 32768 exceeded (order 512)"
+
+
+@pytest.mark.slow
+def test_factorize_past_the_default_lattice_cap_exits_3():
+    # about 75 s and 600 MB to register LATTICE_CAP = 2^20 subgroups
+    code, payload = run_json("factorize", "elemabelian:2:9")
+    assert code == 3
+    assert payload["error"] == "subgroup lattice cap 1048576 exceeded (order 512)"
 
 
 def test_permutation_group_past_dense_bound_exits_3(tmp_path):

@@ -1,5 +1,6 @@
 """Lattice enumeration vs brute force, equivalence orbits, classification."""
 
+import time
 import tracemalloc
 from collections import deque
 
@@ -10,7 +11,8 @@ import rbgroups as rb
 from rbgroups import enumeration
 from rbgroups.enumeration import (ObstructionReport, RBGraph, _class_labels, _id_maps,
                                   _image_names_of, _pair_orbits, direct_square)
-from rbgroups.errors import GraphConditionError, InputFormatError, PropertyFailure
+from rbgroups.errors import (GraphConditionError, InputFormatError, PropertyFailure,
+                             ResourceCapError)
 from rbgroups.groups import orbit_labels
 from rbgroups.subgroups import all_subgroups, is_normal, is_simple, unchecked_quotient
 
@@ -45,6 +47,97 @@ def test_enumeration_matches_brute_force(ident, count, nsplit, nclasses):
     assert len(brute) == len(smart) == count
     assert {o.key() for o in brute} == {o.key() for o in smart}
     assert sum(rb.is_splitting(o) for o in smart) == nsplit
+
+
+def filter_all_maps(G):
+    """Every operator on G by filtering all n^(n-1) maps with B(e) = e
+    against the defining identity, pair by pair; the oracle for the
+    column search of ``brute_force_rb`` at order <= 8."""
+    n = G.order
+    total = n ** (n - 1)
+    chunk = 200000
+    keep = []
+    pairs = [(g, h) for g in range(1, n) for h in range(1, n)]
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        idx = np.arange(start, stop, dtype=np.int64)
+        mat = np.zeros((idx.size, n), dtype=np.int64)
+        for g in range(1, n):
+            mat[:, g] = (idx // (n ** (g - 1))) % n
+        alive = np.ones(idx.size, dtype=bool)
+        for g, h in pairs:
+            if not alive.any():
+                break
+            rows = np.nonzero(alive)[0]
+            bg = mat[rows, g]
+            lhs = G.mul_vec(bg, mat[rows, h])
+            inner = G.mul_vec(G.col(h)[G.row(g)[bg]], G.inverse[bg])
+            rhs = mat[rows, inner]
+            alive[rows[lhs != rhs]] = False
+        for row in np.nonzero(alive)[0]:
+            keep.append(mat[row].copy())
+    ops = [rb.RBOperator(G, m, {"mode": "full", "checked": n * n}) for m in keep]
+    ops.sort(key=lambda o: o.key())
+    return ops
+
+
+# "name~seed" is the catalog group with its non-identity elements renumbered
+@pytest.mark.parametrize("ident", [c[0] for c in CENSUS] + [
+    "cyclic:1", "dihedral:8~1", "dihedral:8~2", "quaternion:8~3", "quaternion:8~4"])
+def test_column_search_matches_map_filter(ident, relabelled):
+    G = relabelled(ident)
+    got = rb.brute_force_rb(G)
+    want = filter_all_maps(G)
+    assert [o.key() for o in got] == [o.key() for o in want]
+    assert all(o.provenance == {"mode": "full", "checked": G.order ** 2} for o in got)
+
+
+# operator counts of the catalog groups of order 9-24 that both engines
+# reach, three of them also relabelled; elemabelian:2:4's graph census
+# alone takes about 50 s
+ABOVE_MAP_FILTER = [
+    ("cyclic:9", 9), ("cyclic:12", 12), ("dihedral:12", 80), ("alternating:4", 18),
+    ("paper16", 352), ("dihedral:16", 136), ("abelian:2x2x4", 1024),
+    ("dihedral:24", 288), ("symmetric:4", 100),
+    ("paper16~5", 352), ("dihedral:24~1", 288), ("symmetric:4~4", 100),
+    pytest.param("elemabelian:2:4", 65536, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("ident,count", ABOVE_MAP_FILTER)
+def test_engines_agree_up_to_order_24(ident, count, relabelled):
+    G = relabelled(ident)
+    brute = rb.brute_force_rb(G)
+    smart = rb.enumerate_rb(G, cap=G.order)
+    assert len(brute) == len(smart) == count
+    assert [o.key() for o in brute] == [o.key() for o in smart]
+
+
+def _refusal_peak(G):
+    """Peak traced bytes of a brute_force_rb call that must be refused."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            rb.brute_force_rb(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_column_search_refuses_past_the_order_cap():
+    # (Z2)^5 has 2^25 operators; its census would need a 2^25-row array
+    G = rb.named_group("elemabelian:2:5")
+    t0 = time.process_time()
+    assert _refusal_peak(G) < 2 ** 20
+    assert time.process_time() - t0 < 1.0
+
+
+def test_column_search_refuses_before_the_row_budget(monkeypatch):
+    # symmetric:4's columns hold 24, 576, 13,824 and then 139,320 rows;
+    # under a budget of 2^14 the fourth column (3.3 MB of uint8) is refused
+    # before it is allocated
+    monkeypatch.setattr(enumeration, "BRUTE_ROWS", 2 ** 14)
+    assert _refusal_peak(rb.named_group("symmetric:4")) < 2 ** 20
 
 
 @pytest.mark.parametrize("ident,count,nsplit,nclasses",

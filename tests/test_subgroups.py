@@ -640,6 +640,19 @@ def test_psl2_23_lattice():
     assert class_count(G, subs) == 23
 
 
+@pytest.mark.parametrize("cap,refused", [(30, False), (29, True), (2, True)])
+def test_lattice_cap_bounds_registered_subgroups(monkeypatch, cap, refused):
+    # symmetric:4 has 30 subgroups; under a cap of 2 the refusal comes from
+    # the conjugation orbit of the first subgroup of order 2
+    monkeypatch.setattr(sg, "LATTICE_CAP", cap)
+    G = rb.named_group("symmetric:4")
+    if refused:
+        with pytest.raises(ResourceCapError, match="subgroup lattice cap"):
+            rb.all_subgroups(G)
+    else:
+        assert len(rb.all_subgroups(G)) == 30
+
+
 def test_derived_subgroup_keeps_few_generators():
     D = rb.derived_subgroup(rb.named_group("symmetric:6"))
     assert D.order == 360
