@@ -9,16 +9,18 @@ involved.  A generator's candidates are the elements of its class
 fingerprint, and an automorphism is flagged inner when some conjugation
 sends the searched generators to the same images.
 
-One base serves both too: a pair (x, y) with <x, y> = G and x in a
-conjugacy class C that every automorphism must preserve (its class
-fingerprint is shared by no other class).  Every automorphism is
-(conjugation moving x within C) composed with an automorphism fixing x,
-and the latter come from the image search on (x, y) with x pinned, so
-only y's image varies.  The isomorphism search of a nonabelian group
-with more than two stored generators runs on the base as well.  Only a
-group without a base (every class fingerprint repeated, as in an
-elementary abelian group) is searched on its whole stored generating
-set, with backtracking over all their images.
+One Schreier search finds Aut(G), on search generators g_1..g_k: the
+base (x, y) of G when it has one, else its stored generators.  Let A_i
+fix g_1..g_i.  Walking i = k down to 1, the maps kept so far generate
+A_i, the stabilizer of g_i in A_{i-1}; for each candidate c of g_i
+outside the orbit of g_i under them, the search keeps the first
+automorphism fixing g_1..g_{i-1} and sending g_i to c, so that the kept
+maps then generate A_{i-1}.  At i = 1 the inner automorphisms at G's
+generators count as kept maps too.  The base is a pair (x, y) with
+<x, y> = G and x in a conjugacy class whose class fingerprint no other
+class shares.  It only picks the search generators (conjugation then
+reaches every candidate of x), and the isomorphism search of a
+nonabelian group with more than two stored generators runs on it too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import ResourceCapError
 from .groups import _closure_members
-from .maps import GroupMap, inner_automorphism
+from .maps import GroupMap
 
 #: the most Cayley-edge checks an automorphism or isomorphism search may
 #: plan before it starts; a larger search is refused
@@ -128,101 +130,89 @@ def _homomorphisms_by_images(G, H, gens, cand_lists, what):
             yield choice, img
 
 
-def _bijections_by_images(G, H, gens, what, fix_first=False):
-    """Yield (choice, images) for every isomorphism G -> H that sends
-    ``gens`` to ``choice``, trying elements of matching class
-    fingerprint in order; with ``fix_first`` the first generator is sent
-    to itself; refused as ``_homomorphisms_by_images`` refuses."""
+def _candidates(G, H, gens):
+    """For each of ``gens``, the elements of H with its class fingerprint."""
     fps_G = _elem_fps(G)
     fps_H = fps_G if H is G else _elem_fps(H)
-    cand_lists = [[x for x in range(1, H.order) if fps_H[x] == fps_G[g]]
-                  for g in gens]
-    if fix_first:
-        cand_lists[0] = [gens[0]]
+    return [[x for x in range(1, H.order) if fps_H[x] == fps_G[g]] for g in gens]
+
+
+def _bijections_by_images(G, H, gens, cand_lists, what):
+    """Yield (choice, images) for every isomorphism G -> H that sends
+    ``gens`` to ``choice``, with ``choice`` running over the product of
+    ``cand_lists`` in order; refused as ``_homomorphisms_by_images``
+    refuses."""
     for choice, img in _homomorphisms_by_images(G, H, gens, cand_lists, what):
         if np.unique(img).size == G.order:
             yield choice, img
 
 
-def _automorphisms_by_images(G, gens, fix_first=False):
-    """Every automorphism that ``_bijections_by_images`` finds on
-    ``gens``, flagged inner when some conjugation sends ``gens`` to the
-    same images."""
+def _orbit(point, maps):
+    """The orbit of ``point`` under the group generated by the image
+    arrays ``maps``."""
+    orbit, frontier = {point}, {point}
+    while frontier:
+        frontier = {int(a[p]) for p in frontier for a in maps} - orbit
+        orbit |= frontier
+    return orbit
+
+
+def _aut_search(G):
+    """(flagged, maps): ``maps`` generate Aut(G), the inner
+    automorphisms at G's generators first and then the maps the search
+    of the module docstring keeps, without repeats; ``flagged(images)``
+    is the automorphism with those images, flagged inner when some
+    conjugation sends the search generators to the same images."""
+    gens = _base(G) or G.find_generating_set()
+    cands = _candidates(G, G, gens)
+    inner = [G.conjugation_map(g) for g in G.find_generating_set()]
+    kept = []
+    for i in reversed(range(len(gens))):
+        also = [] if i else inner   # inner maps need not fix gens[:i]
+        orbit = _orbit(gens[i], kept + also)
+        for c in cands[i]:
+            if c in orbit:
+                continue
+            pinned = [[g] for g in gens[:i]] + [[c]] + cands[i + 1:]
+            for _, img in _bijections_by_images(G, G, gens, pinned, "automorphism"):
+                kept.append(img)
+                orbit = _orbit(gens[i], kept + also)
+                break
     conj = [G.conjugate_all(g).tolist() for g in gens]
-    inner = {tuple(v[t] for v in conj) for t in range(G.order)}
-    return [GroupMap(G, G, img, inner=choice in inner) for choice, img
-            in _bijections_by_images(G, G, gens, "automorphism", fix_first)]
+    inner_images = {tuple(v[t] for v in conj) for t in range(G.order)}
 
+    def flagged(img):
+        return GroupMap(G, G, img,
+                        inner=tuple(int(img[g]) for g in gens) in inner_images)
 
-def _stabilizer_data(G):
-    """(x, stab) for the base (x, y) of G, with ``stab`` every
-    automorphism fixing x; None when G has no base."""
-    base = _base(G)
-    if base is None:
-        return None
-    return base[0], _automorphisms_by_images(G, base, fix_first=True)
-
-
-def _aut_by_backtracking(G):
-    return _automorphisms_by_images(G, G.find_generating_set())
+    maps = {img.tobytes(): flagged(img) for img in inner + kept}
+    return flagged, list(maps.values())
 
 
 def automorphism_group(G):
     """Every automorphism of G as a GroupMap with an ``inner`` flag,
     sorted by image array."""
-    data = _stabilizer_data(G)
-    if data is None:
-        auts = _aut_by_backtracking(G)
-    else:
-        # every automorphism is (an inner map moving x within its class)
-        # o (an automorphism fixing x); the inner factor keeps the flag.
-        # One transporter per point of the class: the first g moving x there
-        x, stab = data
-        _, transporters = np.unique(G.conjugate_all(x), return_index=True)
-        auts = []
-        for g in transporters:
-            alpha = inner_automorphism(G, int(g)).images
-            auts.extend(GroupMap(G, G, alpha[s.images], inner=s.inner) for s in stab)
-        assert len({a.key() for a in auts}) == len(auts)
-    auts.sort(key=lambda a: a.key())
-    return auts
-
-
-def _generated_keys(G, maps):
-    """Image keys of every element of the group generated by ``maps``."""
+    flagged, gens = _aut_search(G)
     ident = np.arange(G.order, dtype=np.int64)
-    seen = {ident.tobytes()}
+    seen = {ident.tobytes(): ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for img in frontier:
-            for a in maps:
+            for a in gens:
                 c = img[a.images]
-                key = c.tobytes()
-                if key not in seen:
-                    seen.add(key)
+                if c.tobytes() not in seen:
+                    seen[c.tobytes()] = c
                     nxt.append(c)
         frontier = nxt
-    return seen
+    return [flagged(seen[k]) for k in sorted(seen)]
 
 
 def aut_generators(G):
-    """A small (not minimal) generating collection of Aut(G): inner
-    automorphisms at group generators plus the automorphisms fixing the
-    base point of the stabilizer decomposition.  When G has no base,
-    backtracking lists every automorphism, and one is kept only if it
-    lies outside the group generated by the maps kept before it."""
-    inner = [inner_automorphism(G, int(g)) for g in G.find_generating_set()]
-    data = _stabilizer_data(G)
-    if data is not None:
-        return list({a.key(): a for a in inner + data[1]}.values())
-    gens = list({a.key(): a for a in inner}.values())
-    got = _generated_keys(G, gens)
-    for a in _aut_by_backtracking(G):
-        if a.key() not in got:
-            gens.append(a)
-            got = _generated_keys(G, gens)
-    return gens
+    """A small (not minimal) generating collection of Aut(G): the inner
+    automorphisms at G's generators, then one automorphism for each new
+    orbit point of the search (module docstring)."""
+    return _aut_search(G)[1]
 
 
 def find_isomorphism(G, H):
@@ -233,7 +223,8 @@ def find_isomorphism(G, H):
     gens = G.find_generating_set()
     if len(gens) > 2 and not G.is_abelian():
         gens = _base(G) or gens
-    for _, img in _bijections_by_images(G, H, gens, "isomorphism"):
+    cands = _candidates(G, H, gens)
+    for _, img in _bijections_by_images(G, H, gens, cands, "isomorphism"):
         return GroupMap(G, H, img)
     return None
 

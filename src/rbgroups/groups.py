@@ -101,6 +101,8 @@ class FiniteGroup:
             if p.dtype.kind not in "iu" or p.shape != (degree,) \
                     or sorted(p.tolist()) != list(range(degree)):
                 raise InputFormatError("generator is not a permutation of range(degree)")
+        if not gens:        # the trivial group, whatever the degree
+            return cls(name=name, table=np.zeros((1, 1), dtype=np.uint16), gens=())
         dtype = np.min_scalar_type(degree - 1)
         gens = [p.astype(dtype) for p in gens]
         cap = min(order_cap, MAX_DENSE_ORDER)

@@ -24,6 +24,9 @@ from rbgroups.errors import ResourceCapError
     ("symmetric:4", 24),
     ("paper16", 32),
     ("alternating:5", 120),
+    ("elemabelian:2:4", 20160),    # GL(4, 2)
+    ("elemabelian:3:2", 48),       # GL(2, 3)
+    ("abelian:4x4", 96),
 ])
 def test_aut_orders(ident, aut_order):
     G = rb.named_group(ident)
@@ -56,19 +59,52 @@ def test_automorphisms_closed_under_composition():
         assert auts[int(i)].compose(auts[int(j)]).key() in keys
 
 
+def aut_by_backtracking(G):
+    """Every automorphism of G, from every image of its stored
+    generators that extends to a bijection, flagged inner when some
+    conjugation sends the stored generators to the same images."""
+    gens = G.find_generating_set()
+    conj = [G.conjugate_all(g).tolist() for g in gens]
+    inner = {tuple(v[t] for v in conj) for t in range(G.order)}
+    cands = automorphisms._candidates(G, G, gens)
+    return [rb.GroupMap(G, G, img, inner=choice in inner) for choice, img
+            in automorphisms._bijections_by_images(G, G, gens, cands, "automorphism")]
+
+
+# "name~seed" is the catalog group with its non-identity elements renumbered
 @pytest.mark.parametrize("ident", [
     "cyclic:1", "cyclic:8", "cyclic:12", "abelian:4x2", "abelian:6x2",
     "elemabelian:2:3", "symmetric:3", "dihedral:8", "quaternion:8",
     "alternating:4", "dihedral:12", "symmetric:4", "paper16", "dihedral:16",
     "dihedral:24", "alternating:5", "psl2:4", "psl2:5",
+    "paper16~5", "dihedral:24~1", "symmetric:4~4", "elemabelian:2:3~1",
 ])
-def test_automorphism_group_matches_backtracking(ident):
-    # the stabilizer decomposition against the plain generator-image search
-    G = rb.named_group(ident)
+def test_automorphism_group_matches_backtracking(ident, relabelled):
+    # the Schreier search against the plain generator-image search
+    G = relabelled(ident)
     got = {(a.key(), a.inner) for a in rb.automorphism_group(G)}
-    want = {(a.key(), a.inner)
-            for a in automorphisms._aut_by_backtracking(G)}
+    want = {(a.key(), a.inner) for a in aut_by_backtracking(G)}
     assert got == want
+
+
+# extend_by_generator_images calls of aut_generators, at most as many as
+# the listing of every automorphism fixing the base point made
+@pytest.mark.parametrize("ident,most", [
+    ("psl2:7", 48), ("psl2:13", 168), ("psl2:23", 528),
+    ("elemabelian:2:3", 343), ("paper16", 32),
+])
+def test_aut_generators_extension_count(ident, most, monkeypatch):
+    G = rb.named_group(ident)
+    calls = []
+    real = automorphisms.extend_by_generator_images
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(automorphisms, "extend_by_generator_images", spy)
+    rb.aut_generators(G)
+    assert len(calls) <= most
 
 
 @pytest.mark.parametrize("ident,aut_order", [
@@ -80,13 +116,15 @@ def test_automorphism_group_matches_backtracking(ident):
     ("elemabelian:2:3", 168),
     ("elemabelian:2:2", 6),
     ("cyclic:8", 4),
+    ("elemabelian:2:4", 20160),
+    ("elemabelian:3:2", 48),
+    ("abelian:4x4", 96),
 ])
 def test_aut_generators_generate(ident, aut_order):
     G = rb.named_group(ident)
     gens = rb.aut_generators(G)
     if ident == "elemabelian:2:3":
-        # no base: of the 168 backtracked maps only those outside the
-        # group generated so far are kept
+        # no base: one map per new orbit point, not all 168
         assert len(gens) <= 8
     # close the generator set by composition; must reach all of Aut(G)
     seen = {rb.identity_map(G).key(): rb.identity_map(G)}
@@ -101,15 +139,6 @@ def test_aut_generators_generate(ident, aut_order):
                     nxt.append(c)
         frontier = nxt
     assert len(seen) == aut_order
-
-
-def test_classification_needs_no_backtracking(monkeypatch):
-    # psl2:4 has a base pair, so its equivalence action never falls
-    # back to the generator-image search
-    def refuse(*args, **kwargs):
-        raise AssertionError("backtracking search reached")
-    monkeypatch.setattr(automorphisms, "_aut_by_backtracking", refuse)
-    assert rb.classify_splitting(rb.named_group("psl2:4")).s == 1
 
 
 def test_class_fingerprints_refinement():
@@ -192,31 +221,33 @@ def _maps_digest(maps):
 
 
 # (generator count, digest, automorphism count, digest) of aut_generators
-# and automorphism_group: keys and inner flags in order, as first recorded
+# and automorphism_group: keys and inner flags in order, as first
+# recorded; the generator columns were re-recorded when the search became
+# one Schreier search, which keeps other generators of the same group
 @pytest.mark.parametrize("ident,n_gens,gens_digest,n_auts,auts_digest", [
     ("cyclic:1", 0, "e3b0c44298fc1c14", 1, "918a9bbdc4900f7d"),
-    ("cyclic:8", 4, "223b4b12bd0d26fd", 4, "223b4b12bd0d26fd"),
-    ("cyclic:12", 4, "13ccb8c60219798c", 4, "13ccb8c60219798c"),
+    ("cyclic:8", 3, "112076f9da80ea22", 4, "223b4b12bd0d26fd"),
+    ("cyclic:12", 3, "56dad8562a3a79bd", 4, "13ccb8c60219798c"),
     ("abelian:4x2", 3, "61935455d0a31aaa", 8, "ed0ac5cdcc34e59a"),
     ("abelian:6x2", 4, "353e1d8074fd891b", 12, "f814d809a0a37ddc"),
-    ("elemabelian:2:3", 5, "b44e0d5183a5d4da", 168, "a5dbed93f3b1cc17"),
-    ("symmetric:3", 4, "29a297d0f6519095", 6, "ac7fa2ab67a7c102"),
-    ("dihedral:8", 5, "b90126a9dcc061c3", 8, "56894e53cf24b2e1"),
+    ("elemabelian:2:3", 5, "717586f29c1d2e5f", 168, "a5dbed93f3b1cc17"),
+    ("symmetric:3", 3, "9cca7ab8fb02cab2", 6, "ac7fa2ab67a7c102"),
+    ("dihedral:8", 3, "4c18d8cb62829793", 8, "56894e53cf24b2e1"),
     ("quaternion:8", 4, "3c34c73926a06518", 24, "5d2131618570cb91"),
-    ("alternating:4", 10, "3d444aff3140b6ec", 24, "bd297dc21009c06c"),
-    ("dihedral:12", 7, "47e6bd85ddcdd20a", 12, "ee8bee9c85fd960e"),
-    ("symmetric:4", 5, "602e50ffe7272ba9", 24, "dc87006de79d43e2"),
+    ("alternating:4", 4, "5064754814372b5a", 24, "bd297dc21009c06c"),
+    ("dihedral:12", 3, "caaa01307bf0cc1c", 12, "ee8bee9c85fd960e"),
+    ("symmetric:4", 3, "0579c982c978931f", 24, "dc87006de79d43e2"),
     ("paper16", 5, "105f4631b9bb0c2a", 32, "3eb968601dd01afc"),
     ("dihedral:16", 4, "826305b2708af123", 32, "f4f2e3750053284b"),
     ("dihedral:24", 4, "ac071fcce90c420a", 48, "bd263f44968a2acf"),
-    ("alternating:5", 10, "302fa7146ef725de", 120, "f8fa1ee6f16c54e8"),
-    ("psl2:4", 10, "3ad0caeb9051c17e", 120, "6fc7a2ffbff3df82"),
-    ("psl2:5", 9, "f7c3643720a73e51", 120, "755dfadbfb6e27e4"),
-    ("psl2:7", 18, "67b3d707f7ec5ad1", 336, "be088a6d0ef08491"),
-    ("psl2:8", 30, "dbcb6475c2278674", 1512, "c07ace3f954e1503"),
-    ("psl2:9", 34, "cfd7b719223528ab", 1440, "6928a971aac01c96"),
-    ("psl2:11", 26, "dbe202a24f2e86b2", 1320, "ff337af390020425"),
-    ("psl2:13", 26, "c746277141f351b6", 2184, "0ba3327839a3b2b3"),
+    ("alternating:5", 5, "1f5063f1762e57d5", 120, "f8fa1ee6f16c54e8"),
+    ("psl2:4", 5, "176e2c222f48f598", 120, "6fc7a2ffbff3df82"),
+    ("psl2:5", 4, "2fb720743e00c1b4", 120, "755dfadbfb6e27e4"),
+    ("psl2:7", 5, "f2bb5cf90553f8ff", 336, "be088a6d0ef08491"),
+    ("psl2:8", 6, "8c7e9731ec269ad9", 1512, "c07ace3f954e1503"),
+    ("psl2:9", 6, "f89abfe76e65ecd6", 1440, "6928a971aac01c96"),
+    ("psl2:11", 6, "07e4c84187e89f33", 1320, "ff337af390020425"),
+    ("psl2:13", 6, "f44626c3fc1d948b", 2184, "0ba3327839a3b2b3"),
 ])
 def test_automorphism_outputs_frozen(ident, n_gens, gens_digest, n_auts, auts_digest):
     G = rb.named_group(ident)
@@ -224,19 +255,6 @@ def test_automorphism_outputs_frozen(ident, n_gens, gens_digest, n_auts, auts_di
     auts = rb.automorphism_group(G)
     assert (len(gens), _maps_digest(gens)) == (n_gens, gens_digest)
     assert (len(auts), _maps_digest(auts)) == (n_auts, auts_digest)
-
-
-@pytest.mark.parametrize("ident", [
-    "cyclic:8", "cyclic:12", "symmetric:3", "dihedral:8", "alternating:4",
-    "dihedral:12", "symmetric:4", "alternating:5", "psl2:4", "psl2:5",
-])
-def test_stabilizer_is_backtracking_fixing_base_point(ident):
-    G = rb.named_group(ident)
-    x, stab = automorphisms._stabilizer_data(G)
-    got = sorted((a.key(), a.inner) for a in stab)
-    want = sorted((a.key(), a.inner) for a in automorphisms._aut_by_backtracking(G)
-                  if a.images[x] == x)
-    assert got == want
 
 
 def test_find_isomorphism_without_base_uses_stored_generators(monkeypatch):

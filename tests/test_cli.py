@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -186,6 +187,16 @@ def test_table2_output_is_unchanged():
     assert digest == "17efb81cbd73d893aadc6b60013bac627360f1816137789633c350075dd6c0bc"
 
 
+def test_classify_splitting_without_base_is_unchanged():
+    # (Z2)^4 has no base, so its automorphisms are searched on all four
+    # stored generators; sha256 recorded when that search listed all
+    # 20,160 automorphisms first
+    proc = run_cli("classify-splitting", "elemabelian:2:4")
+    assert proc.returncode == 0
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "4db773a9d815ff3043acc18e117b714dc3c917a0e5629f364213c91ec94bb999"
+
+
 def test_table2_out_of_scale_row():
     code, payload = run_json("table2", "--q", "59")
     assert code == 0
@@ -264,6 +275,25 @@ def test_permutation_group_past_dense_bound_exits_3(tmp_path):
                              "--cap-order", "50000")
     assert code == 3
     assert payload["kind"] == "resource-cap"
+
+
+def test_permutation_group_without_generators_allocates_nothing_of_its_degree(capsys):
+    # no generators give the trivial group; an identity permutation of
+    # this degree alone would take 381 MiB.  The degree-1 run first loads
+    # what the command imports on first use, which is not traced.
+    def spec(degree):
+        return json.dumps({"permutations": {"degree": degree, "generators": []}})
+    assert cli.main(["factorize", spec(1)]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = cli.main(["factorize", spec(10 ** 8)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["group"]["order"] == 1
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("args", [

@@ -37,6 +37,9 @@ CLASS_DIGESTS = {
     "psl2:7": "f496454f5d393408f2affd5449d478033983835ea00809119372dae4dcab6194",
 }
 
+# re-recorded when the automorphism search became one Schreier search:
+# it keeps other generators of the same Aut(G), so the transforms differ
+# while every class above stays as it was
 TRANSFORM_DIGESTS = {
     "cyclic:2": "efa76e62ffd0e4276316c51e1e0378ecfcc644efd1ad5d8d5161ffaac64fa82e",
     "cyclic:3": "60599a3e26ba863d5e41a1ccbdd87ea0b4906cd96f01a6a279c8a2d35ed08774",
@@ -44,18 +47,18 @@ TRANSFORM_DIGESTS = {
     "cyclic:5": "dde115b063f4ce8545ddd162902ba7579ef3d543f6977e3bd07800f73da7055b",
     "cyclic:6": "80a341c5a278db3a88ab7d1bfc6a2e5d29efa07234b124b77d28efc1268add79",
     "cyclic:7": "6a9af619d79ff68a825ac055b2870d5ea6749f4d52fd919a5f1b7835cc1b8696",
-    "cyclic:8": "ed74bc7e163c4b6bbc6fcf8f683d8ba5d6057b389e3f570979364f82a7edeec2",
-    "elemabelian:2:2": "012801f1b426ccec86108637070a0f238befb4f5b19b75de05d3f07038a67b0a",
+    "cyclic:8": "cf70a3c8b002e4173b524dffb8db6897167080f46fe54d6b3d1e1e5aa36b3ae3",
+    "elemabelian:2:2": "3f22608b76d8b8d6bb7cfbe204367e6e62b750179d263ebd567d8ba0824a507e",
     "abelian:4x2": "bd2acd2497864b0a58eefb577d312f542a5525ea73691085c18c5f89d3c6387e",
-    "elemabelian:2:3": "e31c04694363059f2be6d5e26f005e9a3f2208f6d8606c55f06ae4ddf55e8523",
-    "symmetric:3": "2cbd3ad340c49a8630c7654e0059fbfc05c4cdb8347abe08507a1bef50a86aa8",
-    "dihedral:8": "0252f2d14a6b2c09ab854e3d1c6a56753390f28b14166cbe98c5457d9f4c6e94",
+    "elemabelian:2:3": "1a198a81631278622cc4d08127f6b4c77e5b4451de536bb50dd350f68000b3a5",
+    "symmetric:3": "1b771473451707babedb4e599329c2fabcc6c61acb37bbe88f08a355f5d4b023",
+    "dihedral:8": "30be2a52b28e7bb532da26da8f1dde7d529a5efdc359bffe8e621befd2dd13b6",
     "quaternion:8": "0ea25f0fabe243b62f6edcb34c2c6d68bdfe060a06c55f7d3a30d5e73245ec1d",
-    "dihedral:12": "ade0f7da503858a723d6d0bd234da96586f074e9669eaf99a955297bf5ea0d4f",
-    "alternating:4": "8a4af46a37a13df23df4225a352385c3c3820baecccf3c1bbedcc1c168104496",
+    "dihedral:12": "64d3d21debc64c8e08a275918cd5af23c1c015e1b17f4cdd4438100d512450be",
+    "alternating:4": "ce61733d3f10d47c6d6c84348f1242a9c02aea4c5e673f55575d437314b5766f",
     "dihedral:16": "968c2ad6dd4f732f59a3000c9ba90df8138b6314c571788d6b919d5cb7c5dab6",
     "paper16": "ee8ce71db6006f32c58fc3c67da5ed1a285d7012e9d46992be744f65f02053b1",
-    "psl2:7": "ea31f0047c90ef578ab30b5e3dc5a2fce1f03e8ddaa236c7f90f301a05d54e60",
+    "psl2:7": "6c51fc3207ffc845f4496dc15da4ea12449cf63e853ff93140a97e972ef66a00",
 }
 
 ENDOMORPHISM_DIGESTS = {
