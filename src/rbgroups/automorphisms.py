@@ -16,11 +16,13 @@ A_i, the stabilizer of g_i in A_{i-1}; for each candidate c of g_i
 outside the orbit of g_i under them, the search keeps the first
 automorphism fixing g_1..g_{i-1} and sending g_i to c, so that the kept
 maps then generate A_{i-1}.  At i = 1 the inner automorphisms at G's
-generators count as kept maps too.  The base is a pair (x, y) with
+generators count as kept maps too.  The final orbit of g_i has
+[A_{i-1} : A_i] points, so their product is |Aut(G)|, which
+``automorphism_group`` bounds before it lists the closure
+(``groups._permutation_closure``).  The base is a pair (x, y) with
 <x, y> = G and x in a conjugacy class whose class fingerprint no other
 class shares.  It only picks the search generators (conjugation then
-reaches every candidate of x), and the isomorphism search of a
-nonabelian group with more than two stored generators runs on it too.
+reaches every candidate of x), for the isomorphism search too.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import itertools
 import numpy as np
 
 from .errors import ResourceCapError
-from .groups import _closure_members
+from .groups import _closure_members, _permutation_closure
 from .maps import GroupMap
 
 #: the most Cayley-edge checks an automorphism or isomorphism search may
@@ -158,15 +160,18 @@ def _orbit(point, maps):
 
 
 def _aut_search(G):
-    """(flagged, maps): ``maps`` generate Aut(G), the inner
+    """(flagged, maps, order): ``maps`` generate Aut(G), the inner
     automorphisms at G's generators first and then the maps the search
     of the module docstring keeps, without repeats; ``flagged(images)``
     is the automorphism with those images, flagged inner when some
-    conjugation sends the search generators to the same images."""
+    conjugation sends the search generators to the same images; and
+    ``order`` is |Aut(G)|, the product over the levels of the final
+    orbit sizes (orbit-stabilizer)."""
     gens = _base(G) or G.find_generating_set()
     cands = _candidates(G, G, gens)
     inner = [G.conjugation_map(g) for g in G.find_generating_set()]
     kept = []
+    order = 1
     for i in reversed(range(len(gens))):
         also = [] if i else inner   # inner maps need not fix gens[:i]
         orbit = _orbit(gens[i], kept + also)
@@ -178,6 +183,7 @@ def _aut_search(G):
                 kept.append(img)
                 orbit = _orbit(gens[i], kept + also)
                 break
+        order *= len(orbit)
     conj = [G.conjugate_all(g).tolist() for g in gens]
     inner_images = {tuple(v[t] for v in conj) for t in range(G.order)}
 
@@ -186,26 +192,22 @@ def _aut_search(G):
                         inner=tuple(int(img[g]) for g in gens) in inner_images)
 
     maps = {img.tobytes(): flagged(img) for img in inner + kept}
-    return flagged, list(maps.values())
+    return flagged, list(maps.values()), order
 
 
 def automorphism_group(G):
     """Every automorphism of G as a GroupMap with an ``inner`` flag,
-    sorted by image array."""
-    flagged, gens = _aut_search(G)
-    ident = np.arange(G.order, dtype=np.int64)
-    seen = {ident.tobytes(): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for img in frontier:
-            for a in gens:
-                c = img[a.images]
-                if c.tobytes() not in seen:
-                    seen[c.tobytes()] = c
-                    nxt.append(c)
-        frontier = nxt
-    return [flagged(seen[k]) for k in sorted(seen)]
+    sorted by image array: the closure of ``aut_generators``.  Refused
+    with ResourceCapError, before anything is listed, when the list
+    would hold more than ``NODE_BUDGET`` entries (|Aut(G)|·|G|)."""
+    flagged, gens, order = _aut_search(G)
+    if order * G.order > NODE_BUDGET:
+        raise ResourceCapError(
+            f"{order} automorphisms of a group of order {G.order} exceed "
+            "the node budget")
+    perms = _permutation_closure(np.arange(G.order, dtype=np.int64),
+                                 [a.images for a in gens])[0]
+    return [flagged(p) for p in sorted(perms, key=np.ndarray.tobytes)]
 
 
 def aut_generators(G):
@@ -220,9 +222,7 @@ def find_isomorphism(G, H):
     backtracking; ResourceCapError when the search is refused."""
     if G.order != H.order or G.fingerprint() != H.fingerprint():
         return None
-    gens = G.find_generating_set()
-    if len(gens) > 2 and not G.is_abelian():
-        gens = _base(G) or gens
+    gens = _base(G) or G.find_generating_set()
     cands = _candidates(G, H, gens)
     for _, img in _bijections_by_images(G, H, gens, cands, "isomorphism"):
         return GroupMap(G, H, img)

@@ -26,8 +26,7 @@ from .rb import (is_splitting, make_rb, structure_report, trivial_e, trivial_inv
                  verify_rb)
 from .reports import (RunConfig, emit, group_block, operator_block, to_jsonable,
                       tool_block)
-from .subgroups import (Factorization, all_subgroups, closure,
-                        exact_factorizations, intersection)
+from .subgroups import Factorization, closure, exact_factorizations, intersection
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -206,9 +205,8 @@ def cmd_enumerate(args, cfg):
     return EXIT_OK
 
 
-def _classification_payload(G, ref, cfg):
-    subs = all_subgroups(G)
-    report = enum_mod.classify_splitting(G, subs=subs)
+def _classification_payload(G, ref):
+    report = enum_mod.classify_splitting(G)
     body = report.to_json()
     if ref and ref.startswith("psl2:"):
         q = int(ref.split(":")[1])
@@ -224,7 +222,7 @@ def _classification_payload(G, ref, cfg):
 
 def cmd_classify(args, cfg):
     G, ref = _resolve_group(args.group, cfg)
-    body = _classification_payload(G, ref, cfg)
+    body = _classification_payload(G, ref)
     payload = _envelope("classify-splitting", cfg)
     payload["group"] = group_block(G, ref)
     payload.update(body)
@@ -248,7 +246,7 @@ def cmd_table2(args, cfg):
             worst = max(worst, EXIT_INPUT)
             continue
         try:
-            body = _classification_payload(G, ident, cfg)
+            body = _classification_payload(G, ident)
         except ResourceCapError as exc:
             rows.append({"id": ident, "status": "resource cap",
                          "reason": str(exc)})
@@ -268,8 +266,7 @@ def cmd_table2(args, cfg):
 
 def cmd_obstruct(args, cfg):
     G, ref = _resolve_group(args.group, cfg)
-    subs = all_subgroups(G)
-    report = enum_mod.nonsplitting_obstruction(G, subs=subs)
+    report = enum_mod.nonsplitting_obstruction(G)
     payload = _envelope("obstruct-nonsplitting", cfg)
     payload["group"] = group_block(G, ref)
     payload.update(report.to_json())
@@ -281,8 +278,7 @@ def cmd_factorize(args, cfg):
     if args.detail_cap < 0:
         raise InputFormatError("--detail-cap must be >= 0")
     G, ref = _resolve_group(args.group, cfg)
-    subs = all_subgroups(G)
-    facts = exact_factorizations(G, subs)
+    facts = exact_factorizations(G)
     payload = _envelope("factorize", cfg)
     payload["group"] = group_block(G, ref)
     payload["count"] = len(facts)

@@ -16,7 +16,7 @@ import numpy as np
 from .automorphisms import _homomorphisms_by_images, extend_by_generator_images
 from .catalog import named_group
 from .errors import InputFormatError, PropertyFailure, ResourceCapError
-from .groups import _closure_members
+from .groups import _closure_members, _first_powers
 from .maps import GroupMap
 from .rb import RBOperator, btilde, make_rb, verify_rb
 from .subgroups import (Factorization, Subgroup, all_subgroups, closure,
@@ -167,12 +167,11 @@ def lemma_r2_construct(inst: LemmaR2Instance) -> RBOperator:
     return op
 
 
-def lemma_r2_search(G, subs=None) -> list[LemmaR2Instance]:
+def lemma_r2_search(G) -> list[LemmaR2Instance]:
     """All instances of the construction's hypotheses on G, in a
     deterministic order: the exact factorizations G = H1 K with |K| even,
-    by (|K|, K, H1) in key order, then H and K1 in ``subs`` order."""
-    if subs is None:
-        subs = all_subgroups(G)
+    by (|K|, K, H1) in key order, then H and K1 in lattice order."""
+    subs = all_subgroups(G)
     by_order = {}
     for s in subs:
         by_order.setdefault(s.order, []).append(s)
@@ -218,22 +217,6 @@ class ExtensionData:
         self.ba_images = np.asarray(self.ba_images, dtype=np.int64)
 
 
-def _coset_exponents(G, amask, fs):
-    """(o, f^o) for every f in ``fs`` in one power walk: o >= 1 is the
-    least exponent with f^o in the subgroup whose mask is ``amask``."""
-    fs = np.asarray(fs, dtype=np.int64)
-    expo = np.zeros(fs.size, dtype=np.int64)
-    top = np.zeros(fs.size, dtype=np.int64)
-    cur, k = fs, 1
-    while True:
-        hit = amask[cur] & (expo == 0)
-        expo[hit] = k
-        top[hit] = cur[hit]
-        if expo.all():
-            return expo, top
-        cur, k = G.mul_vec(cur, fs), k + 1
-
-
 class _ExtensionFrame:
     """What the construction needs of (G, A) alone, checked once: ``pos``
     maps parent indices to positions in ``A.members`` (-1 outside A),
@@ -253,7 +236,7 @@ class _ExtensionFrame:
         if not is_normal(G, A):
             raise InputFormatError("A is not normal")
         self.group, self.a, self.pos, self.tab = G, A, pos, tab
-        self.expo, self.tops = _coset_exponents(G, pos >= 0, np.arange(G.order))
+        self.expo, self.tops = _first_powers(G, pos >= 0, np.arange(G.order))
 
 
 def _check_datum(data: ExtensionData, frame: _ExtensionFrame):

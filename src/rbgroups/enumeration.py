@@ -215,12 +215,14 @@ class QTransform:
 def q_transform_generators(G) -> list[QTransform]:
     """Generators of the full equivalence action: each automorphism
     generator phi (fa = fb = phi), the conjugation twist at each group
-    generator x (fa = id, fb = h -> h^x), and the swap (fa = fb = id)."""
+    generator x (fa = id, fb = h -> h^x), and the swap (fa = fb = id);
+    plain ones with fa = fb = id (as in abelian groups) are dropped."""
     ident = np.arange(G.order, dtype=np.int64)
     out = [QTransform("plain", phi.images, phi.images, f"phi{i}")
            for i, phi in enumerate(aut_generators(G))]
     out += [QTransform("plain", ident, G.conjugation_map(x), f"alpha{int(x)}")
             for x in G.find_generating_set()]
+    out = [t for t in out if (t.fa != ident).any() or (t.fb != ident).any()]
     out.append(QTransform("swapped", ident, ident, "swap"))
     return out
 
@@ -245,8 +247,7 @@ def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
     ``ops`` must be closed under the equivalence generators, as the
     output of ``enumerate_rb`` is; a list that is not raises
     InputFormatError.  The distinct graphs are numbered in key order,
-    each transform permutes the stacked graph codes and becomes one id
-    permutation, and
+    ``_id_maps`` turns each transform into one id permutation, and
     ``groups.orbit_labels`` labels every graph with the least id of its
     orbit, whose operator is the class representative.
 
@@ -261,25 +262,20 @@ def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
     by_key = {}
     op_of = {}
     for op in ops:
-        codes = graph_of(op, GG).members
-        key = codes.tobytes()
-        by_key[key] = codes
-        op_of[key] = op
+        graph = graph_of(op, GG)
+        by_key[graph.key()] = graph
+        op_of[graph.key()] = op
     keys = sorted(by_key)
-    index = {k: i for i, k in enumerate(keys)}
-    graphs = np.stack([by_key[k] for k in keys])
-    maps = []
-    for t in q_transform_generators(G):
-        moved = np.sort(t.permutation()[graphs], axis=1)
-        try:
-            maps.append(np.array([index[row.tobytes()] for row in moved]))
-        except KeyError:
-            raise InputFormatError(
-                f"operator list is not closed under the transform {t.label}") from None
+    graphs = [by_key[k] for k in keys]
+    try:
+        maps = _id_maps(graphs, [t.permutation() for t in q_transform_generators(G)])
+    except KeyError:
+        raise InputFormatError(
+            "operator list is not closed under the equivalence transforms") from None
     labels = orbit_labels(len(keys), maps)
     classes = []
     for i in np.flatnonzero(labels == np.arange(len(keys))):
-        rep = rb_from_graph(RBGraph(GG, graphs[i]))
+        rep = rb_from_graph(graphs[i])
         members = np.flatnonzero(labels == i)
         cls = EquivalenceClass(
             representative=rep, size=members.size, splitting=is_splitting(rep),
@@ -338,7 +334,8 @@ class ClassificationReport:
 
 def _id_maps(subs, element_maps):
     """For each element map f, the array p with p[i] the index in
-    ``subs`` of f(subs[i]); ``subs`` must be closed under every f."""
+    ``subs`` of f(subs[i]); ``subs`` (subgroups or graphs, each with
+    sorted ``members``) must be closed under every f, else KeyError."""
     index = {s.key(): i for i, s in enumerate(subs)}
     return [np.array([index[np.sort(f[s.members]).tobytes()] for s in subs])
             for f in element_maps]

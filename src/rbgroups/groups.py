@@ -6,7 +6,9 @@ multiplication table, so orders are bounded by ``MAX_DENSE_ORDER``.
 Permutation generators are only a way to build a table:
 ``from_permutations`` enumerates the closure breadth-first from the
 identity, which pins the element numbering, and refuses a closure past
-the bound before allocating anything.
+the bound before allocating anything.  That closure,
+``_permutation_closure``, also lists Aut(G) from its generators, and
+``_first_powers`` is the one power walk (element orders, coset exponents).
 
 Higher-level algorithms talk to the vector accessors (``row``, ``col``,
 ``mul_block``, ``mul_rows``, ``mul_vec``).  ``ComponentwiseProduct`` is
@@ -105,28 +107,9 @@ class FiniteGroup:
             return cls(name=name, table=np.zeros((1, 1), dtype=np.uint16), gens=())
         dtype = np.min_scalar_type(degree - 1)
         gens = [p.astype(dtype) for p in gens]
-        cap = min(order_cap, MAX_DENSE_ORDER)
         ident = np.arange(degree, dtype=dtype)
-        index = {ident.tobytes(): 0}
-        perms = [ident]
-        parent = [0]
-        via = [-1]
-        queue = 0
-        while queue < len(perms):
-            cur = perms[queue]
-            for gi, p in enumerate(gens):
-                # discover cur∘p (apply the generator first, then cur)
-                new = cur[p]
-                key = new.tobytes()
-                if key not in index:
-                    index[key] = len(perms)
-                    perms.append(new)
-                    parent.append(queue)
-                    via.append(gi)
-                    if len(perms) > cap:
-                        raise ResourceCapError(
-                            f"permutation closure exceeds order cap {cap}")
-            queue += 1
+        perms, parent, via, index = _permutation_closure(
+            ident, gens, cap=min(order_cap, MAX_DENSE_ORDER))
         n = len(perms)
         pm = np.array(perms, dtype=dtype)
         # gen_rows[gi][h] = index of p∘h for the generator p = gens[gi]
@@ -166,10 +149,6 @@ class FiniteGroup:
 
     def order_of(self, g: Element) -> int:
         return int(self.element_orders()[g])
-
-    def conjugate(self, g: Element, x: Element) -> Element:
-        """x^-1 * g * x."""
-        return self.mul(self.mul(self.inv(x), g), x)
 
     def commutator(self, g: Element, h: Element) -> Element:
         """g^-1 * h^-1 * g * h."""
@@ -233,17 +212,8 @@ class FiniteGroup:
 
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
-            n = self.order
-            orders = np.zeros(n, dtype=np.int64)
-            orders[0] = 1
-            cur = np.arange(n)
-            k = 1
-            while (orders == 0).any():
-                k += 1
-                cur = self.mul_vec(cur, np.arange(n))
-                hit = (cur == 0) & (orders == 0)
-                orders[hit] = k
-            self._orders = orders
+            ar = np.arange(self.order)
+            self._orders = _first_powers(self, ar == 0, ar)[0]
         return self._orders
 
     def conjugacy_classes(self):
@@ -379,6 +349,50 @@ def _closure_members(G, gens, bound=None):
             return None
         frontier = new
     return np.nonzero(mask)[0].astype(np.int64)
+
+
+def _first_powers(G, mask, xs):
+    """(o, x^o) for every x in ``xs`` in one power walk: o >= 1 is the
+    least exponent with x^o in the set whose mask is ``mask``, which
+    every x must reach (the identity, or a subgroup)."""
+    xs = np.asarray(xs, dtype=np.int64)
+    expo = np.zeros(xs.size, dtype=np.int64)
+    top = np.zeros(xs.size, dtype=np.int64)
+    cur, k = xs, 1
+    while True:
+        hit = mask[cur] & (expo == 0)
+        expo[hit] = k
+        top[hit] = cur[hit]
+        if expo.all():
+            return expo, top
+        cur, k = G.mul_vec(cur, xs), k + 1
+
+
+def _permutation_closure(ident, gens, cap=None):
+    """The closure of the permutations ``gens`` under p -> p∘g,
+    breadth-first from ``ident`` in generator order.
+
+    Returns (perms, parent, via, index): perms[i] = perms[parent[i]]∘
+    gens[via[i]] for i > 0, and index maps ``tobytes()`` of each
+    permutation to its position.  Raises ResourceCapError as soon as the
+    closure exceeds ``cap``.
+    """
+    index = {ident.tobytes(): 0}
+    perms, parent, via = [ident], [0], [-1]
+    for i, cur in enumerate(perms):     # perms grows as it is walked
+        for gi, p in enumerate(gens):
+            # discover cur∘p (apply the generator first, then cur)
+            new = cur[p]
+            key = new.tobytes()
+            if key not in index:
+                index[key] = len(perms)
+                perms.append(new)
+                parent.append(i)
+                via.append(gi)
+                if cap is not None and len(perms) > cap:
+                    raise ResourceCapError(
+                        f"permutation closure exceeds order cap {cap}")
+    return perms, parent, via, index
 
 
 def _greedy_generators(G, members):

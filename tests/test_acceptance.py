@@ -3,14 +3,12 @@
 Each test covers one acceptance criterion and prints a single
 PASS/FAIL line (visible with ``pytest -v`` as the test outcome, or with
 ``-s`` as an explicit line).  Budgets are asserted where the criterion
-states one.  The psl2:23 classification is long and only runs with
-RBGROUPS_SLOW=1.
+states one.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 import rbgroups as rb
 
@@ -85,7 +83,6 @@ def test_criterion_3_class_names():
     report(3, "subgroup-pair names for q in {7, 8, 11}", f"({elapsed:.0f}s)")
 
 
-@pytest.mark.slow
 def test_criterion_3_class_names_q23():
     t0 = time.monotonic()
     rep = rb.classify_splitting(rb.named_group("psl2:23"))

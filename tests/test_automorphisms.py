@@ -1,6 +1,8 @@
 """Automorphism groups and isomorphism search."""
 
 import hashlib
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +212,25 @@ def test_find_isomorphism_refuses_five_generators():
 def test_find_isomorphism_none_when_distinct():
     assert rb.find_isomorphism(rb.named_group("dihedral:8"),
                                rb.named_group("quaternion:8")) is None
+
+
+def test_automorphism_group_refused_before_listing():
+    # |Aut| is the product of the search's orbit sizes ...
+    for ident in ("cyclic:1", "abelian:4x2", "paper16", "psl2:7"):
+        G = rb.named_group(ident)
+        assert automorphisms._aut_search(G)[2] == len(rb.automorphism_group(G))
+    # ... so GL(3, 5), 1,488,000 maps of 125 entries, is refused unlisted
+    E = rb.named_group("elemabelian:5:3")
+    tracemalloc.start()
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(ResourceCapError, match="1488000 automorphisms"):
+            rb.automorphism_group(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - t0 < 30
+    assert peak < 20 * 2 ** 20
 
 
 def _maps_digest(maps):

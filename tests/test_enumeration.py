@@ -262,6 +262,16 @@ def test_classify_equivalence_refuses_an_open_list():
             rb.classify_equivalence(partial)
 
 
+def test_classify_equivalence_refuses_a_census_missing_one_class_member():
+    G = rb.named_group("dihedral:8")
+    ops = rb.enumerate_rb(G)
+    cls = next(c for c in rb.classify_equivalence(ops) if c.size > 1)
+    drop = next(i for i, op in enumerate(ops)
+                if rb.graph_of(op).key() in cls.graph_keys)
+    with pytest.raises(InputFormatError, match="not closed"):
+        rb.classify_equivalence(ops[:drop] + ops[drop + 1:])
+
+
 def bfs_equivalence_classes(ops):
     """Oracle: each class walked breadth-first on graph code arrays keyed
     by their bytes, starting from its operator with the least key; the

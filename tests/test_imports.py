@@ -10,6 +10,10 @@ import pytest
 import rbgroups
 
 MODULES = sorted(pathlib.Path(rbgroups.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: every Python file that may call into the package
+READERS = sorted(p for d in ("src", "tests", "demos", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -122,3 +126,38 @@ def test_every_private_name_is_read():
     sources = [p.read_text() for p in MODULES]
     assert sum(len(private_definitions(ast.parse(s))) for s in sources) > 0
     assert unread_private_names(sources) == []
+
+
+def unread_methods(package_sources, other_sources):
+    """'Class.method' for every method (dunders aside) defined in a class
+    of ``package_sources`` whose name no source, package or other, reads
+    as an attribute outside the method's own definition."""
+    package = [ast.parse(src) for src in package_sources]
+    trees = package + [ast.parse(src) for src in other_sources]
+    unread = []
+    for cls in (n for tree in package for n in ast.walk(tree)
+                if isinstance(n, ast.ClassDef)):
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or fn.name.startswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(fn)}
+            if not any(isinstance(n, ast.Attribute) and n.attr == fn.name
+                       and id(n) not in inside
+                       for tree in trees for n in ast.walk(tree)):
+                unread.append(f"{cls.name}.{fn.name}")
+    return sorted(unread)
+
+
+def test_unread_methods_are_found():
+    package = ["class A:\n    def __init__(self):\n        self.f()\n\n"
+               "    def f(self):\n        return 1\n\n"
+               "    def g(self):\n        return self.g()\n\n"
+               "    def h(self):\n        return 2\n"]
+    assert unread_methods(package, ["def t(a):\n    return a.h()\n"]) == ["A.g"]
+
+
+def test_every_method_is_read():
+    own = {p.resolve() for p in MODULES}
+    others = [p.read_text() for p in READERS if p not in own]
+    assert unread_methods([p.read_text() for p in MODULES], others) == []

@@ -39,18 +39,19 @@ CLASS_DIGESTS = {
 
 # re-recorded when the automorphism search became one Schreier search:
 # it keeps other generators of the same Aut(G), so the transforms differ
-# while every class above stays as it was
+# while every class above stays as it was; the abelian rows again when
+# plain transforms with fa = fb = id were dropped
 TRANSFORM_DIGESTS = {
-    "cyclic:2": "efa76e62ffd0e4276316c51e1e0378ecfcc644efd1ad5d8d5161ffaac64fa82e",
-    "cyclic:3": "60599a3e26ba863d5e41a1ccbdd87ea0b4906cd96f01a6a279c8a2d35ed08774",
-    "cyclic:4": "e870ca92737350cb199a216876f45652609c99fb831b6419b559d8b874fe3fc7",
-    "cyclic:5": "dde115b063f4ce8545ddd162902ba7579ef3d543f6977e3bd07800f73da7055b",
-    "cyclic:6": "80a341c5a278db3a88ab7d1bfc6a2e5d29efa07234b124b77d28efc1268add79",
-    "cyclic:7": "6a9af619d79ff68a825ac055b2870d5ea6749f4d52fd919a5f1b7835cc1b8696",
-    "cyclic:8": "cf70a3c8b002e4173b524dffb8db6897167080f46fe54d6b3d1e1e5aa36b3ae3",
-    "elemabelian:2:2": "3f22608b76d8b8d6bb7cfbe204367e6e62b750179d263ebd567d8ba0824a507e",
-    "abelian:4x2": "bd2acd2497864b0a58eefb577d312f542a5525ea73691085c18c5f89d3c6387e",
-    "elemabelian:2:3": "1a198a81631278622cc4d08127f6b4c77e5b4451de536bb50dd350f68000b3a5",
+    "cyclic:2": "236c22d89dd9b14f8e660b4d66270f0a65fa7acd6167504762245ed3c8f9d76d",
+    "cyclic:3": "2068de78bc195154fd1ba279b91217330aa345336e1912bc1fbacb6bfed4f66b",
+    "cyclic:4": "357631cca3872d8c3c6225c6a273f224c62096c8b3e7af2b1050bffbea99e773",
+    "cyclic:5": "4903024da515f84d149ce916a85b0232e4fedb4a39b70fdbd5d93c6fea23974f",
+    "cyclic:6": "0b3e43dc8231a00c5c65c0ba50a3ecaddcc74df12475e9b672a16966b0500f82",
+    "cyclic:7": "8c4192c4ecfeefffe6156b8fbde6e11d9f42ae325da4e41980a4655a08fb207e",
+    "cyclic:8": "9406984359aa5b8c8bcbe82c9d8277d5aa92a8fde1069e4085eae4a734ab4a60",
+    "elemabelian:2:2": "5e6ac75673bdab763c48666a76f5d132880e7d52816f26fb2014d030f73bddae",
+    "abelian:4x2": "3cb68475e70c63c03a16e710bf46720cf369e7b524937a19da728bc9b07a9143",
+    "elemabelian:2:3": "aa18f2c436e82d638408927d9422a370a5ddb1350515c7e5de350a30c1c0d407",
     "symmetric:3": "1b771473451707babedb4e599329c2fabcc6c61acb37bbe88f08a355f5d4b023",
     "dihedral:8": "30be2a52b28e7bb532da26da8f1dde7d529a5efdc359bffe8e621befd2dd13b6",
     "quaternion:8": "0ea25f0fabe243b62f6edcb34c2c6d68bdfe060a06c55f7d3a30d5e73245ec1d",
