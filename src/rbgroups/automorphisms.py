@@ -5,9 +5,13 @@ generating set either extends to a unique map (built by breadth-first
 search over the Cayley graph, checking every edge for multiplicativity
 on the way) or conflicts and dies.  Since the search checks all n*k
 edges, a surviving bijection is a genuine isomorphism — no sampling
-involved.  A generator's candidates are the elements of its class
-fingerprint, and an automorphism is flagged inner when some conjugation
-sends the searched generators to the same images.
+involved.  The search order depends only on the group and its
+generators, so one pass (``_extend_batch``) extends a chunk of
+candidates together, ``CHUNK_ENTRIES // n`` of them drawn lazily in
+candidate order, and drops each at its first conflicting edge.  A
+generator's candidates are the elements of its class fingerprint, and
+an automorphism is flagged inner when some conjugation sends the
+searched generators to the same images.
 
 One Schreier search finds Aut(G), on search generators g_1..g_k: the
 base (x, y) of G when it has one, else its stored generators.  Let A_i
@@ -15,9 +19,12 @@ fix g_1..g_i.  Walking i = k down to 1, the maps kept so far generate
 A_i, the stabilizer of g_i in A_{i-1}; for each candidate c of g_i
 outside the orbit of g_i under them, the search keeps the first
 automorphism fixing g_1..g_{i-1} and sending g_i to c, so that the kept
-maps then generate A_{i-1}.  At i = 1 the inner automorphisms at G's
-generators count as kept maps too.  The final orbit of g_i has
-[A_{i-1} : A_i] points, so their product is |Aut(G)|, which
+maps then generate A_{i-1}.  Each level streams its (c, later images)
+choices through the chunked pass, skipping a c once it joins the orbit,
+so the kept maps are those a one-candidate-at-a-time walk keeps.  At
+i = 1 the inner automorphisms at G's generators count as kept maps
+too.  The final orbit of g_i has [A_{i-1} : A_i] points, so their
+product is |Aut(G)|, which
 ``automorphism_group`` bounds before it lists the closure
 (``groups._permutation_closure``).  The base is a pair (x, y) with
 <x, y> = G and x in a conjugacy class whose class fingerprint no other
@@ -38,33 +45,57 @@ from .maps import GroupMap
 #: the most Cayley-edge checks an automorphism or isomorphism search may
 #: plan before it starts; a larger search is refused
 NODE_BUDGET = 10 ** 8
+#: the image-table entries (rows x |G|) of one batched extension pass:
+#: candidates are extended ``CHUNK_ENTRIES // |G|`` rows at a time
+CHUNK_ENTRIES = 2 ** 16
+
+
+def _extend_batch(G, H, srcs, rows):
+    """(idx, images): the positions of the rows of ``rows`` (one image in
+    H per entry of ``srcs``, which must generate G) that extend to a map
+    G -> H, ascending, and the image array of each such map.
+
+    One breadth-first search over the Cayley graph serves every row: its
+    frontier and ``seen`` mask depend only on G and ``srcs``.  Each step
+    takes one generator s over the frontier and sets, or checks, the
+    image of x s in every live row with one gather; a row dies at its
+    first conflicting edge, and the pass stops once every row is dead.
+    Every edge is checked for every surviving row, so a survivor is a
+    full homomorphism.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(srcs))
+    idx = np.arange(len(rows))
+    img = np.zeros((G.order, len(rows)), dtype=np.int64)   # img[x, row]
+    seen = np.zeros(G.order, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size and idx.size:
+        nxt = []
+        for k, s in enumerate(srcs):
+            gs = G.col(int(s))[frontier]
+            new = ~seen[gs]
+            seen[gs] = True
+            hs = H.mul_vec(img[frontier], rows[idx, k])
+            img[gs[new]] = hs[new]
+            ok = (img[gs] == hs).all(axis=0)
+            if not ok.all():
+                idx, img = idx[ok], img[:, ok]
+            nxt.append(gs[new])
+        frontier = np.concatenate(nxt) if nxt else frontier[:0]
+    if not seen.all():
+        idx, img = idx[:0], img[:, :0]
+    return idx, np.ascontiguousarray(img.T)
 
 
 def extend_by_generator_images(G, H, srcs, imgs):
     """The unique map G -> H with the given generator images, or None.
 
     ``srcs`` must generate G.  Every Cayley edge is checked, so a
-    non-None result is a full homomorphism (bijective or not).
+    non-None result is a full homomorphism (bijective or not).  This is
+    ``_extend_batch`` on one row.
     """
-    n = G.order
-    img = np.full(n, -1, dtype=np.int64)
-    img[0] = 0
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        nxt = []
-        for s, si in zip(srcs, imgs):
-            gs = G.col(int(s))[frontier]
-            hs = H.col(int(si))[img[frontier]]
-            unseen = img[gs] == -1
-            img[gs[unseen]] = hs[unseen]
-            if (img[gs] != hs).any():
-                return None
-            nxt.append(gs[unseen])
-        frontier = np.unique(np.concatenate(nxt)) if nxt else np.empty(0, np.int64)
-        frontier = frontier[img[frontier] != -1]  # guard: all were assigned
-    if (img == -1).any():
-        return None
-    return img
+    idx, img = _extend_batch(G, H, srcs, [imgs])
+    return img[0] if idx.size else None
 
 
 def class_fingerprints(G):
@@ -113,12 +144,9 @@ def _base(G):
     return None
 
 
-def _homomorphisms_by_images(G, H, gens, cand_lists, what):
-    """Yield (choice, images) for every homomorphism G -> H that sends
-    ``gens`` to ``choice``, with ``choice`` running over the product of
-    ``cand_lists`` in order.  Before searching, refuses more than 4
-    generators and a candidate space whose edge checks would exceed
-    ``NODE_BUDGET``."""
+def _refuse(G, gens, cand_lists, what):
+    """Raise ResourceCapError for a search over more than 4 generators,
+    or one whose candidate space would pass ``NODE_BUDGET`` edge checks."""
     if len(gens) > 4:
         raise ResourceCapError(f"more than 4 generators; {what} search refused")
     total = 1
@@ -126,10 +154,27 @@ def _homomorphisms_by_images(G, H, gens, cand_lists, what):
         total *= max(1, len(c))
     if total * G.order * len(gens) > NODE_BUDGET:
         raise ResourceCapError(f"{what} search exceeds the node budget")
-    for choice in itertools.product(*cand_lists):
-        img = extend_by_generator_images(G, H, gens, choice)
-        if img is not None:
-            yield choice, img
+
+
+def _extensions(G, H, gens, choices):
+    """Yield (choice, images) for every tuple of ``choices`` that sends
+    ``gens`` to a homomorphism G -> H, in order.  ``choices`` is drawn
+    lazily, a chunk of ``CHUNK_ENTRIES // |G|`` tuples at a time, and the
+    next chunk only once every result of the last one has been taken."""
+    choices = iter(choices)
+    size = max(1, CHUNK_ENTRIES // G.order)
+    while chunk := list(itertools.islice(choices, size)):
+        idx, imgs = _extend_batch(G, H, gens, chunk)
+        for j, img in zip(idx, imgs):
+            yield chunk[j], img
+
+
+def _homomorphisms_by_images(G, H, gens, cand_lists, what):
+    """Yield (choice, images) for every homomorphism G -> H that sends
+    ``gens`` to ``choice``, with ``choice`` running over the product of
+    ``cand_lists`` in order.  Refused by ``_refuse`` before searching."""
+    _refuse(G, gens, cand_lists, what)
+    yield from _extensions(G, H, gens, itertools.product(*cand_lists))
 
 
 def _candidates(G, H, gens):
@@ -159,6 +204,22 @@ def _orbit(point, maps):
     return orbit
 
 
+def _level_choices(G, gens, cands, i, orbit):
+    """The image tuples that level i of the search extends: gens[:i]
+    pinned to themselves, each candidate c of gens[i] outside ``orbit``
+    (read as it grows), then every choice for the later generators.
+    Refused, once some c lies outside the orbit, as
+    ``_homomorphisms_by_images`` refuses the pinned candidate lists of
+    that c (their refusal does not depend on c)."""
+    if any(c not in orbit for c in cands[i]):
+        _refuse(G, gens, [[g] for g in gens[:i + 1]] + cands[i + 1:], "automorphism")
+    for c in cands[i]:
+        for tail in itertools.product(*cands[i + 1:]):
+            if c in orbit:
+                break
+            yield (*gens[:i], c, *tail)
+
+
 def _aut_search(G):
     """(flagged, maps, order): ``maps`` generate Aut(G), the inner
     automorphisms at G's generators first and then the maps the search
@@ -175,14 +236,13 @@ def _aut_search(G):
     for i in reversed(range(len(gens))):
         also = [] if i else inner   # inner maps need not fix gens[:i]
         orbit = _orbit(gens[i], kept + also)
-        for c in cands[i]:
-            if c in orbit:
+        choices = _level_choices(G, gens, cands, i, orbit)
+        for choice, img in _extensions(G, G, gens, choices):
+            # the first bijection for each c that is still outside the orbit
+            if choice[i] in orbit or np.unique(img).size != G.order:
                 continue
-            pinned = [[g] for g in gens[:i]] + [[c]] + cands[i + 1:]
-            for _, img in _bijections_by_images(G, G, gens, pinned, "automorphism"):
-                kept.append(img)
-                orbit = _orbit(gens[i], kept + also)
-                break
+            kept.append(img)
+            orbit |= _orbit(gens[i], kept + also)
         order *= len(orbit)
     conj = [G.conjugate_all(g).tolist() for g in gens]
     inner_images = {tuple(v[t] for v in conj) for t in range(G.order)}
@@ -205,8 +265,10 @@ def automorphism_group(G):
         raise ResourceCapError(
             f"{order} automorphisms of a group of order {G.order} exceed "
             "the node budget")
-    perms = _permutation_closure(np.arange(G.order, dtype=np.int64),
-                                 [a.images for a in gens])[0]
+    # uint16 holds every element index (orders are at most 10240), and
+    # sorting its tobytes() keys gives the order of the int64 ones
+    perms = _permutation_closure(np.arange(G.order, dtype=np.uint16),
+                                 [a.images.astype(np.uint16) for a in gens])[0]
     return [flagged(p) for p in sorted(perms, key=np.ndarray.tobytes)]
 
 

@@ -223,7 +223,10 @@ class _ExtensionFrame:
     ``tab = pos[A*A]`` is A's positional table, and ``expo[f]``,
     ``tops[f]`` are the coset exponent o of every f and f^o.  Closure
     and commutativity are read off ``tab``; raises unless A is a normal
-    abelian subgroup."""
+    abelian subgroup.  ``powers[j, p]`` is the position of the j-th
+    power of ``A.members[p]`` for j = 0..|G|/|A|.  The transversal of
+    each f (``cells``) and the homomorphism law of each BA
+    (``is_endomorphism``) are worked out once and kept."""
 
     def __init__(self, G, A):
         pos = np.full(G.order, -1, dtype=np.int64)
@@ -237,6 +240,34 @@ class _ExtensionFrame:
             raise InputFormatError("A is not normal")
         self.group, self.a, self.pos, self.tab = G, A, pos, tab
         self.expo, self.tops = _first_powers(G, pos >= 0, np.arange(G.order))
+        powers = [np.zeros(A.order, dtype=np.int64)]
+        for _ in range(G.order // A.order):
+            powers.append(tab[powers[-1], np.arange(A.order)])
+        self.powers = np.array(powers)
+        self._cells, self._endos = {}, {}
+
+    def cells(self, f):
+        """The cells f^j a (j < o, a in A) of f's transversal, with o the
+        coset exponent of f, as an o x |A| block checked once to cover G."""
+        if f not in self._cells:
+            G = self.group
+            fj = [0]
+            for _ in range(int(self.expo[f]) - 1):
+                fj.append(G.mul(fj[-1], f))
+            cells = G.mul_block(fj, self.a.members)
+            if np.unique(cells).size != G.order:
+                raise InputFormatError("transversal failed to decompose every element")
+            self._cells[f] = cells
+        return self._cells[f]
+
+    def is_endomorphism(self, ba):
+        """Whether the positional array ``ba`` (entries in 0..|A|-1) obeys
+        the homomorphism law on every pair of A's positional table."""
+        key = ba.astype(np.int64, copy=False).tobytes()
+        if key not in self._endos:
+            tab = self.tab
+            self._endos[key] = bool((ba[tab] == tab[ba[:, None], ba]).all())
+        return self._endos[key]
 
 
 def _check_datum(data: ExtensionData, frame: _ExtensionFrame):
@@ -257,8 +288,7 @@ def _check_datum(data: ExtensionData, frame: _ExtensionFrame):
     o = int(frame.expo[f])
     if o * A.order != G.order:
         raise InputFormatError("A and f do not generate the group")
-    tab = frame.tab
-    if not (ba[tab] == tab[ba[:, None], ba]).all():
+    if not frame.is_endomorphism(ba):
         raise InputFormatError("BA is not a homomorphism of A")
     return o
 
@@ -280,19 +310,13 @@ def extension_construct(data: ExtensionData):
         frame = _ExtensionFrame(G, A)
     o = _check_datum(data, frame)
     ba_parent = A.members[data.ba_images]
-    # one power walk: f^j and B(f)^j for j = 0..o
-    fj, bfj = [0], [0]
-    for _ in range(o):
-        fj.append(G.mul(fj[-1], f))
-        bfj.append(G.mul(bfj[-1], bf))
+    bfj = A.members[frame.powers[:, frame.pos[bf]]]     # B(f)^j, j = 0..o
     # well-definedness across the wrap-around f^o ∈ A
     if ba_parent[frame.pos[frame.tops[f]]] != bfj[o]:
         raise InputFormatError("BA(f^o) differs from B(f)^o; "
                                "the map is not well defined")
-    images = np.full(G.order, -1, dtype=np.int64)
-    images[G.mul_block(fj[:o], A.members)] = G.mul_block(bfj[:o], ba_parent)
-    if (images < 0).any():
-        raise InputFormatError("transversal failed to decompose every element")
+    images = np.empty(G.order, dtype=np.int64)
+    images[frame.cells(f)] = G.mul_block(bfj[:o], ba_parent)
     candidate = GroupMap(G, G, images)
     is_rb = verify_rb(G, images).ok
     u = np.unique(G.mul_vec(G.inverse, images[G.inverse]))

@@ -32,3 +32,33 @@ def _relabelled(ident):
 @pytest.fixture
 def relabelled():
     return _relabelled
+
+
+def _extend_one(G, H, srcs, imgs):
+    """The unique map G -> H with the given generator images, or None:
+    one breadth-first search over the Cayley graph for one candidate,
+    checking every edge.  Kept as the independent oracle of the batched
+    image search ``automorphisms._extend_batch``."""
+    n = G.order
+    img = np.full(n, -1, dtype=np.int64)
+    img[0] = 0
+    frontier = np.array([0], dtype=np.int64)
+    while frontier.size:
+        nxt = []
+        for s, si in zip(srcs, imgs):
+            gs = G.col(int(s))[frontier]
+            hs = H.col(int(si))[img[frontier]]
+            unseen = img[gs] == -1
+            img[gs[unseen]] = hs[unseen]
+            if (img[gs] != hs).any():
+                return None
+            nxt.append(gs[unseen])
+        frontier = np.unique(np.concatenate(nxt)) if nxt else np.empty(0, np.int64)
+    if (img == -1).any():
+        return None
+    return img
+
+
+@pytest.fixture
+def extend_one():
+    return _extend_one

@@ -1,6 +1,7 @@
 """Automorphism groups and isomorphism search."""
 
 import hashlib
+import itertools
 import time
 import tracemalloc
 
@@ -89,24 +90,80 @@ def test_automorphism_group_matches_backtracking(ident, relabelled):
     assert got == want
 
 
-# extend_by_generator_images calls of aut_generators, at most as many as
-# the listing of every automorphism fixing the base point made
+# candidate rows aut_generators hands the batched image search, at most
+# as many as the listing of every automorphism fixing the base point made
 @pytest.mark.parametrize("ident,most", [
     ("psl2:7", 48), ("psl2:13", 168), ("psl2:23", 528),
     ("elemabelian:2:3", 343), ("paper16", 32),
 ])
 def test_aut_generators_extension_count(ident, most, monkeypatch):
     G = rb.named_group(ident)
-    calls = []
-    real = automorphisms.extend_by_generator_images
+    rows = []
+    real = automorphisms._extend_batch
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(G, H, srcs, chunk):
+        rows.extend(chunk)
+        return real(G, H, srcs, chunk)
 
-    monkeypatch.setattr(automorphisms, "extend_by_generator_images", spy)
+    monkeypatch.setattr(automorphisms, "_extend_batch", spy)
     rb.aut_generators(G)
-    assert len(calls) <= most
+    assert 0 < len(rows) <= most
+
+
+def _oracle_rows(extend_one, G, H, srcs, rows):
+    """(position, images) of each row the one-candidate oracle extends."""
+    got = [(j, extend_one(G, H, srcs, r)) for j, r in enumerate(rows)]
+    return [(j, img) for j, img in got if img is not None]
+
+
+# (G, H): homomorphisms into another group, onto a relabelled copy, and
+# endomorphisms; the rows mix random images with images of real maps
+@pytest.mark.parametrize("g_id,h_id", [
+    ("symmetric:4", "symmetric:3"), ("symmetric:4", "cyclic:2"),
+    ("cyclic:6", "cyclic:3"), ("dihedral:8", "dihedral:8"),
+    ("abelian:4x2", "abelian:4x2"), ("psl2:7", "psl2:7~3"),
+    ("paper16", "paper16~5"), ("alternating:5", "psl2:4"),
+])
+def test_extend_batch_matches_one_candidate_oracle(g_id, h_id, relabelled, extend_one):
+    G, H = relabelled(g_id), relabelled(h_id)
+    srcs = G.find_generating_set()
+    rng = np.random.default_rng(7)
+    rows = [tuple(int(x) for x in rng.integers(0, H.order, size=len(srcs)))
+            for _ in range(200)]
+    rows += [(0,) * len(srcs)]
+    phi = rb.find_isomorphism(G, H)
+    if phi is not None:
+        rows += [tuple(phi(s) for s in srcs)]
+        rows += [tuple(phi(int(G.conjugation_map(t)[s])) for s in srcs)
+                 for t in range(1, 6)]
+    for chunk in (rows, rows[::-1], rows[:1]):
+        idx, imgs = automorphisms._extend_batch(G, H, srcs, chunk)
+        want = _oracle_rows(extend_one, G, H, srcs, chunk)
+        assert idx.tolist() == [j for j, _ in want]
+        assert all(np.array_equal(a, b) for a, (_, b) in zip(imgs, want))
+    assert any(extend_one(G, H, srcs, r) is not None for r in rows)
+
+
+def test_extend_batch_srcs_that_do_not_generate():
+    G = rb.named_group("symmetric:3")
+    idx, imgs = automorphisms._extend_batch(G, G, (1,), [(0,), (1,)])
+    assert idx.size == 0 and imgs.shape == (0, 6)
+
+
+@pytest.mark.parametrize("ident", ["psl2:13", "psl2:23"])
+def test_homomorphism_stream_longer_than_one_chunk(ident, extend_one):
+    # x pinned, every candidate for y: more rows than one chunk holds,
+    # yielded in product order, as the oracle finds them one by one
+    G = rb.named_group(ident)
+    x, y = automorphisms._base(G)
+    cands = [[x], automorphisms._candidates(G, G, (x, y))[1]]
+    assert len(cands[1]) > automorphisms.CHUNK_ENTRIES // G.order
+    got = list(automorphisms._homomorphisms_by_images(G, G, (x, y), cands, "test"))
+    want = [(c, img) for c in itertools.product(*cands)
+            if (img := extend_one(G, G, (x, y), c)) is not None]
+    assert [c for c, _ in got] == [c for c, _ in want]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+    assert len(got) > 1
 
 
 @pytest.mark.parametrize("ident,aut_order", [
@@ -207,6 +264,49 @@ def test_find_isomorphism_refuses_five_generators():
     E = rb.named_group("elemabelian:2:5")
     with pytest.raises(ResourceCapError):
         rb.find_isomorphism(E, E)
+
+
+@pytest.mark.parametrize("call,what", [
+    (rb.aut_generators, "automorphism"),
+    (rb.automorphism_group, "automorphism"),
+    (lambda E: rb.find_isomorphism(E, E), "isomorphism"),
+])
+def test_five_generator_refusal_message(call, what):
+    E = rb.named_group("elemabelian:2:5")
+    with pytest.raises(ResourceCapError) as err:
+        call(E)
+    assert str(err.value) == f"more than 4 generators; {what} search refused"
+
+
+def test_node_budget_refusal_message(monkeypatch):
+    G = rb.named_group("psl2:7")
+    monkeypatch.setattr(automorphisms, "NODE_BUDGET", 1)
+    with pytest.raises(ResourceCapError) as err:
+        rb.aut_generators(G)
+    assert str(err.value) == "automorphism search exceeds the node budget"
+    with pytest.raises(ResourceCapError) as err:
+        rb.find_isomorphism(G, G)
+    assert str(err.value) == "isomorphism search exceeds the node budget"
+
+
+def test_level_inside_the_orbit_is_not_refused(monkeypatch):
+    # psl2:7's base point x is moved through its whole class by the inner
+    # maps, so the level of x searches nothing: a budget that its pinned
+    # lists would exceed is not checked there, only at the level of y
+    G = rb.named_group("psl2:7")
+    gens = automorphisms._base(G)
+    x = gens[0]
+    cands = automorphisms._candidates(G, G, gens)
+    assert set(cands[0]) <= {int(c) for c in G.conjugate_all(x)}
+    want = [(a.key(), a.inner) for a in rb.aut_generators(G)]
+    level_y = G.order * len(gens)      # one choice per candidate of y
+    monkeypatch.setattr(automorphisms, "NODE_BUDGET", level_y)
+    with pytest.raises(ResourceCapError, match="node budget"):
+        automorphisms._refuse(G, gens, [[x]] + cands[1:], "automorphism")
+    assert [(a.key(), a.inner) for a in rb.aut_generators(G)] == want
+    monkeypatch.setattr(automorphisms, "NODE_BUDGET", level_y - 1)
+    with pytest.raises(ResourceCapError, match="node budget"):
+        rb.aut_generators(G)
 
 
 def test_find_isomorphism_none_when_distinct():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import rbgroups as rb
-from rbgroups.automorphisms import extend_by_generator_images
 from rbgroups.constructions import (ExtensionData, LemmaR2Instance,
                                     _endomorphism_images)
 from rbgroups.errors import InputFormatError, PropertyFailure, ResourceCapError
@@ -257,8 +256,9 @@ def test_extension_search_refuses_endomorphism_search_past_budget():
 
 
 @pytest.mark.parametrize("ident", ["cyclic:16", "abelian:4x2", "paper16"])
-def test_endomorphisms_match_full_generating_set(ident):
-    # reference: generator images tried over every recorded generator
+def test_endomorphisms_match_full_generating_set(ident, extend_one):
+    # reference: generator images tried over every recorded generator,
+    # each extended on its own by the one-candidate oracle
     G = rb.named_group(ident)
     for A in rb.all_subgroups(G):
         Agrp, _ = A.as_group(validate=False)
@@ -270,7 +270,7 @@ def test_endomorphisms_match_full_generating_set(ident):
                   if orders[int(g)] % orders[x] == 0] for g in gens]
         full = set()
         for choice in itertools.product(*cands):
-            img = extend_by_generator_images(Agrp, Agrp, gens, choice)
+            img = extend_one(Agrp, Agrp, gens, choice)
             if img is not None:
                 full.add(tuple(int(x) for x in img))
         pruned = [tuple(int(x) for x in img)
