@@ -6,6 +6,12 @@ G x G; subgroups of order |G| whose difference map (a,b) -> b a^-1 is a
 bijection are exactly the graphs of operators.  Equivalence acts through
 two side maps of G, plain (g, h) -> (fa(g), fb(h)) or swapped.
 
+The census reads every graph off G's own lattice.  With C = Im B,
+A = Im B~, M = ker B~ and N = ker B, Goursat's lemma gives
+H_B = {(c, a) : psi(cM) = aN} for an isomorphism psi: C/M -> A/N, of
+order r = |A ∩ C| as A C = G.  The obstruction scan looks for the same
+(A, C, N, M) data; ``_Lattice`` serves both.
+
 Splitting operators have product graphs L x H coming from exact
 factorizations, and every equivalence transform preserves productness,
 so the classification walks orbits of subgroup *pairs* instead of raw
@@ -20,7 +26,8 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .automorphisms import aut_generators
+from .automorphisms import (CHUNK_ENTRIES, NODE_BUDGET, aut_generators,
+                            automorphism_group, find_isomorphism)
 from .constructions import splitting_from_exact
 from .errors import (GraphConditionError, InputFormatError, PropertyFailure,
                      ResourceCapError)
@@ -28,9 +35,8 @@ from .groups import ProductGroup, direct_square, orbit_labels
 from .naming import structure_name
 from .rb import (RBOperator, btilde, derived_group, im_bbt, image, is_splitting,
                  make_rb, verify_rb)
-from .subgroups import (Factorization, all_subgroups, divisors,
-                        exact_factorizations, is_normal, is_simple,
-                        unchecked_quotient)
+from .subgroups import (Factorization, all_subgroups, exact_factorizations,
+                        is_normal, is_simple, unchecked_quotient)
 
 BRUTE_CAP = 24
 BRUTE_ROWS = 1 << 22
@@ -63,58 +69,134 @@ def graph_of(B: RBOperator, product: ProductGroup | None = None) -> RBGraph:
     return RBGraph(GG, GG.pair(a, b))
 
 
-def _codes_to_images(G, GG, codes):
-    """B-image array from graph codes, or a GraphConditionError."""
-    if codes.size != G.order:
+def rb_from_graph(H: RBGraph) -> RBOperator:
+    """The unique operator with the graph ``H``; GraphConditionError for
+    subgroups whose size or difference map disqualifies them."""
+    G = H.product.left
+    if H.members.size != G.order:
         raise GraphConditionError("size: |H| must equal |G|")
-    a, b = GG.unpair(codes)
-    diffs = G.mul_vec(b, G.inverse[a])
+    a, b = H.product.unpair(H.members)
     images = np.full(G.order, -1, dtype=np.int64)
-    images[diffs] = a
+    images[G.mul_vec(b, G.inverse[a])] = a
     if (images < 0).any():
         raise GraphConditionError("differences: (a,b) -> ba^-1 is not a bijection")
-    return images
-
-
-def rb_from_graph(H: RBGraph) -> RBOperator:
-    """The unique operator with the graph ``H``; rejects subgroups whose
-    size or difference map disqualifies them."""
-    G = H.product.left
-    images = _codes_to_images(G, H.product, H.members)
     op = make_rb(G, images)
     op.provenance["recipe"] = {"kind": "from-graph"}
     return op
 
 
-def enumerate_rb(G, cap=ENUM_CAP) -> list[RBOperator]:
-    """Every operator on G, through the graph-subgroup search.
+class _Lattice:
+    """Rows over the subgroup list ``subs``, named by id: intersection
+    orders, covering rows, kernel lists and quotients, the last two
+    built once each."""
 
-    The lattice walk inside G x G keeps only subgroups with pairwise
-    distinct differences b a^-1 — every subgroup of a qualifying graph
-    has that property, so pruning on it loses nothing and collapses the
-    search space.  Conjugating by (x, x) maps b a^-1 to x^-1 b a^-1 x,
-    so the walk may run on classes under the diagonal subgroup.
+    def __init__(self, G, subs):
+        self.G, self.subs = G, subs
+        self.orders = np.array([s.order for s in subs], dtype=np.int64)
+        self._members = np.concatenate([s.members for s in subs])
+        self._starts = np.cumsum(self.orders) - self.orders
+        self._kernels = {}
+        self._quotients = {}
+
+    def inter_orders(self, a):
+        """|subs[a] ∩ C| for every C."""
+        return np.add.reduceat(self.subs[a].mask()[self._members],
+                               self._starts, dtype=np.int64)
+
+    def covering_row(self, a):
+        """Ids C with A C = G, in ascending order, and their |A ∩ C|."""
+        inter = self.inter_orders(a)
+        cs = np.flatnonzero(self.orders[a] * self.orders == self.G.order * inter)
+        return cs, inter[cs]
+
+    def kernels(self, big, r):
+        """Ids of the normal subgroups of index r in subs[big], ascending."""
+        if (big, r) not in self._kernels:
+            orders = self.orders
+            mask = (orders * r == orders[big]) & (self.inter_orders(big) == orders)
+            self._kernels[big, r] = [i for i in np.flatnonzero(mask).tolist()
+                                     if is_normal(self.G, self.subs[i],
+                                                  within=self.subs[big])]
+        return self._kernels[big, r]
+
+    def quotient(self, big, small):
+        """(Q, proj, Q.fingerprint()) for subs[big] / subs[small], a
+        kernel of subs[big]; proj is over subs[big].members."""
+        if (big, small) not in self._quotients:
+            Q, proj = unchecked_quotient(self.subs[big], self.subs[small])
+            self._quotients[big, small] = (Q, proj, Q.fingerprint())
+        return self._quotients[big, small]
+
+
+def enumerate_rb(G, cap=ENUM_CAP) -> list[RBOperator]:
+    """Every operator on G, read off G's lattice (module docstring).
+
+    For every covering pair (A, C) and kernels N of A and M of C of
+    index r with N ∩ M = 1 (else M x N repeats a difference), each
+    quotient is mapped by phi to one representative Q of its class
+    (fingerprint, then ``find_isomorphism``), and psi runs over
+    phi_A^-1 alpha phi_C for alpha in Aut(Q).  Its graph is kept when
+    the n differences s(psi(cM)) x c^-1 (c in C, x in N, s(aN) in aN)
+    are distinct.  Each operator has one such datum, so is found once.
+
+    Refused with ResourceCapError above order ``cap``, and before the
+    first trial when the trials, |Aut(Q)|·n entries per (N, M), pass
+    ``NODE_BUDGET``; planned in ascending r, they are refused before a
+    large quotient's Aut(Q) is listed.
     """
     n = G.order
     if n > cap:
         raise ResourceCapError(f"enumerate_rb cap {cap} exceeded (order {n})")
-    GG = direct_square(G)
-    inv = G.inverse
+    lat = _Lattice(G, all_subgroups(G))
+    subs = lat.subs
+    reps = {}       # fingerprint -> [[Q, Aut(Q) images or None], ...]
+    to_rep = {}     # (big, small) -> (representative, phi images)
 
-    def distinct_diffs(codes):
-        a, b = GG.unpair(codes)
-        d = G.mul_vec(b, inv[a])
-        return np.unique(d).size == codes.size
+    def iso_rep(big, small):
+        if (big, small) not in to_rep:
+            Q, _, fp = lat.quotient(big, small)
+            for rep in reps.setdefault(fp, []):
+                if (phi := find_isomorphism(Q, rep[0])) is not None:
+                    to_rep[big, small] = rep, phi.images
+                    break
+            else:
+                reps[fp].append(rep := [Q, None])
+                to_rep[big, small] = rep, np.arange(Q.order)
+        return to_rep[big, small]
 
-    diagonal = [GG.pair(g, g) for g in G.find_generating_set()]
-    subs = all_subgroups(GG, allowed_orders=divisors(n), prune=distinct_diffs,
-                         conjugators=diagonal)
+    planned = 0
+    trials = []
+    for r, a, c in sorted((int(r), a, int(c)) for a in range(len(subs))
+                          for c, r in zip(*lat.covering_row(a))):
+        for ni in lat.kernels(a, r):
+            meets = subs[ni].mask()
+            for mi in lat.kernels(c, r):
+                if np.count_nonzero(meets[subs[mi].members]) > 1:
+                    continue
+                (rep, phi_a), (rep_c, phi_c) = iso_rep(a, ni), iso_rep(c, mi)
+                if rep is not rep_c:
+                    continue
+                if rep[1] is None:
+                    rep[1] = np.array([f.images for f in automorphism_group(rep[0])])
+                planned += len(rep[1]) * n
+                if planned > NODE_BUDGET:
+                    raise ResourceCapError("enumerate_rb: the isomorphism trials exceed the "
+                                           f"node budget (order {n}, quotients of order {r})")
+                trials.append((rep[1], phi_a, phi_c, a, c, ni, mi))
     ops = []
-    for S in subs:
-        if S.order != n:
-            continue
-        images = _codes_to_images(G, GG, S.members)
-        ops.append(make_rb(G, images))
+    rows = max(1, CHUNK_ENTRIES // n)
+    for auts, phi_a, phi_c, a, c, ni, mi in trials:
+        C, N = subs[c], subs[ni]
+        to_a = np.empty(phi_a.size, dtype=np.int64)     # Q -> s(aN)
+        to_a[phi_a[lat.quotient(a, ni)[1]]] = subs[a].members
+        at_c = phi_c[lat.quotient(c, mi)[1]]            # c -> phi_C(cM)
+        diff = G.mul_block(N.members, G.inverse[C.members]).T   # x c^-1
+        value = np.repeat(C.members, N.order)           # B(x c^-1) = c
+        for start in range(0, len(auts), rows):
+            D = G.mul_vec(to_a[auts[start:start + rows][:, at_c]][:, :, None],
+                          diff).reshape(-1, n)
+            ok = (np.sort(D, axis=1) == np.arange(n)).all(axis=1)
+            ops += [make_rb(G, value[np.argsort(row)]) for row in D[ok]]
     ops.sort(key=lambda o: o.key())
     return ops
 
@@ -469,26 +551,22 @@ def _class_labels(G, subs):
 def nonsplitting_obstruction(G, *, subs=None) -> ObstructionReport:
     """Necessary-condition filter for non-splitting operators.
 
-    A non-splitting operator forces an ordered pair (A, C) of subgroups
-    (A = Im(B~), C = Im(B)) with A C = G and R = A ∩ C of order r > 1,
-    together with N = ker(B) ⊴ A and M = ker(B~) ⊴ C, both of index r,
-    with isomorphic quotients.  For simple non-abelian G the kernel on
-    the A side is additionally proper and nontrivial (strict mode).  An
-    empty survivor list proves nonexistence; survivors are candidates
-    only, never existence proofs.
+    A non-splitting operator has Goursat data (module docstring) with
+    r > 1: N ⊴ A and M ⊴ C of index r with isomorphic quotients, and,
+    for simple non-abelian G, a nontrivial N (strict mode).  An empty
+    survivor list proves nonexistence; survivors are candidates only,
+    never existence proofs.
 
     The scan runs on conjugacy classes of subgroups; ``subs`` must be
-    closed under conjugation (InputFormatError otherwise).  N and M are
-    chosen independently, conjugation carries normal subgroups of index
-    r to normal subgroups of index r, and the quotient fingerprints are
-    isomorphism invariants, so a pair's verdict depends only on
+    closed under conjugation (InputFormatError otherwise).  Conjugation
+    keeps kernels of index r and quotient fingerprints, and N and M are
+    chosen independently, so a pair's verdict depends only on
     (class(A), class(C), r); it is decided once, on class
     representatives, with kernel candidates in ascending subgroup id.
-    A runs over class representatives only.  Their rows of intersection
-    orders are summed over the concatenated member lists, so nothing of
-    size S x S or S x |G| is built, and each pair is weighted by
-    |class(A)|.  Every count is that of the scan over all ordered pairs,
-    and ``pairs_scanned`` still reports S^2.  Survivors are listed in
+    A runs over class representatives only, each pair weighted by
+    |class(A)|, and nothing of size S x S or S x |G| is built.  Every
+    count is that of the scan over all ordered pairs, and
+    ``pairs_scanned`` still reports S^2.  Survivors are listed in
     row-major order of (A, C) ids, from the recomputed rows of every A
     whose class has one, since r may differ among the C of one order.
     """
@@ -499,54 +577,21 @@ def nonsplitting_obstruction(G, *, subs=None) -> ObstructionReport:
     S = len(subs)
     labels = _class_labels(G, subs)
     class_size = np.bincount(labels, minlength=S)
-    orders = np.array([s.order for s in subs], dtype=np.int64)
-    members = np.concatenate([s.members for s in subs])
-    starts = np.cumsum(orders) - orders
-
-    def inter_orders(a):
-        """|subs[a] ∩ C| for every C."""
-        return np.add.reduceat(subs[a].mask()[members], starts, dtype=np.int64)
-
-    def covering_row(a):
-        """Ids C with A C = G, in ascending order, and their |A ∩ C|."""
-        inter = inter_orders(a)
-        cs = np.flatnonzero(orders[a] * orders == n * inter)
-        return cs, inter[cs]
-
-    qfp_cache = {}
-    kernel_cache = {}
-
-    def quotient_fp(big_idx, small_idx):
-        key = (big_idx, small_idx)
-        if key not in qfp_cache:
-            Q, _ = unchecked_quotient(subs[big_idx], subs[small_idx])
-            qfp_cache[key] = Q.fingerprint()
-        return qfp_cache[key]
-
-    def kernels(big_idx, r, proper=False):
-        """Ids of the normal subgroups of index r in subs[big_idx]."""
-        key = (big_idx, r, proper)
-        if key not in kernel_cache:
-            big_ord = orders[big_idx]
-            mask = (orders * r == big_ord) & (inter_orders(big_idx) == orders)
-            if proper:
-                mask &= (orders > 1) & (orders < big_ord)
-            kernel_cache[key] = [i for i in np.flatnonzero(mask).tolist()
-                                 if is_normal(G, subs[i], within=subs[big_idx])]
-        return kernel_cache[key]
+    lat = _Lattice(G, subs)
+    orders = lat.orders
 
     def verdict(a_idx, c_idx, r):
         """None for a surviving pair, else the reason it is eliminated;
         both ids are class representatives."""
         if r <= 1:
             return "intersection trivial (splitting regime)"
-        n_cands = kernels(a_idx, r, proper=strict)
+        n_cands = [i for i in lat.kernels(a_idx, r) if not strict or orders[i] > 1]
         if not n_cands:
             return "no admissible kernel on the A side"
-        m_cands = kernels(c_idx, r)
+        m_cands = lat.kernels(c_idx, r)
         if not m_cands:
             return "no admissible kernel on the C side"
-        if any(quotient_fp(a_idx, ni) == quotient_fp(c_idx, mi)
+        if any(lat.quotient(a_idx, ni)[2] == lat.quotient(c_idx, mi)[2]
                for ni in n_cands for mi in m_cands):
             return None
         return "no isomorphic quotient pair"
@@ -555,7 +600,7 @@ def nonsplitting_obstruction(G, *, subs=None) -> ObstructionReport:
     reasons = {}
     covering = 0
     for a_idx in np.flatnonzero(labels == np.arange(S)).tolist():
-        cs, rs = covering_row(a_idx)
+        cs, rs = lat.covering_row(a_idx)
         weight = int(class_size[a_idx])
         covering += weight * cs.size
         pairs, counts = np.unique(np.stack([labels[cs], rs], axis=1),
@@ -569,7 +614,7 @@ def nonsplitting_obstruction(G, *, subs=None) -> ObstructionReport:
     survivors = []
     for a_idx in np.flatnonzero(np.isin(labels, list(surviving))).tolist():
         a_ord = int(orders[a_idx])
-        cs, rs = covering_row(a_idx)
+        cs, rs = lat.covering_row(a_idx)
         a_rep = int(labels[a_idx])
         for c_idx, r in zip(cs.tolist(), rs.tolist()):
             if verdicts[a_rep, int(labels[c_idx]), r] is None:

@@ -24,9 +24,7 @@ normalizer of <x>; this relies on perfect subgroups being 2-generated,
 see the docstring of ``_perfect_seed_subgroups``.
 
 The walk runs on classes: each new subgroup is registered with its
-orbit under conjugation (by default its conjugacy class) and only the
-first member of the orbit is extended, so a ``prune`` predicate must
-give the same answer on conjugate subgroups.
+conjugacy class and only the first member of the class is extended.
 """
 
 from __future__ import annotations
@@ -50,8 +48,8 @@ SIMPLE_ORDERS = (60, 168, 360, 504, 660, 1092, 2448, 2520, 3420, 4080,
 #: the next nonabelian simple order, |PSL(2, 29)|
 NEXT_SIMPLE_ORDER = 12180
 #: most subgroups ``all_subgroups`` registers before it refuses the group
-#: with ResourceCapError, about 600 MB of them; the alternating:6 census
-#: registers 643,759 subgroups of A6 x A6, and (Z2)^9 has 8,283,458
+#: with ResourceCapError, about 600 MB of them; (Z2)^9 has 8,283,458
+#: subgroups, and psl2:23 5,915
 LATTICE_CAP = 1 << 20
 
 
@@ -70,8 +68,7 @@ def _factorint(n):
 
 
 def divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 class Subgroup:
@@ -242,9 +239,9 @@ def _cyclic_class_labels(G):
     return np.array(labels, dtype=np.int64)
 
 
-def _perfect_seed_subgroups(G, ok_orders):
-    """Perfect subgroups whose order lies in ``ok_orders`` (excluding the
-    trivial one).
+def _perfect_seed_subgroups(G):
+    """Perfect subgroups of G, excluding the trivial one, up to
+    conjugacy.
 
     Every perfect subgroup lies in the perfect core P, which is itself
     perfect and is recorded whole.  A proper one has an order m that
@@ -276,8 +273,8 @@ def _perfect_seed_subgroups(G, ok_orders):
     core = _perfect_core(G)
     if core.order == 1:
         return []
-    seeds = [core] if core.order in ok_orders else []
-    proper = [m for m in ok_orders if core.order % m == 0 and 2 * m <= core.order]
+    seeds = [core]
+    proper = [m for m in divisors(core.order) if 2 * m <= core.order]
     if max(proper, default=0) >= NEXT_SIMPLE_ORDER:
         raise ResourceCapError(
             f"a perfect subgroup of order up to {max(proper)} may lie past "
@@ -307,36 +304,21 @@ def _perfect_seed_subgroups(G, ok_orders):
     return seeds
 
 
-def all_subgroups(G, *, allowed_orders=None, prune=None, conjugators=None):
+def all_subgroups(G):
     """Every subgroup, each exactly once, ordered by (order, member tuple).
 
-    ``allowed_orders`` restricts which orders may appear at all (used by
-    the operator-graph search, where only divisors of a target order can
-    occur); a subgroup whose order is not allowed is dropped with its
-    whole extension subtree, so only perfect seeds of allowed orders are
-    sought.  ``prune`` is an optional predicate on
-    member arrays — a subgroup failing it is dropped in the same way,
-    which is sound whenever the property is inherited by subgroups.
-
-    A new subgroup is registered with its orbit under conjugation by
-    ``conjugators`` (default: G's generators, giving conjugacy classes)
-    and only it is extended, as an extension of a conjugate is a
-    conjugate of an extension; ``prune`` must be invariant under these
-    conjugations.  Each conjugator's permutation of G is computed once
-    per call.  Each extension <S, t> is built once: every t' in it
-    outside S gives <S, t'> = <S, t>.  Only the recorded ``gens`` depend
-    on which member of a class is found first.  A group with more than
+    A new subgroup is registered with its conjugacy class and only it
+    is extended, as an extension of a conjugate is a conjugate of an
+    extension.  Each generator's conjugation map is computed once per
+    call.  Each extension <S, t> is built once: every t' in it outside S
+    gives <S, t'> = <S, t>.  Only the recorded ``gens`` depend on which
+    member of a class is found first.  A group with more than
     ``LATTICE_CAP`` subgroups to register is refused with
     ResourceCapError.
     """
     n = G.order
-    ok_orders = set(divisors(n))
-    if allowed_orders is not None:
-        ok_orders &= set(int(a) for a in allowed_orders)
-    if conjugators is None:
-        conjugators = G.find_generating_set()
-    # a central conjugator fixes every subgroup
-    conj_maps = [m for m in map(G.conjugation_map, conjugators)
+    # a central generator fixes every subgroup
+    conj_maps = [m for m in map(G.conjugation_map, G.find_generating_set())
                  if (m != np.arange(n)).any()]
 
     found = {}
@@ -350,8 +332,7 @@ def all_subgroups(G, *, allowed_orders=None, prune=None, conjugators=None):
 
     def register(members, gens):
         key = members.tobytes()
-        if members.size not in ok_orders or key in found \
-                or (prune is not None and not prune(members)):
+        if key in found:
             return
         sub = Subgroup(G, members, gens)
         add(key, sub)
@@ -368,15 +349,15 @@ def all_subgroups(G, *, allowed_orders=None, prune=None, conjugators=None):
                     orbit.append(C)
 
     register(np.array([0], dtype=np.int64), ())
-    if max(ok_orders, default=0) >= SIMPLE_ORDERS[0]:
-        for seed in _perfect_seed_subgroups(G, ok_orders):
+    if n >= SIMPLE_ORDERS[0]:
+        for seed in _perfect_seed_subgroups(G):
             register(seed.members, seed.gens)
 
     primes = list(_factorint(n))
     while queue:
         S = queue.popleft()
         k = S.order
-        usable = [p for p in primes if p * k in ok_orders]
+        usable = [p for p in primes if n % (p * k) == 0]
         if not usable:
             continue
         nm = normalizer_mask(G, S)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -262,6 +263,18 @@ def test_factorize_past_the_default_lattice_cap_exits_3():
     code, payload = run_json("factorize", "elemabelian:2:9")
     assert code == 3
     assert payload["error"] == "subgroup lattice cap 1048576 exceeded (order 512)"
+
+
+def test_enumerate_past_the_node_budget_exits_3():
+    # (Z2)^5 has 2^25 operators; the census is refused while it plans its
+    # isomorphism trials, before the first one runs
+    t0 = time.monotonic()
+    code, payload = run_json("enumerate", "elemabelian:2:5", "--cap", "32")
+    assert code == 3
+    assert payload["kind"] == "resource-cap"
+    assert payload["error"].startswith(
+        "enumerate_rb: the isomorphism trials exceed the node budget")
+    assert time.monotonic() - t0 < 30
 
 
 def test_permutation_group_past_dense_bound_exits_3(tmp_path):

@@ -93,14 +93,13 @@ def test_column_search_matches_map_filter(ident, relabelled):
 
 
 # operator counts of the catalog groups of order 9-24 that both engines
-# reach, three of them also relabelled; elemabelian:2:4's graph census
-# alone takes about 50 s
+# reach, three of them also relabelled; elemabelian:2:4 takes about 5 s
 ABOVE_MAP_FILTER = [
     ("cyclic:9", 9), ("cyclic:12", 12), ("dihedral:12", 80), ("alternating:4", 18),
     ("paper16", 352), ("dihedral:16", 136), ("abelian:2x2x4", 1024),
     ("dihedral:24", 288), ("symmetric:4", 100),
     ("paper16~5", 352), ("dihedral:24~1", 288), ("symmetric:4~4", 100),
-    pytest.param("elemabelian:2:4", 65536, marks=pytest.mark.slow)]
+    ("elemabelian:2:4", 65536)]
 
 
 @pytest.mark.parametrize("ident,count", ABOVE_MAP_FILTER)
@@ -380,9 +379,8 @@ def test_classify_splitting_small_groups(idx):
 
 @pytest.mark.parametrize("ident,operators,s", [
     ("alternating:5", 62, 1), ("psl2:7", 562, 2),
-    # under a minute each, at about 700 and 550 MB peak
-    pytest.param("alternating:6", 2, 0, marks=pytest.mark.slow),
-    pytest.param("psl2:8", 506, 1, marks=pytest.mark.slow)])
+    # a few seconds together, most of it psl2:8's class invariants
+    ("alternating:6", 2, 0), ("psl2:8", 506, 1)])
 def test_census_agrees_with_pair_route_on_simple_groups(ident, operators, s):
     # the census sees no non-splitting operator, as the obstruction scan
     # proves, and as many nontrivial splitting classes as the pair route
@@ -393,6 +391,49 @@ def test_census_agrees_with_pair_route_on_simple_groups(ident, operators, s):
     assert all(c.splitting for c in classes)
     nontrivial = [c for c in classes if c.image_names[0] != "1"]
     assert len(nontrivial) == rb.classify_splitting(G).s == s
+
+
+def test_psl2_11_census_agrees_with_pair_route():
+    # about 5 s: 3,170 operators, all splitting, in the two trivial
+    # classes and three nontrivial ones
+    G = rb.named_group("psl2:11")
+    ops = rb.enumerate_rb(G, cap=G.order)
+    assert len(ops) == 3170
+    classes = rb.classify_equivalence(ops, verify_invariants=False)
+    assert all(c.splitting for c in classes)
+    nontrivial = [c for c in classes if c.image_names[0] != "1"]
+    assert len(nontrivial) == rb.classify_splitting(G).s == 3
+
+
+def _nonsplitting_triples(G):
+    """(|Im B~|, |Im B|, r) of every non-splitting operator on G."""
+    triples = set()
+    for op in rb.enumerate_rb(G, cap=G.order):
+        if not rb.is_splitting(op):
+            a = rb.image(rb.btilde(op))
+            c = rb.image(op)
+            r = np.intersect1d(a.members, c.members).size
+            triples.add((a.order, c.order, r))
+    return triples
+
+
+@pytest.mark.parametrize("ident,found,survivors", [
+    ("symmetric:5", 6, 7), ("paper16", 7, 10)])
+def test_census_nonsplitting_data_survive_the_obstruction_scan(ident, found, survivors):
+    # the scan's necessary conditions hold for every operator the census finds
+    G = rb.named_group(ident)
+    scan = {(s["a_order"], s["c_order"], s["r"])
+            for s in rb.nonsplitting_obstruction(G).survivors}
+    got = _nonsplitting_triples(G)
+    assert got <= scan
+    assert (len(got), len(scan)) == (found, survivors)
+
+
+@pytest.mark.parametrize("ident", ["psl2:7", "alternating:5", "psl2:11"])
+def test_census_has_no_nonsplitting_operator_where_the_scan_has_no_survivor(ident):
+    G = rb.named_group(ident)
+    assert rb.nonsplitting_obstruction(G).survivors == []
+    assert _nonsplitting_triples(G) == set()
 
 
 def test_classify_splitting_images_s3():

@@ -78,32 +78,6 @@ def test_lattice_orders_divide():
         assert G.order % sub.order == 0
 
 
-def test_all_subgroups_max_order():
-    # a cut at order 8 keeps exactly the subgroups of order <= 8
-    G = rb.named_group("symmetric:4")
-    subs = rb.all_subgroups(G, allowed_orders=range(1, 9))
-    assert [s.key() for s in subs] == \
-        [s.key() for s in rb.all_subgroups(G) if s.order <= 8]
-
-
-@pytest.mark.parametrize("cut", [40, 60])
-def test_all_subgroups_order_cut_seeds_perfect_subgroups(cut):
-    # perfect seeds are sought up to the largest allowed order: A5, which
-    # no prime step reaches, is found exactly when 60 is allowed
-    G = rb.named_group("symmetric:5")
-    subs = rb.all_subgroups(G, allowed_orders=range(1, cut + 1))
-    assert [s.key() for s in subs] == \
-        [s.key() for s in rb.all_subgroups(G) if s.order <= cut]
-    assert ("A5" in {rb.structure_name(s) for s in subs if s.order == 60}) \
-        == (cut >= 60)
-
-
-def test_allowed_orders_filter():
-    G = rb.named_group("symmetric:4")
-    subs = rb.all_subgroups(G, allowed_orders={1, 2, 3, 4, 6, 8, 12, 24})
-    assert len(subs) == 30  # every divisor allowed: same as the full lattice
-
-
 @pytest.mark.parametrize("ident,normal_count", [
     ("symmetric:3", 3),       # 1, A3, S3
     ("dihedral:8", 6),
@@ -577,15 +551,18 @@ def test_sieved_seeds_match_blind_scan(name, relabelled):
     # both seed sets, closed under conjugation, are every nontrivial
     # perfect subgroup
     G = adversarial_group(name) if name in ADVERSARIAL else relabelled(name)
-    sieved = sg._perfect_seed_subgroups(G, set(sg.divisors(G.order)))
+    sieved = sg._perfect_seed_subgroups(G)
     blind = blind_seed_scan(G, G.order)
     assert conjugation_closure(G, sieved).keys() == \
         conjugation_closure(G, blind).keys()
 
 
-@pytest.mark.parametrize("ident", ["dihedral:8", "paper16"])
-def test_enumerate_rb_matches_per_subgroup_walk(ident):
-    G = rb.named_group(ident)
+# the census reads graphs off G's own lattice; this oracle searches the
+# lattice of G x G for them, keeping subgroups with distinct differences
+@pytest.mark.parametrize("ident", ["dihedral:8", "paper16", "elemabelian:2:3",
+                                   "quaternion:8", "alternating:4", "paper16~2"])
+def test_enumerate_rb_matches_per_subgroup_walk(ident, relabelled):
+    G = relabelled(ident)
     n = G.order
     GG = rb.direct_square(G)
 
