@@ -19,13 +19,12 @@ from .constructions import (ExtensionData, LemmaR2Instance, extension_construct,
                             lemma_r2_search, lift_from_factor, paper16_fixture,
                             splitting_from_exact)
 from .enumeration import (ClassificationReport, EquivalenceClass, QTransform,
-                          RBGraph, brute_force_rb, classify_equivalence,
-                          classify_splitting, enumerate_rb, graph_of,
-                          nonsplitting_obstruction, psl2_expected_s,
-                          q_transform_generators, rb_from_graph)
-from .errors import (GraphConditionError, InputFormatError, OutOfScaleError,
-                     PropertyFailure, RBGroupsError, ResourceCapError)
-from .groups import ComponentwiseProduct, FiniteGroup, ProductGroup, direct_square
+                          brute_force_rb, classify_equivalence, classify_splitting,
+                          enumerate_rb, graph_key, nonsplitting_obstruction,
+                          psl2_expected_s, q_transform_generators)
+from .errors import (InputFormatError, OutOfScaleError, PropertyFailure,
+                     RBGroupsError, ResourceCapError)
+from .groups import FiniteGroup
 from .maps import GroupMap, identity_map, inner_automorphism
 from .naming import abelian_invariants, structure_name
 from .rb import (RBOperator, RBStructureReport, SuiteVerdict, VerifyResult,

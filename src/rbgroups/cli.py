@@ -19,8 +19,7 @@ import numpy as np
 from . import constructions as cons
 from . import enumeration as enum_mod
 from .catalog import group_from_json
-from .errors import (GraphConditionError, InputFormatError, OutOfScaleError,
-                     PropertyFailure, ResourceCapError)
+from .errors import InputFormatError, OutOfScaleError, PropertyFailure, ResourceCapError
 from .maps import GroupMap
 from .rb import (is_splitting, make_rb, structure_report, trivial_e, trivial_inv,
                  verify_rb)
@@ -374,7 +373,7 @@ def main(argv=None):
     except ResourceCapError as exc:
         payload, code = {"command": args.command, "error": str(exc),
                          "kind": "resource-cap"}, EXIT_CAP
-    except (PropertyFailure, GraphConditionError) as exc:
+    except PropertyFailure as exc:
         payload, code = {"command": args.command, "error": str(exc),
                          "kind": "semantic"}, EXIT_NEGATIVE
     try:

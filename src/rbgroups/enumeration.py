@@ -1,10 +1,12 @@
-"""Graph form, exhaustive enumeration, equivalence orbits, splitting
-classification, and the non-splitting obstruction filter.
+"""Exhaustive enumeration, equivalence orbits, splitting classification,
+and the non-splitting obstruction filter.
 
 An operator B corresponds to its graph H_B = {(B(g), g B(g))} inside
 G x G; subgroups of order |G| whose difference map (a,b) -> b a^-1 is a
-bijection are exactly the graphs of operators.  Equivalence acts through
-two side maps of G, plain (g, h) -> (fa(g), fb(h)) or swapped.
+bijection are exactly the graphs of operators.  No G x G group is built:
+equivalence acts through two side maps of G, plain (g, h) ->
+(fa(g), fb(h)) or swapped, on each operator's pairs, and a graph is
+named by its sorted pair codes (``graph_key``).
 
 The census reads every graph off G's own lattice.  With C = Im B,
 A = Im B~, M = ker B~ and N = ker B, Goursat's lemma gives
@@ -29,9 +31,8 @@ import numpy as np
 from .automorphisms import (CHUNK_ENTRIES, NODE_BUDGET, aut_generators,
                             automorphism_group, find_isomorphism)
 from .constructions import splitting_from_exact
-from .errors import (GraphConditionError, InputFormatError, PropertyFailure,
-                     ResourceCapError)
-from .groups import ProductGroup, direct_square, orbit_labels
+from .errors import InputFormatError, PropertyFailure, ResourceCapError
+from .groups import orbit_labels
 from .naming import structure_name
 from .rb import (RBOperator, btilde, derived_group, im_bbt, image, is_splitting,
                  make_rb, verify_rb)
@@ -43,46 +44,12 @@ BRUTE_ROWS = 1 << 22
 ENUM_CAP = 16
 
 
-@dataclass
-class RBGraph:
-    """The graph of an operator as sorted pair codes in G x G."""
-
-    product: ProductGroup
-    members: np.ndarray
-
-    def __post_init__(self):
-        self.members = np.sort(np.asarray(self.members, dtype=np.int64))
-
-    def key(self):
-        return self.members.tobytes()
-
-
-def graph_of(B: RBOperator, product: ProductGroup | None = None) -> RBGraph:
-    """H_B = {(B(g), g B(g))}; GraphConditionError unless it is a
-    subgroup of G x G, that is, unless ``verify_rb`` passes B."""
-    G = B.group
-    if not verify_rb(G, B).ok:
-        raise GraphConditionError("graph is not closed under products")
-    GG = product if product is not None else direct_square(G)
-    a = B.images
-    b = G.mul_vec(np.arange(G.order), a)
-    return RBGraph(GG, GG.pair(a, b))
-
-
-def rb_from_graph(H: RBGraph) -> RBOperator:
-    """The unique operator with the graph ``H``; GraphConditionError for
-    subgroups whose size or difference map disqualifies them."""
-    G = H.product.left
-    if H.members.size != G.order:
-        raise GraphConditionError("size: |H| must equal |G|")
-    a, b = H.product.unpair(H.members)
-    images = np.full(G.order, -1, dtype=np.int64)
-    images[G.mul_vec(b, G.inverse[a])] = a
-    if (images < 0).any():
-        raise GraphConditionError("differences: (a,b) -> ba^-1 is not a bijection")
-    op = make_rb(G, images)
-    op.provenance["recipe"] = {"kind": "from-graph"}
-    return op
+def graph_key(op: RBOperator) -> bytes:
+    """The class identity of ``op``: its graph H_B = {(B(g), g B(g))}
+    as the sorted codes B(g)·|G| + g B(g), in bytes."""
+    G = op.group
+    a = op.images
+    return np.sort(a * G.order + G.mul_vec(np.arange(G.order), a)).tobytes()
 
 
 class _Lattice:
@@ -273,8 +240,8 @@ def brute_force_rb(G) -> list[RBOperator]:
 
 @dataclass
 class QTransform:
-    """One generator of the equivalence action on graphs, given by two
-    side maps of G (image arrays):
+    """One generator of the equivalence action, given by two side maps
+    of G (image arrays) acting on the pairs (g, h) of a graph:
 
     plain:   (g, h) -> (fa(g), fb(h))
     swapped: (g, h) -> (fb(h), fa(g))
@@ -284,14 +251,6 @@ class QTransform:
     fa: np.ndarray
     fb: np.ndarray
     label: str
-
-    def permutation(self):
-        """p[c] is the code of the image of the pair with code c, coded
-        pair(g, h) = g*|G| + h as in ``direct_square``."""
-        n = self.fa.size
-        if self.kind == "plain":
-            return np.add.outer(self.fa * n, self.fb).ravel()
-        return np.add.outer(self.fa, self.fb * n).ravel()
 
 
 def q_transform_generators(G) -> list[QTransform]:
@@ -326,12 +285,15 @@ def _image_names_of(op: RBOperator):
 def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
     """Partition a closed list of operators into equivalence classes.
 
-    ``ops`` must be closed under the equivalence generators, as the
-    output of ``enumerate_rb`` is; a list that is not raises
-    InputFormatError.  The distinct graphs are numbered in key order,
-    ``_id_maps`` turns each transform into one id permutation, and
-    ``groups.orbit_labels`` labels every graph with the least id of its
-    orbit, whose operator is the class representative.
+    Every operator must pass ``verify_rb`` (PropertyFailure
+    "rb-identity" otherwise), and ``ops`` must be closed under the
+    equivalence generators, as the output of ``enumerate_rb`` is; a list
+    that is not raises InputFormatError.  The distinct operators are
+    numbered in ``graph_key`` order.  A transform sends each pair
+    (a, b) = (B(g), g B(g)) to (a', b'), and the image operator is
+    B'(b' a'^-1) = a'; this is done for all image arrays at once, and
+    ``groups.orbit_labels`` labels every operator with the least id of
+    its orbit, the class representative.
 
     With ``verify_invariants`` the class invariants (splitting flag,
     derived-group fingerprint, |Im(B B~)|) are checked constant over the
@@ -340,51 +302,54 @@ def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
     if not ops:
         return []
     G = ops[0].group
-    GG = direct_square(G)
-    by_key = {}
-    op_of = {}
     for op in ops:
-        graph = graph_of(op, GG)
-        by_key[graph.key()] = graph
-        op_of[graph.key()] = op
+        res = verify_rb(G, op)
+        if not res.ok:
+            raise PropertyFailure("rb-identity", witness=res.witness)
+    by_key = {graph_key(op): op for op in ops}
     keys = sorted(by_key)
-    graphs = [by_key[k] for k in keys]
-    try:
-        maps = _id_maps(graphs, [t.permutation() for t in q_transform_generators(G)])
-    except KeyError:
-        raise InputFormatError(
-            "operator list is not closed under the equivalence transforms") from None
-    labels = orbit_labels(len(keys), maps)
+    ops = [by_key[k] for k in keys]
+    index = {op.key(): i for i, op in enumerate(ops)}
+    a = np.array([op.images for op in ops])
+    b = G.mul_vec(np.arange(G.order), a)
+    rows = np.arange(len(ops))[:, None]
+    maps = []
+    for t in q_transform_generators(G):
+        a2, b2 = (t.fa[a], t.fb[b]) if t.kind == "plain" else (t.fb[b], t.fa[a])
+        moved = np.full_like(a, -1)
+        moved[rows, G.mul_vec(b2, G.inverse[a2])] = a2
+        try:
+            maps.append(np.array([index[row.tobytes()] for row in moved]))
+        except KeyError:
+            raise InputFormatError(
+                "operator list is not closed under the equivalence transforms") from None
+    labels = orbit_labels(len(ops), maps)
     classes = []
-    for i in np.flatnonzero(labels == np.arange(len(keys))):
-        rep = rb_from_graph(graphs[i])
+    for i in np.flatnonzero(labels == np.arange(len(ops))):
+        rep = ops[i]
         members = np.flatnonzero(labels == i)
         cls = EquivalenceClass(
             representative=rep, size=members.size, splitting=is_splitting(rep),
             image_names=_image_names_of(rep),
             graph_keys=frozenset(keys[j] for j in members))
         if verify_invariants:
-            _check_orbit_invariants(cls, op_of)
+            _check_orbit_invariants([(keys[j], ops[j]) for j in members])
         classes.append(cls)
     classes.sort(key=lambda c: c.representative.key())
     return classes
 
 
-def _check_orbit_invariants(cls: EquivalenceClass, op_of):
-    """GG-lemma class invariants, recomputed member by member on the
-    given operators (``op_of`` maps graph key to operator); each
-    operator has passed ``graph_of``'s check."""
-    ref_split = None
-    ref_fp = None
-    ref_bbt = None
-    for k in sorted(cls.graph_keys):
-        member = op_of[k]
-        split = is_splitting(member)
-        fp = derived_group(member, validate=False).fingerprint()
-        bbt = int(im_bbt(member).size)
-        if ref_split is None:
-            ref_split, ref_fp, ref_bbt = split, fp, bbt
-        elif (split, fp, bbt) != (ref_split, ref_fp, ref_bbt):
+def _check_orbit_invariants(members):
+    """GG-lemma class invariants, recomputed member by member on one
+    class's (graph key, operator) pairs in key order; the witness of a
+    break is the key of the first member that differs."""
+    ref = None
+    for k, member in members:
+        got = (is_splitting(member), derived_group(member, validate=False).fingerprint(),
+               int(im_bbt(member).size))
+        if ref is None:
+            ref = got
+        elif got != ref:
             raise PropertyFailure("orbit-invariant-broken", witness=k)
 
 
@@ -416,8 +381,8 @@ class ClassificationReport:
 
 def _id_maps(subs, element_maps):
     """For each element map f, the array p with p[i] the index in
-    ``subs`` of f(subs[i]); ``subs`` (subgroups or graphs, each with
-    sorted ``members``) must be closed under every f, else KeyError."""
+    ``subs`` of f(subs[i]); ``subs`` (subgroups, each with sorted
+    ``members``) must be closed under every f, else KeyError."""
     index = {s.key(): i for i, s in enumerate(subs)}
     return [np.array([index[np.sort(f[s.members]).tobytes()] for s in subs])
             for f in element_maps]

@@ -33,14 +33,6 @@ class OutOfScaleError(ResourceCapError):
         return entry
 
 
-class GraphConditionError(RBGroupsError):
-    """A candidate graph subgroup fails the operator-graph conditions."""
-
-    def __init__(self, reason):
-        self.reason = reason
-        super().__init__(reason)
-
-
 class PropertyFailure(RBGroupsError):
     """A proposition clause that should hold was violated.
 

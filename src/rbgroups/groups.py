@@ -11,9 +11,7 @@ the bound before allocating anything.  That closure,
 ``_first_powers`` is the one power walk (element orders, coset exponents).
 
 Higher-level algorithms talk to the vector accessors (``row``, ``col``,
-``mul_block``, ``mul_rows``, ``mul_vec``).  ``ComponentwiseProduct`` is
-the one group without a table: it multiplies in its two factors, and
-``direct_square`` chooses it, once, when G x G is too large for a table.
+``mul_block``, ``mul_rows``, ``mul_vec``).
 """
 
 from __future__ import annotations
@@ -31,19 +29,17 @@ Element = int
 DENSE_CAP_BYTES = 200 * 1024 * 1024
 #: the largest order whose uint16 table fits DENSE_CAP_BYTES (10240)
 MAX_DENSE_ORDER = math.isqrt(DENSE_CAP_BYTES // 2)
-#: the largest direct product ``ProductGroup`` builds
-PAIR_CAP = 10_000_000
 
 
 class FiniteGroup:
     """A finite group with elements 0..n-1, identity 0."""
 
-    def __init__(self, *, name, table, gens=(), inverse=None):
+    def __init__(self, *, name, table, gens=()):
         self.name = name
         self._table = table
         self.gens = tuple(int(g) for g in gens)
         # g^-1 is the column of the identity in row g
-        self.inverse = np.argmin(table, axis=1) if inverse is None else inverse
+        self.inverse = np.argmin(table, axis=1)
         self.order = int(self.inverse.size)
         self._orders = None
         self._classes = None
@@ -420,91 +416,3 @@ def orbit_labels(size, maps):
         if np.array_equal(label, prev):
             return label
 
-
-class ProductGroup(FiniteGroup):
-    """Direct product with pair encoding pair(a, b) = a * |right| + b,
-    carrying its full Cayley table."""
-
-    def __init__(self, left, right):
-        n = left.order * right.order
-        if n > PAIR_CAP:
-            raise ResourceCapError(
-                f"product order {n} exceeds the pair cap {PAIR_CAP}")
-        self.left = left
-        self.right = right
-        nr = right.order
-        super().__init__(
-            name=f"{left.name} x {right.name}", table=self._product_table(),
-            gens=tuple(int(g) * nr for g in left.find_generating_set())
-            + tuple(int(g) for g in right.find_generating_set()),
-            inverse=np.add.outer(left.inverse * nr, right.inverse).ravel())
-
-    def _product_table(self):
-        nl, nr = self.left.order, self.right.order
-        n = nl * nr
-        if n > MAX_DENSE_ORDER:
-            raise ResourceCapError(
-                f"product order {n} exceeds the dense table bound {MAX_DENSE_ORDER}")
-        tl = self.left.mul_block(np.arange(nl), np.arange(nl))
-        tr = self.right.mul_block(np.arange(nr), np.arange(nr))
-        big = (tl[:, None, :, None] * nr + tr[None, :, None, :]).reshape(n, n)
-        return big.astype(np.uint16)
-
-    def pair(self, a: Element, b: Element) -> Element:
-        return a * self.right.order + b
-
-    def unpair(self, p: Element):
-        return divmod(p, self.right.order)
-
-
-class ComponentwiseProduct(ProductGroup):
-    """A direct product without a table: every product is taken in the
-    two factors."""
-
-    def _product_table(self):
-        return None
-
-    def conjugation_map(self, g):
-        a, b = self.unpair(int(g))
-        return np.add.outer(self.left.conjugation_map(a) * self.right.order,
-                            self.right.conjugation_map(b)).ravel()
-
-    def conjugate_all(self, s):
-        a, b = self.unpair(int(s))
-        return np.add.outer(self.left.conjugate_all(a) * self.right.order,
-                            self.right.conjugate_all(b)).ravel()
-
-    def mul(self, g, h):
-        (a, b), (c, d) = self.unpair(g), self.unpair(h)
-        return self.pair(self.left.mul(a, c), self.right.mul(b, d))
-
-    def row(self, g):
-        a, b = self.unpair(np.asarray(g, dtype=np.int64))
-        rows = (self.left.row(a).astype(np.int64)[..., :, None] * self.right.order
-                + self.right.row(b)[..., None, :])
-        return rows.reshape(*np.shape(g), self.order)
-
-    def col(self, h):
-        c, d = self.unpair(int(h))
-        return np.add.outer(self.left.col(c).astype(np.int64) * self.right.order,
-                            self.right.col(d)).ravel()
-
-    def mul_vec(self, a, b):
-        (al, ar), (bl, br) = self.unpair(np.asarray(a)), self.unpair(np.asarray(b))
-        return self.pair(self.left.mul_vec(al, bl), self.right.mul_vec(ar, br))
-
-    def mul_block(self, A, B):
-        (al, ar), (bl, br) = self.unpair(np.asarray(A)), self.unpair(np.asarray(B))
-        return self.pair(self.left.mul_block(al, bl), self.right.mul_block(ar, br))
-
-    def mul_rows(self, a, B):
-        (al, ar), (bl, br) = self.unpair(np.asarray(a)), self.unpair(np.asarray(B))
-        return self.pair(self.left.mul_rows(al, bl), self.right.mul_rows(ar, br))
-
-
-def direct_square(G) -> ProductGroup:
-    """The product group G x G: with a table when the table fits 8 MiB
-    (2 bytes per entry), else componentwise."""
-    n = G.order * G.order
-    cls = ProductGroup if 2 * n * n <= 8 * 1024 * 1024 else ComponentwiseProduct
-    return cls(G, G)

@@ -248,8 +248,8 @@ def _perfect_seed_subgroups(G):
     divides |P| and is at most |P|/2.  The sieve keeps only the m that
     are multiples of a member of ``SIMPLE_ORDERS``: a nontrivial perfect
     group has a nonabelian simple quotient, whose order divides m and so
-    is in the table as long as m < ``NEXT_SIMPLE_ORDER`` (a larger
-    candidate is refused with ResourceCapError).  Where no m survives,
+    is in the table as long as m < ``NEXT_SIMPLE_ORDER``, which holds
+    since m <= ``MAX_DENSE_ORDER`` / 2 = 5120.  Where no m survives,
     nothing is scanned: psl2:7, psl2:13, psl2:23 and A5 have none.
 
     Otherwise a proper one is sought as <x, y>, closed under the bound
@@ -274,12 +274,8 @@ def _perfect_seed_subgroups(G):
     if core.order == 1:
         return []
     seeds = [core]
-    proper = [m for m in divisors(core.order) if 2 * m <= core.order]
-    if max(proper, default=0) >= NEXT_SIMPLE_ORDER:
-        raise ResourceCapError(
-            f"a perfect subgroup of order up to {max(proper)} may lie past "
-            f"the simple-order table (next simple order {NEXT_SIMPLE_ORDER})")
-    orders = {m for m in proper if any(m % s == 0 for s in SIMPLE_ORDERS)}
+    orders = {m for m in divisors(core.order)
+              if 2 * m <= core.order and any(m % s == 0 for s in SIMPLE_ORDERS)}
     if not orders:
         return seeds
     bound = max(orders)

@@ -62,3 +62,37 @@ def _extend_one(G, H, srcs, imgs):
 @pytest.fixture
 def extend_one():
     return _extend_one
+
+
+def direct_square(G):
+    """G x G as a tabled group, the pair (a, b) coded a·|G| + b: the
+    test-side product of the graph oracles, for small G only."""
+    n = G.order
+    t = G.mul_block(np.arange(n), np.arange(n))
+    table = (t[:, None, :, None] * n + t[None, :, None, :]).reshape(n * n, n * n)
+    return rb.FiniteGroup.from_table(table, name=f"{G.name} x {G.name}")
+
+
+def graph_codes(op):
+    """The graph {(B(g), g B(g))} of ``op`` as sorted pair codes."""
+    G = op.group
+    return np.sort(op.images * G.order + G.mul_vec(np.arange(G.order), op.images))
+
+
+def code_permutation(t):
+    """p[c] is the code of the image under the transform ``t`` of the
+    pair with code c."""
+    n = t.fa.size
+    if t.kind == "plain":
+        return np.add.outer(t.fa * n, t.fb).ravel()
+    return np.add.outer(t.fa, t.fb * n).ravel()
+
+
+def operator_images(G, codes):
+    """The images of the operator whose graph has the pair codes
+    ``codes``, or None unless there are |G| of them and their
+    differences (a, b) -> b a^-1 are distinct."""
+    a, b = np.divmod(np.asarray(codes, dtype=np.int64), G.order)
+    images = np.full(G.order, -1, dtype=np.int64)
+    images[G.mul_vec(b, G.inverse[a])] = a
+    return None if a.size != G.order or (images < 0).any() else images

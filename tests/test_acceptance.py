@@ -9,6 +9,7 @@ states one.
 import time
 
 import numpy as np
+from conftest import code_permutation, graph_codes
 
 import rbgroups as rb
 
@@ -183,12 +184,11 @@ def test_criterion_8_equivalence_action():
         classes = rb.classify_equivalence(ops, verify_invariants=True)
         assert sum(c.size for c in classes) == len(ops)
         # the swap generator sends each graph to the companion's graph
-        GG = rb.direct_square(G)
         swap = next(t for t in rb.q_transform_generators(G)
                     if t.label == "swap")
         for op in ops:
-            moved = np.sort(swap.permutation()[rb.graph_of(op, GG).members])
-            assert moved.tobytes() == rb.graph_of(rb.btilde(op), GG).key()
+            moved = np.sort(code_permutation(swap)[graph_codes(op)])
+            assert np.array_equal(moved, graph_codes(rb.btilde(op)))
     report(8, "equivalence invariants and companion swap")
 
 

@@ -6,13 +6,13 @@ from collections import deque
 
 import numpy as np
 import pytest
+from conftest import code_permutation, direct_square, graph_codes, operator_images
 
 import rbgroups as rb
 from rbgroups import enumeration
-from rbgroups.enumeration import (ObstructionReport, RBGraph, _class_labels, _id_maps,
-                                  _image_names_of, _pair_orbits, direct_square)
-from rbgroups.errors import (GraphConditionError, InputFormatError, PropertyFailure,
-                             ResourceCapError)
+from rbgroups.enumeration import (ObstructionReport, _class_labels, _id_maps,
+                                  _image_names_of, _pair_orbits)
+from rbgroups.errors import InputFormatError, PropertyFailure, ResourceCapError
 from rbgroups.groups import orbit_labels
 from rbgroups.subgroups import all_subgroups, is_normal, is_simple, unchecked_quotient
 
@@ -169,28 +169,16 @@ def test_abelian_census_equals_endomorphism_count(ident, endo_count):
 
 
 def test_graph_roundtrip():
+    # graph_key holds the graph's sorted pair codes, which give back B
     G = rb.named_group("dihedral:8")
-    GG = direct_square(G)
     for op in rb.enumerate_rb(G):
-        H = rb.graph_of(op, GG)
-        assert H.members.size == G.order
-        back = rb.rb_from_graph(H)
-        assert np.array_equal(back.images, op.images)
+        codes = np.frombuffer(rb.graph_key(op), dtype=np.int64)
+        assert np.array_equal(codes, graph_codes(op))
+        assert np.array_equal(operator_images(G, codes), op.images)
 
 
-def test_graph_roundtrip_on_tableless_product():
-    # 2 * 2304^2 bytes is over the product-table budget: componentwise path
-    G = rb.named_group("dihedral:48")
-    GG = direct_square(G)
-    assert GG._table is None
-    for op in (rb.trivial_e(G), rb.trivial_inv(G)):
-        back = rb.rb_from_graph(rb.graph_of(op, GG))
-        assert np.array_equal(back.images, op.images)
-
-
-def _is_subgroup(H):
-    codes = H.members
-    prods = H.product.mul_block(codes, codes)
+def _is_subgroup(GG, codes):
+    prods = GG.mul_block(codes, codes)
     return codes[0] == 0 and np.isin(prods, codes).all()
 
 
@@ -198,38 +186,38 @@ def test_graph_is_subgroup():
     G = rb.named_group("symmetric:3")
     GG = direct_square(G)
     for op in rb.enumerate_rb(G):
-        assert _is_subgroup(rb.graph_of(op, GG))
+        assert _is_subgroup(GG, graph_codes(op))
 
 
 def test_diagonal_subgroup_is_not_a_graph():
     # {(g, g)} has full size but constant differences
     G = rb.named_group("cyclic:4")
-    GG = direct_square(G)
-    codes = GG.pair(np.arange(4), np.arange(4))
-    H = RBGraph(GG, codes)
-    assert _is_subgroup(H)
-    with pytest.raises(GraphConditionError):
-        rb.rb_from_graph(H)
+    codes = np.arange(4) * 4 + np.arange(4)
+    assert _is_subgroup(direct_square(G), codes)
+    assert operator_images(G, codes) is None
 
 
 def test_non_subgroup_rejected():
     # [0, 1, 0, 1] on Z4 fails the identity at (1, 1): its graph is no subgroup
     G = rb.named_group("cyclic:4")
-    GG = direct_square(G)
-    op = rb.RBOperator(G, [0, 1, 0, 1])
-    assert not _is_subgroup(RBGraph(GG, GG.pair(op.images, G.mul_vec(np.arange(4), op.images))))
-    with pytest.raises(GraphConditionError):
-        rb.graph_of(op, GG)
+    assert not _is_subgroup(direct_square(G), graph_codes(rb.RBOperator(G, [0, 1, 0, 1])))
+
+
+def test_classify_equivalence_refuses_a_non_operator():
+    G = rb.named_group("cyclic:4")
+    ops = rb.enumerate_rb(G) + [rb.RBOperator(G, [0, 1, 0, 1])]
+    with pytest.raises(PropertyFailure) as info:
+        rb.classify_equivalence(ops)
+    assert info.value.clause == "rb-identity"
 
 
 def test_product_subgroup_gives_splitting_op():
     G = rb.named_group("symmetric:3")
-    GG = direct_square(G)
     f = next(f for f in rb.exact_factorizations(G) if f.h.order == 3)
     l, h = f.l.members, f.h.members
-    codes = GG.pair(np.repeat(l, h.size), np.tile(h, l.size))
-    op = rb.rb_from_graph(RBGraph(GG, codes))
-    assert rb.verify_rb(G, op).ok
+    codes = np.repeat(l, h.size) * G.order + np.tile(h, l.size)
+    assert _is_subgroup(direct_square(G), np.sort(codes))
+    op = rb.make_rb(G, operator_images(G, codes))
     assert rb.is_splitting(op)
 
 
@@ -246,11 +234,10 @@ def test_equivalence_class_census(ident, count, nsplit, nclasses):
 def test_trivial_pair_shares_an_orbit():
     for ident in ["cyclic:6", "symmetric:3", "quaternion:8"]:
         G = rb.named_group(ident)
-        GG = direct_square(G)
-        key = rb.graph_of(rb.trivial_e(G), GG).key()
+        key = rb.graph_key(rb.trivial_e(G))
         classes = rb.classify_equivalence(rb.enumerate_rb(G))
         cls = next(c for c in classes if key in c.graph_keys)
-        assert rb.graph_of(rb.trivial_inv(G), GG).key() in cls.graph_keys
+        assert rb.graph_key(rb.trivial_inv(G)) in cls.graph_keys
 
 
 def test_classify_equivalence_refuses_an_open_list():
@@ -266,7 +253,7 @@ def test_classify_equivalence_refuses_a_census_missing_one_class_member():
     ops = rb.enumerate_rb(G)
     cls = next(c for c in rb.classify_equivalence(ops) if c.size > 1)
     drop = next(i for i, op in enumerate(ops)
-                if rb.graph_of(op).key() in cls.graph_keys)
+                if rb.graph_key(op) in cls.graph_keys)
     with pytest.raises(InputFormatError, match="not closed"):
         rb.classify_equivalence(ops[:drop] + ops[drop + 1:])
 
@@ -274,25 +261,25 @@ def test_classify_equivalence_refuses_a_census_missing_one_class_member():
 def bfs_equivalence_classes(ops):
     """Oracle: each class walked breadth-first on graph code arrays keyed
     by their bytes, starting from its operator with the least key; the
-    representative is the graph with the least key."""
+    representative is the given operator whose graph has the least key."""
     G = ops[0].group
-    GG = direct_square(G)
-    transforms = rb.q_transform_generators(G)
+    perms = [code_permutation(t) for t in rb.q_transform_generators(G)]
+    op_of = {graph_codes(op).tobytes(): op for op in ops}
     classes, assigned = [], set()
     for op in sorted(ops, key=lambda o: o.key()):
-        start = rb.graph_of(op, GG).members
+        start = graph_codes(op)
         if start.tobytes() in assigned:
             continue
         seen, queue = {start.tobytes(): start}, deque([start])
         while queue:
             cur = queue.popleft()
-            for t in transforms:
-                nxt = np.sort(t.permutation()[cur])
+            for p in perms:
+                nxt = np.sort(p[cur])
                 if nxt.tobytes() not in seen:
                     seen[nxt.tobytes()] = nxt
                     queue.append(nxt)
         assigned |= set(seen)
-        rep = rb.rb_from_graph(RBGraph(GG, seen[min(seen)]))
+        rep = op_of[min(seen)]
         classes.append(rb.EquivalenceClass(
             representative=rep, size=len(seen), splitting=rb.is_splitting(rep),
             image_names=_image_names_of(rep), graph_keys=frozenset(seen)))
@@ -321,11 +308,10 @@ def test_classify_equivalence_matches_bfs_oracle(ident, relabelled):
 
 def test_swap_transform_realizes_companion():
     G = rb.named_group("symmetric:3")
-    GG = direct_square(G)
     swap = next(t for t in rb.q_transform_generators(G) if t.label == "swap")
     for op in rb.enumerate_rb(G):
-        moved = np.sort(swap.permutation()[rb.graph_of(op, GG).members])
-        assert moved.tobytes() == rb.graph_of(rb.btilde(op), GG).key()
+        moved = np.sort(code_permutation(swap)[graph_codes(op)])
+        assert np.array_equal(moved, graph_codes(rb.btilde(op)))
 
 
 def test_orbit_invariants_hold():
@@ -340,10 +326,9 @@ def test_orbit_invariant_break_is_reported(monkeypatch):
     # one member of a class gets a different derived-group fingerprint
     G = rb.named_group("dihedral:8")
     ops = rb.enumerate_rb(G)
-    GG = direct_square(G)
     classes = rb.classify_equivalence(ops)
     cls = next(c for c in classes if c.size > 1)
-    target = next(op for op in ops if rb.graph_of(op, GG).key() in cls.graph_keys
+    target = next(op for op in ops if rb.graph_key(op) in cls.graph_keys
                   and op.key() != cls.representative.key())
     real = enumeration.derived_group
 
@@ -361,7 +346,7 @@ def test_orbit_invariant_break_is_reported(monkeypatch):
     with pytest.raises(PropertyFailure) as info:
         rb.classify_equivalence(ops, verify_invariants=True)
     assert info.value.clause == "orbit-invariant-broken"
-    assert info.value.witness == rb.graph_of(target, GG).key()
+    assert info.value.witness == rb.graph_key(target)
 
 
 @pytest.mark.parametrize("idx", range(len(CENSUS)), ids=[c[0] for c in CENSUS])

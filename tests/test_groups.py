@@ -7,8 +7,7 @@ import pytest
 
 import rbgroups as rb
 from rbgroups.errors import InputFormatError, ResourceCapError
-from rbgroups.groups import (MAX_DENSE_ORDER, ComponentwiseProduct, FiniteGroup,
-                            ProductGroup, orbit_labels)
+from rbgroups.groups import MAX_DENSE_ORDER, FiniteGroup, orbit_labels
 
 
 def test_from_table_rejects_non_group():
@@ -328,63 +327,6 @@ def test_permutation_degree_past_int16():
         G = FiniteGroup.from_permutations(d, [perm])
         assert G.order == order
         assert G.order_of(G.gens[0]) == order
-
-
-@pytest.mark.parametrize("ident", ["dihedral:8", "symmetric:4"])
-def test_componentwise_product_agrees_with_tabled(ident):
-    G = rb.named_group(ident)
-    tab = rb.direct_square(G)
-    comp = ComponentwiseProduct(G, G)
-    assert type(tab) is ProductGroup and comp._table is None
-    assert (comp.name, comp.order, comp.gens) == (tab.name, tab.order, tab.gens)
-    assert np.array_equal(comp.inverse, tab.inverse)
-    n = tab.order
-    every = np.arange(n)
-    full = tab.mul_block(every, every)
-    assert np.array_equal(comp.mul_block(every, every), full)
-    assert np.array_equal(comp.row(every), full)
-    for g in range(n):
-        assert np.array_equal(comp.row(g), full[g])
-        assert np.array_equal(comp.col(g), full[:, g])
-        assert np.array_equal(comp.conjugation_map(g), tab.conjugation_map(g))
-        assert np.array_equal(comp.conjugate_all(g), tab.conjugate_all(g))
-    rng = np.random.default_rng(0)
-    a, b = rng.integers(0, n, size=(2, 200))
-    B = rng.integers(0, n, size=(200, 7))
-    assert [comp.mul(int(x), int(y)) for x, y in zip(a, b)] == \
-        [tab.mul(int(x), int(y)) for x, y in zip(a, b)]
-    assert np.array_equal(comp.mul_vec(a, b), tab.mul_vec(a, b))
-    assert np.array_equal(comp.mul_rows(a, b), tab.mul_rows(a, b))
-    assert np.array_equal(comp.mul_rows(a, B), tab.mul_rows(a, B))
-    assert comp.fingerprint() == tab.fingerprint()
-
-
-def test_tabled_product_past_dense_bound_refused():
-    # 102^2 = 10404 > MAX_DENSE_ORDER; refused before the table is built
-    G = rb.named_group("cyclic:102")
-    with pytest.raises(ResourceCapError):
-        ProductGroup(G, G)
-    assert ComponentwiseProduct(G, G).order == 102 * 102
-
-
-def test_tableless_product_accessors_agree():
-    G = rb.named_group("dihedral:48")
-    GG = rb.direct_square(G)
-    assert GG.order == 2304 and GG._table is None
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, GG.order, size=40)
-    b = rng.integers(0, GG.order, size=40)
-    blk = GG.mul_block(a, b)
-    assert blk.shape == (40, 40)
-    for i in range(a.size):
-        assert (GG.row(a[i])[b] == blk[i]).all()
-        assert (GG.col(b[i])[a] == blk[:, i]).all()
-        assert GG.mul(int(a[i]), int(b[i])) == blk[i, i]
-    assert (GG.mul_vec(a, b) == np.diagonal(blk)).all()
-    assert (GG.mul_vec(a, GG.inverse[a]) == 0).all()
-    x, y = GG.unpair(a)
-    z, w = GG.unpair(b)
-    assert (GG.mul_vec(a, b) == GG.pair(G.mul_vec(x, z), G.mul_vec(y, w))).all()
 
 
 def test_orbit_labels_give_least_point_of_each_orbit():

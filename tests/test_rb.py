@@ -7,7 +7,7 @@ import pytest
 
 import rbgroups as rb
 import rbgroups.rb as rb_module
-from rbgroups.errors import InputFormatError, PropertyFailure, ResourceCapError
+from rbgroups.errors import InputFormatError, PropertyFailure
 
 
 def all_ops(ident):
@@ -283,13 +283,6 @@ def test_blocked_verify_one_row_blocks():
         _assert_matches_oracle(G, B)
 
 
-def test_blocked_verify_without_table():
-    G = rb.direct_square(rb.named_group("alternating:5"))
-    assert G._table is None
-    for B in (G.inverse, _broken(G.inverse, 7)):
-        _assert_matches_oracle(G, B)
-
-
 def _columns_short_of_g(G, B):
     """Whether the column set S' of B is smaller than G, after checking
     that {e} ∪ S' ∪ (S' o S') is all of G, as the exactness argument
@@ -345,18 +338,6 @@ def test_spanning_verify_on_many_uncovered_columns():
         assert 2 * 64 < rb_module._spanning_columns(G, B).size
         for C in (B, _broken(B, 1), _broken(B, 999, 7)):
             _assert_matches_oracle(G, C)
-
-
-def test_derived_group_refuses_past_dense_bound_before_allocating(monkeypatch):
-    G = rb.direct_square(rb.named_group("cyclic:102"))     # order 10404
-    op = rb.RBOperator(G, np.zeros(G.order, dtype=np.int64))
-
-    def refused(*args):
-        raise AssertionError("derived table filled before the order check")
-
-    monkeypatch.setattr(rb.rb, "_inverse_derived_blocks", refused)
-    with pytest.raises(ResourceCapError):
-        rb.derived_group(op, validate=False)
 
 
 @pytest.mark.parametrize("ident", ["cyclic:6", "elemabelian:2:3", "abelian:4x2",

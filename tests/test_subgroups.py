@@ -7,12 +7,13 @@ from collections import deque
 
 import numpy as np
 import pytest
+from conftest import direct_square, graph_codes
 
 import rbgroups as rb
 import rbgroups.catalog as catalog
 import rbgroups.subgroups as sg
 from rbgroups.errors import InputFormatError, ResourceCapError
-from rbgroups.groups import orbit_labels
+from rbgroups.groups import MAX_DENSE_ORDER, orbit_labels
 
 
 def brute_closure(G, gens):
@@ -403,11 +404,11 @@ def test_simple_orders_table():
     assert sg.NEXT_SIMPLE_ORDER == 29 * (29 * 29 - 1) // 2
 
 
-def test_perfect_seeds_past_the_simple_order_table_are_refused():
-    # psl2:7 x psl2:7 could hold a perfect subgroup of order 14112 > 12180
-    GG = rb.direct_square(rb.named_group("psl2:7"))
-    with pytest.raises(ResourceCapError):
-        rb.all_subgroups(GG)
+def test_proper_perfect_subgroups_stay_inside_the_simple_order_table():
+    # the seed sieve is complete because every group has a table, so a
+    # proper perfect subgroup has order <= MAX_DENSE_ORDER / 2, and every
+    # simple order up to there is in SIMPLE_ORDERS
+    assert MAX_DENSE_ORDER // 2 < sg.NEXT_SIMPLE_ORDER
 
 
 @pytest.mark.parametrize("ident", [f"{family}:{k}" for family, params
@@ -564,18 +565,17 @@ def test_sieved_seeds_match_blind_scan(name, relabelled):
 def test_enumerate_rb_matches_per_subgroup_walk(ident, relabelled):
     G = relabelled(ident)
     n = G.order
-    GG = rb.direct_square(G)
+    GG = direct_square(G)
 
     def distinct_diffs(codes):
-        a, b = GG.unpair(codes)
+        a, b = np.divmod(codes, n)
         return np.unique(G.mul_vec(b, G.inverse[a])).size == codes.size
 
     graphs = sorted(m.tolist() for m in per_subgroup_walk(
         GG, max_order=n, allowed_orders=sg.divisors(n), prune=distinct_diffs)
         if m.size == n)
     assert len(graphs) > 1
-    assert sorted(rb.graph_of(B, GG).members.tolist()
-                  for B in rb.enumerate_rb(G)) == graphs
+    assert sorted(graph_codes(B).tolist() for B in rb.enumerate_rb(G)) == graphs
 
 
 def test_each_cyclic_extension_is_built_once(monkeypatch):
