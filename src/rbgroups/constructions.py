@@ -13,17 +13,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automorphisms import _homomorphisms_by_images, extend_by_generator_images
+from .automorphisms import (CHUNK_ENTRIES, _homomorphisms_by_images,
+                            extend_by_generator_images)
 from .catalog import named_group
 from .errors import InputFormatError, PropertyFailure, ResourceCapError
 from .groups import _closure_members, _first_powers
 from .maps import GroupMap
-from .rb import RBOperator, btilde, make_rb, verify_rb
+from .rb import (_BLOCK_ENTRIES, RBOperator, _first_failures, btilde, make_rb,
+                 verify_rb)
 from .subgroups import (Factorization, Subgroup, all_subgroups, closure,
                         exact_factorizations, intersection, is_normal)
 
 #: the most data ``extension_search`` may plan to return
 EXTENSION_BUDGET = 300000
+#: slot marks of a planned extension row: not built yet, taken by its datum
+_NEW, _TAKEN = -1, -2
 
 
 def _decomposition_images(G, first: Subgroup, second: Subgroup, value_of_second):
@@ -200,10 +204,15 @@ class ExtensionData:
     and an image for f inside A.
 
     Data from ``extension_search`` carry the frame of their (G, A): the
-    checks that depend only on A, run once per A.  ``extension_construct``
-    trusts a frame only while ``frame.group is group and frame.a is a``;
-    otherwise (hand-made data, or a datum whose group or A was replaced)
-    it builds and checks a new one.  The per-datum checks always run.
+    checks that depend only on A, run once per A, and the search's plan
+    of every (f, B(f), BA) it returns, so that ``extension_construct``
+    builds and checks planned data in batches.  Data of one search share
+    each BA array, so a change made to one in place reaches them all;
+    the plan keeps its own copy, and a datum that no longer matches it
+    is built on its own.  It trusts a frame only
+    while ``frame.group is group and frame.a is a``; otherwise
+    (hand-made data, or a datum whose group or A was replaced) it
+    builds and checks a new one.  The per-datum checks always run.
     """
 
     group: object
@@ -212,6 +221,7 @@ class ExtensionData:
     ba_images: np.ndarray       # positions into a.members
     bf: int                     # parent index, must lie in A
     _frame: object = field(default=None, init=False, repr=False, compare=False)
+    _row: int = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.ba_images = np.asarray(self.ba_images, dtype=np.int64)
@@ -225,8 +235,18 @@ class _ExtensionFrame:
     and commutativity are read off ``tab``; raises unless A is a normal
     abelian subgroup.  ``powers[j, p]`` is the position of the j-th
     power of ``A.members[p]`` for j = 0..|G|/|A|.  The transversal of
-    each f (``cells``) and the homomorphism law of each BA
-    (``is_endomorphism``) are worked out once and kept."""
+    each f (``layout``) and the checks of each BA
+    (``endomorphism_checks``) are worked out once and kept.
+
+    ``plan`` records the rows (f, B(f), BA) that ``extension_search``
+    returns, as indices into the frame's own copy ``endos`` of the
+    endomorphisms.  ``built`` gives a datum's (images, is_rb,
+    condition).  On a planned row not yet built it builds the next
+    ``CHUNK_ENTRIES // |G|`` unbuilt rows of that f in one ``_build``,
+    and each row is popped when its datum takes it; a chunk is dropped
+    once all its rows are taken.  A datum that does not match its
+    planned row (changed, or taken before) is built as a batch of
+    one."""
 
     def __init__(self, G, A):
         pos = np.full(G.order, -1, dtype=np.int64)
@@ -244,30 +264,98 @@ class _ExtensionFrame:
         for _ in range(G.order // A.order):
             powers.append(tab[powers[-1], np.arange(A.order)])
         self.powers = np.array(powers)
-        self._cells, self._endos = {}, {}
+        self._layouts, self._endos = {}, {}
+        self.endos, self._plan, self._chunks = None, {}, {}
 
-    def cells(self, f):
-        """The cells f^j a (j < o, a in A) of f's transversal, with o the
-        coset exponent of f, as an o x |A| block checked once to cover G."""
-        if f not in self._cells:
-            G = self.group
+    def layout(self, f):
+        """(j, p) with g = f^j A.members[p[g]] and j below the coset
+        exponent of f, for every g: f's transversal cells f^j a, checked
+        once to cover G."""
+        if f not in self._layouts:
+            G, A = self.group, self.a
             fj = [0]
             for _ in range(int(self.expo[f]) - 1):
                 fj.append(G.mul(fj[-1], f))
-            cells = G.mul_block(fj, self.a.members)
+            cells = G.mul_block(fj, A.members).ravel()
             if np.unique(cells).size != G.order:
                 raise InputFormatError("transversal failed to decompose every element")
-            self._cells[f] = cells
-        return self._cells[f]
+            at = np.empty(G.order, dtype=np.int64)
+            at[cells] = np.arange(G.order)
+            self._layouts[f] = np.divmod(at, A.order)
+        return self._layouts[f]
 
-    def is_endomorphism(self, ba):
-        """Whether the positional array ``ba`` (entries in 0..|A|-1) obeys
-        the homomorphism law on every pair of A's positional table."""
-        key = ba.astype(np.int64, copy=False).tobytes()
+    def endomorphism_checks(self, ba):
+        """(in range, homomorphism) for the positional array ``ba``: |A|
+        entries in 0..|A|-1, and the homomorphism law on every pair of
+        A's positional table; worked out once per array value."""
+        key = ba.dtype.str, ba.shape, ba.tobytes()
         if key not in self._endos:
-            tab = self.tab
-            self._endos[key] = bool((ba[tab] == tab[ba[:, None], ba]).all())
+            tab, m = self.tab, self.a.order
+            in_range = ba.shape == (m,) and bool(((ba >= 0) & (ba < m)).all())
+            self._endos[key] = in_range, in_range and bool(
+                (ba[tab] == tab[ba[:, None], ba]).all())
         return self._endos[key]
+
+    def plan(self, f, rows):
+        """Record the rows (f, B(f), BA) of one f, given in order as pairs
+        (index into ``endos``, B(f))."""
+        ids, bfs = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+        self._plan[f] = ids, bfs, np.full(bfs.size, _NEW)
+
+    def built(self, data):
+        """(images, is_rb, condition) of a datum that passed the checks."""
+        f, bf, row = int(data.f), int(data.bf), data._row
+        ids, bfs, slot = self._plan.get(f, (None, None, ()))
+        if data._frame is not self or row is None or row >= len(slot) or \
+                slot[row] == _TAKEN or bfs[row] != bf or \
+                self.endos[ids[row]].tobytes() != data.ba_images.tobytes():
+            images, is_rb, cond = self._build(f, np.array([bf]), data.ba_images[None])
+            return images[0], bool(is_rb[0]), bool(cond[0])
+        if slot[row] == _NEW:
+            self._next_chunk(f, row)
+        chunk = self._chunks[f]
+        i, slot[row] = slot[row], _TAKEN
+        chunk[-1] -= 1
+        if not chunk[-1]:
+            del self._chunks[f]
+        return chunk[1][i], bool(chunk[2][i]), bool(chunk[3][i])
+
+    def _next_chunk(self, f, row):
+        """Build the chunk of f's planned rows from ``row`` on: the next
+        ``CHUNK_ENTRIES // |G|`` rows not built or taken.  It replaces f's
+        last chunk, whose rows not yet taken count as unbuilt again."""
+        ids, bfs, slot = self._plan[f]
+        if f in self._chunks:
+            old = self._chunks[f][0]
+            slot[old[slot[old] >= 0]] = _NEW
+        size = max(1, CHUNK_ENTRIES // self.group.order)
+        rows = row + np.flatnonzero(slot[row:row + size] == _NEW)
+        slot[rows] = np.arange(rows.size)
+        self._chunks[f] = [rows, *self._build(f, bfs[rows], self.endos[ids[rows]]), rows.size]
+
+    def _build(self, f, bfs, bas):
+        """(images, is_rb, condition) for the rows (f, bfs[r], bas[r]),
+        ``bas`` an r x |A| positional array, with the images as table
+        entries: B(f^j a) = B(f)^j BA(a) by one gather over f's
+        transversal cells, the commutator criterion [Im(B~), f] ⊆ ker(B)
+        by one masked ``any``, B([B~(g), f]) = e for every g (both in
+        blocks of ``_BLOCK_ENTRIES``), and the identity by one
+        ``_first_failures`` call on all rows."""
+        G, A = self.group, self.a
+        j, p = self.layout(f)
+        comm = G.mul_vec(G.inverse[G.row(f)], G.col(f))      # [x, f] = (f x)^-1 (x f)
+        step = max(1, _BLOCK_ENTRIES // G.order)
+        images, cond = [], []
+        for s in range(0, len(bfs), step):
+            bfj = A.members[self.powers[j, self.pos[bfs[s:s + step]][:, None]]]   # B(f)^j
+            block = G.mul_flat(bfj, A.members[bas[s:s + step, p]])
+            bt = G.mul_flat(G.inverse, block[:, G.inverse])  # B~(g) = g^-1 B(g^-1)
+            cond.append(~np.take_along_axis(block, comm.take(bt), axis=1).any(axis=1))
+            images.append(block)
+        images = np.concatenate(images)
+        is_rb = np.ones(len(images), dtype=bool)
+        is_rb[list(_first_failures(G, images))] = False
+        return images, is_rb, np.concatenate(cond)
 
 
 def _check_datum(data: ExtensionData, frame: _ExtensionFrame):
@@ -282,13 +370,13 @@ def _check_datum(data: ExtensionData, frame: _ExtensionFrame):
         raise InputFormatError(f"f must be an element index in [0, {G.order})")
     if not 0 <= bf < G.order or frame.pos[bf] < 0:
         raise InputFormatError("B(f) does not lie in A")
-    ba = data.ba_images
-    if ba.shape != (A.order,) or (ba < 0).any() or (ba >= A.order).any():
+    in_range, is_hom = frame.endomorphism_checks(data.ba_images)
+    if not in_range:
         raise InputFormatError("BA must be a positional image array over A")
     o = int(frame.expo[f])
     if o * A.order != G.order:
         raise InputFormatError("A and f do not generate the group")
-    if not frame.is_endomorphism(ba):
+    if not is_hom:
         raise InputFormatError("BA is not a homomorphism of A")
     return o
 
@@ -300,7 +388,8 @@ def extension_construct(data: ExtensionData):
     Returns (candidate, is_rb, condition_holds) where candidate is the
     built map, is_rb comes from full verification, and condition_holds
     is [Im(B~), f] ⊆ ker(B).  The two flags always agree; disagreement
-    raises.
+    raises.  The map and flags of a searched datum come from its
+    frame's batch (``_ExtensionFrame.built``).
     """
     G = data.group
     A = data.a
@@ -309,24 +398,15 @@ def extension_construct(data: ExtensionData):
     if frame is None or frame.group is not G or frame.a is not A:
         frame = _ExtensionFrame(G, A)
     o = _check_datum(data, frame)
-    ba_parent = A.members[data.ba_images]
-    bfj = A.members[frame.powers[:, frame.pos[bf]]]     # B(f)^j, j = 0..o
-    # well-definedness across the wrap-around f^o ∈ A
-    if ba_parent[frame.pos[frame.tops[f]]] != bfj[o]:
+    # well-definedness across the wrap-around f^o ∈ A: BA(f^o) = B(f)^o
+    if data.ba_images[frame.pos[frame.tops[f]]] != frame.powers[o, frame.pos[bf]]:
         raise InputFormatError("BA(f^o) differs from B(f)^o; "
                                "the map is not well defined")
-    images = np.empty(G.order, dtype=np.int64)
-    images[frame.cells(f)] = G.mul_block(bfj[:o], ba_parent)
-    candidate = GroupMap(G, G, images)
-    is_rb = verify_rb(G, images).ok
-    u = np.unique(G.mul_vec(G.inverse, images[G.inverse]))
-    # [u, f] = (f u)^-1 (u f) for every u in Im(B~)
-    comm = G.mul_vec(G.inverse[G.row(f)[u]], G.col(f)[u])
-    cond = not images[comm].any()
+    images, is_rb, cond = frame.built(data)
     if is_rb != cond:
         raise PropertyFailure("extension-iff-violated",
                               witness={"is_rb": is_rb, "condition": cond})
-    return candidate, bool(is_rb), bool(cond)
+    return GroupMap(G, G, images), is_rb, cond
 
 
 def _endomorphism_images(Agrp):
@@ -377,15 +457,17 @@ def extension_search(G) -> list[ExtensionData]:
         endos = _endomorphism_images(Agrp)
         if len(out) + fs.size * len(endos) * A.order > EXTENSION_BUDGET:
             raise ResourceCapError("extension search exceeds its budget")
+        frame.endos = np.array(endos, dtype=np.int64).reshape(len(endos), A.order)
         for f in fs:
             bf_pow = G.pow_vec(A.members, int(expo[f]))
             fo_pos = frame.pos[tops[f]]
-            for ba in endos:
-                for bf in A.members[bf_pow == A.members[ba[fo_pos]]]:
-                    data = ExtensionData(group=G, a=A, f=int(f),
-                                         ba_images=ba, bf=int(bf))
-                    data._frame = frame
-                    out.append(data)
+            rows = [(e, int(bf)) for e, ba in enumerate(endos)
+                    for bf in A.members[bf_pow == A.members[ba[fo_pos]]]]
+            frame.plan(int(f), rows)
+            for r, (e, bf) in enumerate(rows):
+                data = ExtensionData(group=G, a=A, f=int(f), ba_images=endos[e], bf=bf)
+                data._frame, data._row = frame, r
+                out.append(data)
     return out
 
 

@@ -18,6 +18,11 @@ in a column set S', right multiplication by each P(s), s in S', maps
 H_B into itself; as P(e) = (e, e) lies in H_B, so does the group
 generated by P(S').  That group holds P(e), P(S') and P(S' o S'), so
 when {e} ∪ S' ∪ (S' o S') is all of G it is H_B, and B is an operator.
+The argument needs only that cover, and any superset of S' keeps it.
+So operators can share one column set, the union of their own S': one
+kernel (``_first_failures``) checks a whole matrix of image rows, each
+group of rows against one shared set (``_column_groups``), and
+``verify_rb`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ class VerifyResult:
 
 def _images_of(G, op_or_images):
     """The image array as int64; InputFormatError unless every entry is
-    an integer element index in [0, n)."""
+    an integer element index in [0, n), ValueError unless there are n."""
     if isinstance(op_or_images, RBOperator):
         arr = op_or_images.images
     else:
@@ -89,79 +94,183 @@ def _images_of(G, op_or_images):
         if arr.dtype.kind not in "iu":
             raise InputFormatError("operator images must be integers")
         arr = arr.astype(np.int64)
-        if arr.shape != (G.order,):
-            raise ValueError("image array length must equal the group order")
+    if arr.shape != (G.order,):
+        raise ValueError("image array length must equal the group order")
     if arr.size and (arr.min() < 0 or arr.max() >= G.order):
         raise InputFormatError(f"operator images must lie in 0..{G.order - 1}")
     return arr
 
 
-def _inverse_derived_blocks(G, B, rows, cols):
-    """(gs, t) for blocks gs of k = max(1, 8192 // |cols|) consecutive
-    entries of ``rows``, t[i, j] = (g o h)^-1 = B(g) (g B(g) h)^-1 for
-    g = gs[i], h = cols[j], where g o h = g B(g) h B(g)^-1 is the
-    derived product: one block product, then one gather along rows."""
-    k = max(1, _BLOCK_ENTRIES // cols.size)
-    for start in range(0, rows.size, k):
-        gs = rows[start:start + k]
-        b = B[gs]
-        y = G.mul_block(G.mul_vec(gs, b), cols)
-        yield gs, G.mul_rows(b, G.inverse[y])
+def _work(G, k, c):
+    """Buffers for a block of at most k x c products: two int64 and two
+    of the table's dtype.  Blocks write into them rather than allocating
+    their own arrays: with allocations of block size at every step the
+    allocator can hand the memory back to the system after each block
+    and fault it in again for the next."""
+    return (*np.empty((2, k, c), dtype=np.int64), *np.empty((2, k, c), dtype=G.row(0).dtype))
 
 
-def _spanning_columns(G, B):
-    """Sorted S' = S ∪ (G minus ({e} ∪ S ∪ (S o S))) for S the distinct
-    elements among 2⌈√n⌉ drawn with a fixed seed, so that
-    {e} ∪ S' ∪ (S' o S') is all of G.  Whatever S is, the check on S'
-    is exact; a good S only makes S' small."""
-    n = G.order
+def _inverse_derived(G, gs, b, cols, work):
+    """t[j, l] = (g o h)^-1 = B(g) (g B(g) h)^-1 for g = gs[j],
+    B(g) = b[j] (int64) and h = cols[l], where g o h = g B(g) h B(g)^-1
+    is the derived product: one block product, then one gather along
+    rows.  Written into the first buffer of ``work`` (``_work``),
+    returned."""
+    s, n = len(gs), G.order
+    t, u, p = work[0][:s], work[1][:s], work[2][:s]
+    np.add((G.mul_vec(gs, b) * n)[:, None], cols, out=t)
+    np.copyto(u, G.products_at(t, p))                   # g B(g) h
+    G.inverse.take(u, out=t, mode="clip")
+    t += (b * n)[:, None]
+    np.copyto(t, G.products_at(t, p))
+    return t
+
+
+def _uncovered(G, B):
+    """(S, U): S the distinct elements among 2⌈√n⌉ drawn with a fixed
+    seed, and U[i] the mask of the elements outside {e} ∪ S ∪ (S o S)
+    under row i of the m x n image matrix B, whose products s o s' are
+    formed in blocks of 8192 // |S| (row, s) entries.  Row i's own
+    column set S' = S ∪ U[i] makes {e} ∪ S' ∪ (S' o S') all of G;
+    whatever S is, a check on S' is exact, and a good S only makes S'
+    small."""
+    m, n = B.shape
     S = np.unique(np.random.default_rng(0).integers(0, n, 2 * math.isqrt(n - 1) + 2))
-    covered = np.zeros(n, dtype=bool)
-    covered[0] = True
-    covered[S] = True
-    for _, t in _inverse_derived_blocks(G, B, S, S):
-        covered[G.inverse[t]] = True
-    return np.union1d(S, np.flatnonzero(~covered))
+    covered = np.zeros((m, n), dtype=bool)
+    covered[:, 0] = True
+    covered[:, S] = True
+    flat = covered.ravel()
+    b_all = B[:, S].ravel().astype(np.int64)
+    k = max(1, _BLOCK_ENTRIES // S.size)
+    work = _work(G, k, S.size)
+    for start in range(0, b_all.size, k):
+        i, j = np.divmod(np.arange(start, min(start + k, b_all.size)), S.size)
+        t = G.inverse.take(_inverse_derived(G, S[j], b_all[start:start + k], S, work))
+        flat[t + (i * n)[:, None]] = True
+    return S, ~covered
 
 
-def _first_failure(G, B, cols):
-    """The least (g, h), g in G and h in ``cols``, with
-    B(g) B(h) != B(g o h), or None."""
-    b_of_inv = B[G.inverse]                 # B(g o h) = b_of_inv[(g o h)^-1]
-    lhs_cols = B[cols]
-    for gs, t in _inverse_derived_blocks(G, B, np.arange(G.order), cols):
-        bad = G.mul_rows(B[gs], lhs_cols) != b_of_inv[t]
-        if bad.any():
-            i, j = divmod(int(bad.argmax()), cols.size)
-            return int(gs[i]), int(cols[j])
-    return None
+def _column_groups(G, B):
+    """[(start, stop, cols)] for consecutive groups of the rows of the
+    m x n image matrix B, each with one shared column set: all of G
+    when one n x n block fits ``_BLOCK_ENTRIES``, else S ∪ U for U the
+    union of the group's rows' own uncovered elements (``_uncovered``),
+    which holds every row's own S'.  A group ends before a row that
+    would take |U| past |S|, so a row is checked against at most twice
+    as many columns as its own S' (a census's union is nearly all of G)."""
+    m, n = B.shape
+    if n * n <= _BLOCK_ENTRIES:
+        return [(0, m, np.arange(n))]
+    S, U = _uncovered(G, B)
+    groups, start, union = [], 0, np.zeros(n, dtype=bool)
+    for i in range(m):
+        grown = union | U[i]
+        if i > start and np.count_nonzero(grown) > S.size:
+            groups.append((start, i, np.union1d(S, np.flatnonzero(union))))
+            start, grown = i, U[i]
+        union = grown
+    return groups + [(start, m, np.union1d(S, np.flatnonzero(union)))]
+
+
+def _first_failures(G, B, cols=None):
+    """{i: (g, h)} for each row i of the m x n image matrix B (entries in
+    [0, n)) that fails the identity: its least (g, h), g in G and h in
+    ``cols``, with B(g) B(h) != B(g o h), or (e, e) when B(e) != e, as
+    then B(e) B(e) != B(e) = B(e o e).  By default each group of rows of
+    ``_column_groups`` is checked against its shared column set, and a
+    row is an operator exactly when it is not listed (module docstring).
+
+    The m·n entries (i, g) are checked in order, in blocks of
+    k = max(1, 8192 // |cols|), each vectorized over its k·|cols| pairs
+    (a block may hold the end of one row and the start of the next).
+    A block starts past the rows that have failed already."""
+    if cols is None:
+        return {start + i: pair for start, stop, cols in _column_groups(G, B)
+                for i, pair in _first_failures(G, B[start:stop], cols).items()}
+    m, n = B.shape
+    c = cols.size
+    k = max(1, _BLOCK_ENTRIES // c)
+    work = _work(G, min(k, m * n), c)
+    table = work[3].dtype
+    # B_i(g o h) = b_of_inv[i n + (g o h)^-1]; the arrays of B as table entries
+    b_of_inv = B.take(G.inverse, axis=1).ravel().astype(table, copy=False)
+    lhs_cols = (B if c == n else B[:, cols]).astype(table, copy=False)
+    images = B.ravel()
+    # with e among the columns a row with B(e) != e fails at (e, e) anyway
+    failures = dict.fromkeys(np.flatnonzero(B[:, 0]).tolist(), (0, 0)) if cols[0] else {}
+    start = 0
+    while start < m * n:
+        if start // n in failures:          # skip the rest of a failed row
+            start = (start // n + 1) * n
+            continue
+        b = images[start:start + k].astype(np.int64)
+        start += b.size
+        entries = np.arange(start - b.size, start)
+        s = b.size
+        if m == 1:
+            t = _inverse_derived(G, entries, b, cols, work)
+            rhs = b_of_inv.take(t, out=work[3][:s], mode="clip")     # B(g o h)
+            np.copyto(t, lhs_cols[0])
+        else:
+            i, gs = np.divmod(entries, n)
+            t = _inverse_derived(G, gs, b, cols, work)
+            t += (i * n)[:, None]
+            rhs = b_of_inv.take(t, out=work[3][:s], mode="clip")
+            np.copyto(t, lhs_cols.take(i, axis=0, out=work[2][:s], mode="clip"))
+        t += (b * n)[:, None]
+        bad = G.products_at(t, work[2][:s]) != rhs                # B(g) B(h)
+        if not bad.any():
+            continue
+        hit = np.flatnonzero(bad.any(axis=1))
+        rows, at = np.unique(entries[hit] // n, return_index=True)
+        ls = bad[hit[at]].argmax(axis=1)
+        for row, e, l in zip(rows.tolist(), entries[hit[at]].tolist(), ls.tolist()):
+            failures.setdefault(row, (e - row * n, int(cols[l])))
+        if len(failures) == m:
+            break
+    return failures
 
 
 def verify_rb(G, op) -> VerifyResult:
     """Check the defining identity exactly.
 
-    The identity is checked for all g against the columns h in S'
-    (module docstring), in blocks of k = max(1, 8192 // |S'|) rows g,
-    each block vectorized over its k·|S'| pairs.  A group of order
-    <= 90 fits one block, and its S' is all of G.  A passing check
-    reports ``checked`` = n^2.  A failure reports the lexicographically
-    least failing pair (g, h) over all of G x G (found by a scan of
-    every column when S' is smaller than G) and ``checked`` = (g + 1)·n,
-    the whole rows up to and including its row.  Images must be element
-    indices in [0, n).
+    The one-row call of ``_first_failures``: the identity is checked
+    for all g against the columns h in S' (module docstring), in blocks
+    of k = max(1, 8192 // |S'|) rows g, each block vectorized over its
+    k·|S'| pairs.  A group of order <= 90 fits one block, and its S' is
+    all of G.  A passing check reports ``checked`` = n^2.  A failure
+    reports the lexicographically least failing pair (g, h) over all of
+    G x G (found by a scan of every column when S' is smaller than G)
+    and ``checked`` = (g + 1)·n, the whole rows up to and including its
+    row.  Images must be n element indices in [0, n).
     """
     B = _images_of(G, op)
     n = G.order
     if B[0] != 0:
         return VerifyResult(False, "full", 0, witness=(0, 0))
-    everything = np.arange(n)
-    cols = everything if n * n <= _BLOCK_ENTRIES else _spanning_columns(G, B)
-    bad = _first_failure(G, B, cols)
-    if bad is not None and cols.size < n:
-        bad = _first_failure(G, B, everything)
-    if bad is None:
+    (_, _, cols), = _column_groups(G, B[None])
+    bad = _first_failures(G, B[None], cols)
+    if bad and cols.size < n:
+        bad = _first_failures(G, B[None], np.arange(n))
+    if not bad:
         return VerifyResult(True, "full", n * n)
-    return VerifyResult(False, "full", (bad[0] + 1) * n, witness=bad)
+    return VerifyResult(False, "full", (bad[0][0] + 1) * n, witness=bad[0])
+
+
+def check_rows(G, B):
+    """Raise what ``make_rb`` raises on the first row of the m x n
+    matrix B that is not an operator on G, checking every row in one
+    ``_first_failures`` call: InputFormatError for images outside
+    [0, n), else PropertyFailure("rb-identity") with ``verify_rb``'s
+    least witness."""
+    n = G.order
+    out_of_range = ((B < 0) | (B >= n)).any(axis=1)
+    stop = int(out_of_range.argmax()) if out_of_range.any() else len(B)
+    failed = _first_failures(G, B[:stop])
+    if failed:
+        raise PropertyFailure("rb-identity", witness=verify_rb(G, B[min(failed)]).witness)
+    if stop < len(B):
+        _images_of(G, B[stop])
 
 
 def make_rb(G, images) -> RBOperator:
@@ -239,8 +348,11 @@ def derived_group(op: RBOperator, *, validate=True) -> FiniteGroup:
     B = _images_of(G, op)
     table = np.empty((n, n), dtype=np.uint16)
     everything = np.arange(n)
-    for gs, t in _inverse_derived_blocks(G, B, everything, everything):
-        table[gs] = G.inverse[t]
+    k = max(1, _BLOCK_ENTRIES // n)
+    work = _work(G, k, n)
+    for start in range(0, n, k):
+        gs = everything[start:start + k]
+        table[gs] = G.inverse.take(_inverse_derived(G, gs, B[gs], everything, work))
     return FiniteGroup.from_table(table, name=f"derived({G.name})", validate=validate)
 
 

@@ -365,6 +365,130 @@ def test_extension_rejects_nonabelian_a():
         rb.extension_construct(data)
 
 
+def _reference_construct(data):
+    """One datum's (images, is_rb, condition), computed on its own:
+    the wrap-around check BA(f^o) = B(f)^o, B(f^k a) = B(f)^k BA(a)
+    coset by coset, ``verify_rb`` on the map, and [u, f] in ker(B) for
+    every u = B~(g)."""
+    G, A = data.group, data.a
+    f, bf = int(data.f), int(data.bf)
+    ba = A.members[data.ba_images]
+    o = G.order // A.order
+    if ba[A.members.tolist().index(G.power(f, o))] != G.power(bf, o):
+        raise InputFormatError("BA(f^o) differs from B(f)^o; the map is not well defined")
+    images = np.full(G.order, -1, dtype=np.int64)
+    fk, bfk = 0, 0
+    for _ in range(G.order // A.order):
+        for p, a in enumerate(A.members.tolist()):
+            images[G.mul(fk, a)] = G.mul(bfk, int(ba[p]))
+        fk, bfk = G.mul(fk, f), G.mul(bfk, bf)
+    assert (images >= 0).all()
+    tilde = {G.mul(G.inv(g), int(images[G.inv(g)])) for g in range(G.order)}
+    cond = all(images[G.commutator(u, f)] == 0 for u in tilde)
+    return images, rb.verify_rb(G, images).ok, cond
+
+
+def _outcome(data):
+    try:
+        cand, is_rb, cond = rb.extension_construct(data)
+    except InputFormatError as exc:
+        return str(exc)
+    return cand.images.tolist(), is_rb, cond
+
+
+@pytest.fixture(scope="module")
+def paper16_sweep():
+    """The outcome of every datum of an untouched paper16 sweep."""
+    return [_outcome(d) for d in rb.extension_search(rb.named_group("paper16"))]
+
+
+def _sibling(data, i, same):
+    """The first datum other than data[i] with its A and f that agrees
+    with it on ``same`` ("ba" or "bf") and differs on the other."""
+    d = data[i]
+    for j, e in enumerate(data):
+        if j == i or e.a is not d.a or e.f != d.f:
+            continue
+        if (same == "bf") == (e.bf == d.bf) and \
+                (same == "ba") == np.array_equal(e.ba_images, d.ba_images):
+            return j
+    raise AssertionError("no sibling")
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("change", ["ba-in-place", "ba-not-hom", "bf"])
+def test_extension_plan_follows_changed_data(monkeypatch, paper16_sweep, chunk, change):
+    # a searched datum changed before it is built gives the result of
+    # its new values, computed on its own (or their error), and so does
+    # every datum sharing its changed BA array; no other result moves.
+    # With 5 rows a chunk the changed datum sits inside a chunk of its f
+    from rbgroups import constructions
+    if chunk is not None:
+        monkeypatch.setattr(constructions, "CHUNK_ENTRIES", 16 * chunk)
+    data = rb.extension_search(rb.named_group("paper16"))
+    i = len(data) // 2 + 2
+    if change == "bf":
+        j = _sibling(data, i, same="ba")
+        data[i].bf = data[j].bf
+        changed = {i}
+    else:
+        j = _sibling(data, i, same="bf")
+        data[i].ba_images[:] = data[j].ba_images
+        if change == "ba-not-hom":
+            data[i].ba_images[1:] = data[i].ba_images[:0:-1]
+        changed = {k for k, d in enumerate(data) if d.ba_images is data[i].ba_images}
+    got = [_outcome(d) for d in data]
+    for k in sorted(changed):
+        if change == "ba-not-hom":
+            assert got[k] == "BA is not a homomorphism of A"
+            continue
+        try:
+            images, is_rb, cond = _reference_construct(data[k])
+        except InputFormatError as exc:     # a broken wrap-around
+            assert got[k] == str(exc)
+            continue
+        assert got[k] == (images.tolist(), is_rb, cond)
+    assert got[i] == paper16_sweep[j] or change == "ba-not-hom"
+    assert [g for k, g in enumerate(got) if k not in changed] == \
+        [g for k, g in enumerate(paper16_sweep) if k not in changed]
+
+
+def test_extension_datum_built_twice_and_candidate_changed(paper16_sweep):
+    data = rb.extension_search(rb.named_group("paper16"))
+    first = rb.extension_construct(data[3])
+    again = rb.extension_construct(data[3])
+    assert np.array_equal(first[0].images, again[0].images) and first[1:] == again[1:]
+    first[0].images[:] = 0
+    again[0].images[:] = 1
+    assert [_outcome(d) for d in data] == paper16_sweep
+
+
+@pytest.mark.parametrize("chunk", [None, 5, 64])
+def test_extension_sweep_checks_each_planned_chunk_once(monkeypatch, chunk):
+    # one _first_failures call per chunk of a frame's planned rows of
+    # one f, every datum in exactly one of them, and no verify_rb
+    from rbgroups import constructions
+    if chunk is not None:
+        monkeypatch.setattr(constructions, "CHUNK_ENTRIES", 16 * chunk)
+    calls = []
+    kernel = constructions._first_failures
+
+    def spy(G, B, cols=None):
+        calls.append(len(B))
+        return kernel(G, B, cols)
+    monkeypatch.setattr(constructions, "_first_failures", spy)
+    monkeypatch.setattr(constructions, "verify_rb",
+                        lambda *a: pytest.fail("verify_rb called per datum"))
+    data = rb.extension_search(rb.named_group("paper16"))
+    flags = [rb.extension_construct(d)[1] for d in data]
+    size = constructions.CHUNK_ENTRIES // 16
+    rows = {}
+    for d in data:
+        rows[id(d._frame), d.f] = rows.get((id(d._frame), d.f), 0) + 1
+    assert len(calls) <= sum(-(-k // size) for k in rows.values())
+    assert sum(calls) == len(data) == 6656 and sum(flags) == 2240
+
+
 # (instance count, digest of the (h, k, h1, k1, r, t) tuples in order), as
 # first recorded, with t = min(k - k1); the twelve groups hold 1,131 instances
 R2_GROUPS = [

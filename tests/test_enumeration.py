@@ -748,3 +748,54 @@ def test_inner_id_maps_give_subgroup_conjugacy_classes():
         classes.append(cls)
     assert sorted(map(sorted, orbits.values())) == sorted(map(sorted, classes))
     assert len(classes) > 1
+
+
+def test_classify_equivalence_refuses_operators_of_different_groups():
+    # different orders used to fail in numpy, equal orders as an open list
+    c4 = rb.named_group("cyclic:4")
+    for other in ("cyclic:6", "elemabelian:2:2"):
+        ops = rb.enumerate_rb(c4) + rb.enumerate_rb(rb.named_group(other))
+        with pytest.raises(InputFormatError, match="must share one group"):
+            rb.classify_equivalence(ops)
+    # a second copy of the same table is the same group
+    ops = rb.enumerate_rb(c4)
+    again = rb.named_group("cyclic:4")
+    mixed = ops[:2] + [rb.RBOperator(again, op.images) for op in ops[2:]]
+    assert ([c.graph_keys for c in rb.classify_equivalence(mixed)]
+            == [c.graph_keys for c in rb.classify_equivalence(ops)])
+
+
+def test_classify_equivalence_reports_the_first_failure_in_input_order():
+    # one check covers the whole list, and the error is make_rb's on the
+    # first operator that fails: its least witness, or its range error
+    G = rb.named_group("cyclic:4")
+    ops = rb.enumerate_rb(G)
+    late = rb.RBOperator(G, [0, 1, 0, 1])          # least failing pair (1, 1)
+    early = rb.RBOperator(G, [0, 1, 2, 0])         # least failing pair (1, 2)
+    wild = rb.RBOperator(G, [0, 1, 2, 7])
+    want = rb.verify_rb(G, early).witness
+    assert want != rb.verify_rb(G, late).witness
+    for listed, error, witness in [([early, late], PropertyFailure, want),
+                                   ([late, wild], PropertyFailure, (1, 1)),
+                                   ([wild, late], InputFormatError, None)]:
+        with pytest.raises(error) as info:
+            rb.classify_equivalence(ops[:1] + listed + ops[1:])
+        if witness is not None:
+            assert info.value.clause == "rb-identity" and info.value.witness == witness
+
+
+def test_census_checks_each_chunk_of_graphs_in_one_call(monkeypatch):
+    # the kept graphs are checked in batches, never one verify_rb each,
+    # and each operator still reports a full check
+    from rbgroups import rb as rb_module
+    calls = []
+
+    def spy(G, B):
+        calls.append(len(B))
+        return rb_module.check_rows(G, B)
+    monkeypatch.setattr(enumeration, "check_rows", spy)
+    monkeypatch.setattr(rb_module, "verify_rb", lambda *a: pytest.fail("verify_rb called"))
+    G = rb.named_group("dihedral:8")
+    ops = rb.enumerate_rb(G)
+    assert len(ops) == 56 == sum(calls) and 0 < len([c for c in calls if c]) < len(ops)
+    assert all(op.provenance == {"mode": "full", "checked": 64} for op in ops)

@@ -283,12 +283,18 @@ def test_blocked_verify_one_row_blocks():
         _assert_matches_oracle(G, B)
 
 
+def _own_columns(G, B):
+    """The column set S' = S ∪ U of the one operator B (``_uncovered``)."""
+    S, U = rb_module._uncovered(G, np.asarray(B)[None])
+    return np.union1d(S, np.flatnonzero(U[0]))
+
+
 def _columns_short_of_g(G, B):
     """Whether the column set S' of B is smaller than G, after checking
     that {e} ∪ S' ∪ (S' o S') is all of G, as the exactness argument
     needs (g o h = g B(g) h B(g)^-1, computed here entry by entry)."""
     B = np.asarray(B, dtype=np.int64)
-    cols = rb_module._spanning_columns(G, B)
+    cols = _own_columns(G, B)
     covered = {0, *cols.tolist()}
     for g in cols.tolist():
         bg = int(B[g])
@@ -335,7 +341,7 @@ def test_spanning_verify_on_many_uncovered_columns():
     G = rb.named_group("cyclic:1000")
     for B in (np.zeros(1000, dtype=np.int64), G.inverse):
         assert _columns_short_of_g(G, B)
-        assert 2 * 64 < rb_module._spanning_columns(G, B).size
+        assert 2 * 64 < _own_columns(G, B).size
         for C in (B, _broken(B, 1), _broken(B, 999, 7)):
             _assert_matches_oracle(G, C)
 
@@ -369,3 +375,85 @@ def test_verify_rejects_out_of_range_operator():
     G = rb.named_group("cyclic:4")
     with pytest.raises(InputFormatError):
         rb.verify_rb(G, rb.RBOperator(G, [0, 1, 2, 4]))
+
+
+def test_verify_refuses_an_operator_of_another_order():
+    # the RBOperator path checks the length as the array path does
+    G = rb.named_group("cyclic:4")
+    with pytest.raises(ValueError, match="image array length must equal the group order"):
+        rb.verify_rb(G, rb.trivial_e(rb.named_group("cyclic:6")))
+    with pytest.raises(ValueError, match="image array length must equal the group order"):
+        rb.verify_rb(G, np.zeros(6, dtype=np.int64))
+
+
+# ----------------------------------------------------------------------
+# the batched kernel against verify_rb, one row at a time
+
+def _batch_matches_rows(G, B):
+    """Check the kernel's failures on the matrix B against verify_rb on
+    each row; where the shared columns are all of G, the kernel's
+    witness is verify_rb's least one.  Returns the failures and the
+    column groups."""
+    B = np.asarray(B, dtype=np.int64)
+    groups = rb_module._column_groups(G, B)
+    failed = rb_module._first_failures(G, B)
+    for i, row in enumerate(B):
+        res = rb.verify_rb(G, row)
+        assert (i not in failed) == res.ok, i
+        if not res.ok and len(groups) == 1 and groups[0][2].size == G.order:
+            assert failed[i] == res.witness, i
+    return failed, groups
+
+
+@pytest.mark.parametrize("block", [None, 7, 5 * 6 + 1])
+def test_batched_check_matches_verify_on_every_map(monkeypatch, block):
+    # every map of three groups of order 4 and 6, B(e) != e included,
+    # stacked as one matrix; the patched sizes give blocks of 7 or 31
+    # rows on S3 (10 or 46 on the groups of order 4), so blocks hold the
+    # end of one map and the start of the next
+    if block is not None:
+        monkeypatch.setattr(rb.rb, "_BLOCK_ENTRIES", block * 6)
+    for ident in ["cyclic:4", "elemabelian:2:2", "symmetric:3"]:
+        G = rb.named_group(ident)
+        n = G.order
+        B = np.array(list(itertools.product(range(n), repeat=n)))
+        failed, _ = _batch_matches_rows(G, B)
+        assert 0 < len(failed) < len(B)
+
+
+@pytest.mark.parametrize("block", [None, 3 * 8192 + 1])
+@pytest.mark.parametrize("ident", ["psl2:13", "psl2:23"])
+def test_batched_check_on_perturbed_operators_uses_the_union(monkeypatch, ident, block):
+    # the operators and perturbations of the row-oracle test above, run
+    # as one batch: rows share a union of their own column sets
+    if block is not None:
+        monkeypatch.setattr(rb.rb, "_BLOCK_ENTRIES", block)
+    G = rb.named_group(ident)
+    n = G.order
+    facts = rb.exact_factorizations(G)
+    ops = [np.zeros(n, dtype=np.int64), G.inverse] + [
+        rb.splitting_from_exact(f).images for f in facts[:4]]
+    rows = list(ops)
+    for i, B in enumerate(ops):
+        rows += [_broken(B, x, step) for x in (1 + i, n // 2 + i, n - 1 - i)
+                 for step in (1, n // 3)]
+    B = np.array(rows)
+    failed, groups = _batch_matches_rows(G, B)
+    assert set(failed) == set(range(len(ops), len(B)))
+    # the groups cover the rows in order; each group's shared columns
+    # hold every member's own S' and stay within 2|S| unless the group
+    # is one row.  A perturbation keeps its operator's S' (S' depends on
+    # B over S only), so operator and perturbations share one set; on
+    # psl2:13 the operators' own sets differ and one group takes their
+    # union
+    assert [g[0] for g in groups] == [0] + [g[1] for g in groups[:-1]]
+    assert groups[-1][1] == len(B)
+    S = rb_module._uncovered(G, B[:1])[0]
+    shared = grown = False
+    for start, stop, cols in groups:
+        own = [_own_columns(G, row) for row in B[start:stop]]
+        assert cols.size < n and all(np.isin(c, cols).all() for c in own)
+        assert cols.size <= 2 * S.size or stop - start == 1
+        shared |= stop - start > 1
+        grown |= min(c.size for c in own) < cols.size
+    assert shared and (grown or ident == "psl2:23")
