@@ -26,8 +26,6 @@ from .subgroups import (Factorization, Subgroup, all_subgroups, closure,
 
 #: the most data ``extension_search`` may plan to return
 EXTENSION_BUDGET = 300000
-#: slot marks of a planned extension row: not built yet, taken by its datum
-_NEW, _TAKEN = -1, -2
 
 
 def _decomposition_images(G, first: Subgroup, second: Subgroup, value_of_second):
@@ -241,12 +239,11 @@ class _ExtensionFrame:
     ``plan`` records the rows (f, B(f), BA) that ``extension_search``
     returns, as indices into the frame's own copy ``endos`` of the
     endomorphisms.  ``built`` gives a datum's (images, is_rb,
-    condition).  On a planned row not yet built it builds the next
-    ``CHUNK_ENTRIES // |G|`` unbuilt rows of that f in one ``_build``,
-    and each row is popped when its datum takes it; a chunk is dropped
-    once all its rows are taken.  A datum that does not match its
-    planned row (changed, or taken before) is built as a batch of
-    one."""
+    condition).  f's planned rows fall into fixed chunks of
+    ``CHUNK_ENTRIES // |G|`` rows; a datum that matches its planned row
+    reads it from the frame's one cached chunk, built in one ``_build``
+    on a miss and let go after its last row is read.  A datum that does
+    not match its planned row is built as a batch of one."""
 
     def __init__(self, G, A):
         pos = np.full(G.order, -1, dtype=np.int64)
@@ -265,7 +262,7 @@ class _ExtensionFrame:
             powers.append(tab[powers[-1], np.arange(A.order)])
         self.powers = np.array(powers)
         self._layouts, self._endos = {}, {}
-        self.endos, self._plan, self._chunks = None, {}, {}
+        self.endos, self._plan, self._chunk = None, {}, None
 
     def layout(self, f):
         """(j, p) with g = f^j A.members[p[g]] and j below the coset
@@ -299,39 +296,26 @@ class _ExtensionFrame:
     def plan(self, f, rows):
         """Record the rows (f, B(f), BA) of one f, given in order as pairs
         (index into ``endos``, B(f))."""
-        ids, bfs = np.array(rows, dtype=np.int64).reshape(-1, 2).T
-        self._plan[f] = ids, bfs, np.full(bfs.size, _NEW)
+        self._plan[f] = np.array(rows, dtype=np.int64).reshape(-1, 2).T
 
     def built(self, data):
         """(images, is_rb, condition) of a datum that passed the checks."""
         f, bf, row = int(data.f), int(data.bf), data._row
-        ids, bfs, slot = self._plan.get(f, (None, None, ()))
-        if data._frame is not self or row is None or row >= len(slot) or \
-                slot[row] == _TAKEN or bfs[row] != bf or \
-                self.endos[ids[row]].tobytes() != data.ba_images.tobytes():
+        ids, bfs = self._plan.get(f, ((), ()))
+        if data._frame is not self or row is None or row >= len(bfs) or \
+                bfs[row] != bf or self.endos[ids[row]].tobytes() != data.ba_images.tobytes():
             images, is_rb, cond = self._build(f, np.array([bf]), data.ba_images[None])
-            return images[0], bool(is_rb[0]), bool(cond[0])
-        if slot[row] == _NEW:
-            self._next_chunk(f, row)
-        chunk = self._chunks[f]
-        i, slot[row] = slot[row], _TAKEN
-        chunk[-1] -= 1
-        if not chunk[-1]:
-            del self._chunks[f]
-        return chunk[1][i], bool(chunk[2][i]), bool(chunk[3][i])
-
-    def _next_chunk(self, f, row):
-        """Build the chunk of f's planned rows from ``row`` on: the next
-        ``CHUNK_ENTRIES // |G|`` rows not built or taken.  It replaces f's
-        last chunk, whose rows not yet taken count as unbuilt again."""
-        ids, bfs, slot = self._plan[f]
-        if f in self._chunks:
-            old = self._chunks[f][0]
-            slot[old[slot[old] >= 0]] = _NEW
+            return images[0].astype(np.int64), bool(is_rb[0]), bool(cond[0])
         size = max(1, CHUNK_ENTRIES // self.group.order)
-        rows = row + np.flatnonzero(slot[row:row + size] == _NEW)
-        slot[rows] = np.arange(rows.size)
-        self._chunks[f] = [rows, *self._build(f, bfs[rows], self.endos[ids[rows]]), rows.size]
+        start = row - row % size
+        if self._chunk is None or self._chunk[:2] != (f, start):
+            rows = slice(start, start + size)
+            self._chunk = (f, start, *self._build(f, bfs[rows], self.endos[ids[rows]]))
+        _, _, images, is_rb, cond = self._chunk
+        i = row - start
+        if i == len(images) - 1:
+            self._chunk = None
+        return images[i].astype(np.int64), bool(is_rb[i]), bool(cond[i])
 
     def _build(self, f, bfs, bas):
         """(images, is_rb, condition) for the rows (f, bfs[r], bas[r]),
@@ -341,15 +325,15 @@ class _ExtensionFrame:
         by one masked ``any``, B([B~(g), f]) = e for every g (both in
         blocks of ``_BLOCK_ENTRIES``), and the identity by one
         ``_first_failures`` call on all rows."""
-        G, A = self.group, self.a
+        G, A, n = self.group, self.a, self.group.order
         j, p = self.layout(f)
         comm = G.mul_vec(G.inverse[G.row(f)], G.col(f))      # [x, f] = (f x)^-1 (x f)
-        step = max(1, _BLOCK_ENTRIES // G.order)
+        step = max(1, _BLOCK_ENTRIES // n)
         images, cond = [], []
         for s in range(0, len(bfs), step):
             bfj = A.members[self.powers[j, self.pos[bfs[s:s + step]][:, None]]]   # B(f)^j
-            block = G.mul_flat(bfj, A.members[bas[s:s + step, p]])
-            bt = G.mul_flat(G.inverse, block[:, G.inverse])  # B~(g) = g^-1 B(g^-1)
+            block = G.products(bfj * n + A.members[bas[s:s + step, p]])
+            bt = G.products(G.inverse * n + block[:, G.inverse])   # B~(g) = g^-1 B(g^-1)
             cond.append(~np.take_along_axis(block, comm.take(bt), axis=1).any(axis=1))
             images.append(block)
         images = np.concatenate(images)

@@ -11,7 +11,7 @@ the bound before allocating anything.  That closure,
 ``_first_powers`` is the one power walk (element orders, coset exponents).
 
 Higher-level algorithms talk to the vector accessors (``row``, ``col``,
-``mul_block``, ``mul_flat``, ``mul_vec``, ``products_at``).
+``mul_block``, ``mul_vec``, ``products``).
 """
 
 from __future__ import annotations
@@ -170,17 +170,12 @@ class FiniteGroup:
         """Outer product matrix M[i, j] = A[i]*B[j]."""
         return self._table[np.asarray(A)[:, None], np.asarray(B)].astype(np.int64)
 
-    def mul_flat(self, a, b):
-        """Elementwise products a[...]*b[...], broadcast, as table entries
-        (not converted to int64), by one gather from the flat table.
-        Entries must lie in 0..n-1, or the gather runs into the next row."""
-        return self._table.ravel().take(np.asarray(a, dtype=np.int64) * self.order + b)
-
-    def products_at(self, index, out):
-        """Write the table entries at the flat indices ``index`` (a*n + b
-        for the product a*b, all in [0, n^2)) into ``out``, an array of
-        the table's dtype and ``index``'s shape, and return it."""
-        return self._table.ravel().take(index, out=out, mode="clip")
+    def products(self, index):
+        """The table entries (not converted to int64) at the flat indices
+        ``index`` = a*n + b of the products a*b, by one gather from the
+        flat table.  a and b must lie in 0..n-1, or the gather runs into
+        the next row."""
+        return self._table.ravel().take(index)
 
     def pow_vec(self, elems, k):
         """Elementwise k-th powers."""

@@ -18,11 +18,11 @@ in a column set S', right multiplication by each P(s), s in S', maps
 H_B into itself; as P(e) = (e, e) lies in H_B, so does the group
 generated by P(S').  That group holds P(e), P(S') and P(S' o S'), so
 when {e} ∪ S' ∪ (S' o S') is all of G it is H_B, and B is an operator.
-The argument needs only that cover, and any superset of S' keeps it.
-So operators can share one column set, the union of their own S': one
-kernel (``_first_failures``) checks a whole matrix of image rows, each
-group of rows against one shared set (``_column_groups``), and
-``verify_rb`` is its one-row call.
+The argument needs only that cover, and any superset of S' keeps it,
+all of G included.  One kernel (``_first_failures``) checks a whole
+matrix of image rows: every row against all of G when one n x n block
+fits ``_BLOCK_ENTRIES``, else each row against its own S'
+(``_column_groups``).  ``verify_rb`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -96,34 +96,22 @@ def _images_of(G, op_or_images):
         arr = arr.astype(np.int64)
     if arr.shape != (G.order,):
         raise ValueError("image array length must equal the group order")
-    if arr.size and (arr.min() < 0 or arr.max() >= G.order):
+    # as unsigned, a negative entry lies past n too
+    if arr.size and arr.view(np.uint64).max() >= G.order:
         raise InputFormatError(f"operator images must lie in 0..{G.order - 1}")
     return arr
 
 
-def _work(G, k, c):
-    """Buffers for a block of at most k x c products: two int64 and two
-    of the table's dtype.  Blocks write into them rather than allocating
-    their own arrays: with allocations of block size at every step the
-    allocator can hand the memory back to the system after each block
-    and fault it in again for the next."""
-    return (*np.empty((2, k, c), dtype=np.int64), *np.empty((2, k, c), dtype=G.row(0).dtype))
-
-
-def _inverse_derived(G, gs, b, cols, work):
-    """t[j, l] = (g o h)^-1 = B(g) (g B(g) h)^-1 for g = gs[j],
-    B(g) = b[j] (int64) and h = cols[l], where g o h = g B(g) h B(g)^-1
-    is the derived product: one block product, then one gather along
-    rows.  Written into the first buffer of ``work`` (``_work``),
-    returned."""
-    s, n = len(gs), G.order
-    t, u, p = work[0][:s], work[1][:s], work[2][:s]
-    np.add((G.mul_vec(gs, b) * n)[:, None], cols, out=t)
-    np.copyto(u, G.products_at(t, p))                   # g B(g) h
-    G.inverse.take(u, out=t, mode="clip")
-    t += (b * n)[:, None]
-    np.copyto(t, G.products_at(t, p))
-    return t
+def _inverse_derived(G, gs, b, cols):
+    """(t, bn): t[..., l] = (g o h)^-1 = B(g) (g B(g) h)^-1 as table
+    entries, for g = gs[...], B(g) = b[...] (int64, broadcast with
+    ``gs``) and h = cols[l], where g o h = g B(g) h B(g)^-1 is the
+    derived product: one block product, then one gather along rows.
+    bn = B(g)·n[..., None] starts the rows B(g) of the flat table."""
+    n = G.order
+    bn = (b * n)[..., None]
+    y = G.products((G.mul_vec(gs, b) * n)[..., None] + cols)    # g B(g) h
+    return G.products(bn + G.inverse.take(y)), bn
 
 
 def _uncovered(G, B):
@@ -142,34 +130,23 @@ def _uncovered(G, B):
     flat = covered.ravel()
     b_all = B[:, S].ravel().astype(np.int64)
     k = max(1, _BLOCK_ENTRIES // S.size)
-    work = _work(G, k, S.size)
     for start in range(0, b_all.size, k):
         i, j = np.divmod(np.arange(start, min(start + k, b_all.size)), S.size)
-        t = G.inverse.take(_inverse_derived(G, S[j], b_all[start:start + k], S, work))
+        t = G.inverse[_inverse_derived(G, S[j], b_all[start:start + k], S)[0]]
         flat[t + (i * n)[:, None]] = True
     return S, ~covered
 
 
 def _column_groups(G, B):
-    """[(start, stop, cols)] for consecutive groups of the rows of the
-    m x n image matrix B, each with one shared column set: all of G
-    when one n x n block fits ``_BLOCK_ENTRIES``, else S ∪ U for U the
-    union of the group's rows' own uncovered elements (``_uncovered``),
-    which holds every row's own S'.  A group ends before a row that
-    would take |U| past |S|, so a row is checked against at most twice
-    as many columns as its own S' (a census's union is nearly all of G)."""
+    """[(start, stop, cols)] for groups of the rows of the m x n image
+    matrix B that share one column set: all rows against all of G when
+    one n x n block fits ``_BLOCK_ENTRIES``, else each row on its own
+    against its S' = S ∪ U[i] (``_uncovered``, one pass for all rows)."""
     m, n = B.shape
-    if n * n <= _BLOCK_ENTRIES:
+    if not m or n * n <= _BLOCK_ENTRIES:
         return [(0, m, np.arange(n))]
     S, U = _uncovered(G, B)
-    groups, start, union = [], 0, np.zeros(n, dtype=bool)
-    for i in range(m):
-        grown = union | U[i]
-        if i > start and np.count_nonzero(grown) > S.size:
-            groups.append((start, i, np.union1d(S, np.flatnonzero(union))))
-            start, grown = i, U[i]
-        union = grown
-    return groups + [(start, m, np.union1d(S, np.flatnonzero(union)))]
+    return [(i, i + 1, np.union1d(S, np.flatnonzero(U[i]))) for i in range(m)]
 
 
 def _first_failures(G, B, cols=None):
@@ -177,57 +154,41 @@ def _first_failures(G, B, cols=None):
     [0, n)) that fails the identity: its least (g, h), g in G and h in
     ``cols``, with B(g) B(h) != B(g o h), or (e, e) when B(e) != e, as
     then B(e) B(e) != B(e) = B(e o e).  By default each group of rows of
-    ``_column_groups`` is checked against its shared column set, and a
-    row is an operator exactly when it is not listed (module docstring).
+    ``_column_groups`` is checked against its column set, and a row is
+    an operator exactly when it is not listed (module docstring).
 
-    The m·n entries (i, g) are checked in order, in blocks of
-    k = max(1, 8192 // |cols|), each vectorized over its k·|cols| pairs
-    (a block may hold the end of one row and the start of the next).
-    A block starts past the rows that have failed already."""
+    Blocks hold at most k = max(1, 8192 // |cols|) entries (i, g), each
+    vectorized over its k·|cols| pairs: k // n whole rows, or, when
+    k < n, k entries g of one row, and a row's later blocks are skipped
+    once it fails."""
     if cols is None:
         return {start + i: pair for start, stop, cols in _column_groups(G, B)
                 for i, pair in _first_failures(G, B[start:stop], cols).items()}
     m, n = B.shape
     c = cols.size
     k = max(1, _BLOCK_ENTRIES // c)
-    work = _work(G, min(k, m * n), c)
-    table = work[3].dtype
-    # B_i(g o h) = b_of_inv[i n + (g o h)^-1]; the arrays of B as table entries
-    b_of_inv = B.take(G.inverse, axis=1).ravel().astype(table, copy=False)
-    lhs_cols = (B if c == n else B[:, cols]).astype(table, copy=False)
-    images = B.ravel()
+    rows, width = max(1, k // n), min(k, n)     # a block: rows x width entries (i, g)
+    b_of_inv = B.take(G.inverse, axis=1)        # B_i(g o h) = b_of_inv[i, (g o h)^-1]
     # with e among the columns a row with B(e) != e fails at (e, e) anyway
     failures = dict.fromkeys(np.flatnonzero(B[:, 0]).tolist(), (0, 0)) if cols[0] else {}
-    start = 0
-    while start < m * n:
-        if start // n in failures:          # skip the rest of a failed row
-            start = (start // n + 1) * n
-            continue
-        b = images[start:start + k].astype(np.int64)
-        start += b.size
-        entries = np.arange(start - b.size, start)
-        s = b.size
-        if m == 1:
-            t = _inverse_derived(G, entries, b, cols, work)
-            rhs = b_of_inv.take(t, out=work[3][:s], mode="clip")     # B(g o h)
-            np.copyto(t, lhs_cols[0])
-        else:
-            i, gs = np.divmod(entries, n)
-            t = _inverse_derived(G, gs, b, cols, work)
-            t += (i * n)[:, None]
-            rhs = b_of_inv.take(t, out=work[3][:s], mode="clip")
-            np.copyto(t, lhs_cols.take(i, axis=0, out=work[2][:s], mode="clip"))
-        t += (b * n)[:, None]
-        bad = G.products_at(t, work[2][:s]) != rhs                # B(g) B(h)
-        if not bad.any():
-            continue
-        hit = np.flatnonzero(bad.any(axis=1))
-        rows, at = np.unique(entries[hit] // n, return_index=True)
-        ls = bad[hit[at]].argmax(axis=1)
-        for row, e, l in zip(rows.tolist(), entries[hit[at]].tolist(), ls.tolist()):
-            failures.setdefault(row, (e - row * n, int(cols[l])))
-        if len(failures) == m:
-            break
+    for r in range(0, m, rows):
+        for g in range(0, n, width):
+            if width < n and r in failures:
+                break
+            b = B[r:r + rows, g:g + width].astype(np.int64, copy=False)
+            t, bn = _inverse_derived(G, np.arange(g, g + b.shape[1]), b, cols)
+            if len(b) == 1:
+                rhs = b_of_inv[r].take(t)
+            else:                           # row i's entries start at i n
+                rhs = b_of_inv.ravel().take(t + (np.arange(r, r + len(b)) * n)[:, None, None])
+            lhs = G.products(bn + B[r:r + rows, None].take(cols, axis=2))       # B(g) B(h)
+            bad = lhs != rhs
+            if not np.count_nonzero(bad):
+                continue
+            bad = bad.reshape(len(b), -1)
+            hit = np.flatnonzero(bad.any(axis=1))
+            for i, at in zip(hit.tolist(), bad[hit].argmax(axis=1).tolist()):
+                failures.setdefault(r + i, (g + at // c, int(cols[at % c])))
     return failures
 
 
@@ -264,6 +225,8 @@ def check_rows(G, B):
     [0, n), else PropertyFailure("rb-identity") with ``verify_rb``'s
     least witness."""
     n = G.order
+    if not len(B):
+        return
     out_of_range = ((B < 0) | (B >= n)).any(axis=1)
     stop = int(out_of_range.argmax()) if out_of_range.any() else len(B)
     failed = _first_failures(G, B[:stop])
@@ -349,10 +312,9 @@ def derived_group(op: RBOperator, *, validate=True) -> FiniteGroup:
     table = np.empty((n, n), dtype=np.uint16)
     everything = np.arange(n)
     k = max(1, _BLOCK_ENTRIES // n)
-    work = _work(G, k, n)
     for start in range(0, n, k):
         gs = everything[start:start + k]
-        table[gs] = G.inverse.take(_inverse_derived(G, gs, B[gs], everything, work))
+        table[gs] = G.inverse[_inverse_derived(G, gs, B[gs], everything)[0]]
     return FiniteGroup.from_table(table, name=f"derived({G.name})", validate=validate)
 
 

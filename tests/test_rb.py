@@ -391,8 +391,8 @@ def test_verify_refuses_an_operator_of_another_order():
 
 def _batch_matches_rows(G, B):
     """Check the kernel's failures on the matrix B against verify_rb on
-    each row; where the shared columns are all of G, the kernel's
-    witness is verify_rb's least one.  Returns the failures and the
+    each row; where the columns are all of G, the kernel's witness is
+    verify_rb's least one.  Returns the failures and the
     column groups."""
     B = np.asarray(B, dtype=np.int64)
     groups = rb_module._column_groups(G, B)
@@ -405,12 +405,14 @@ def _batch_matches_rows(G, B):
     return failed, groups
 
 
-@pytest.mark.parametrize("block", [None, 7, 5 * 6 + 1])
+@pytest.mark.parametrize("block", [None, 4, 7, 5 * 6 + 1])
 def test_batched_check_matches_verify_on_every_map(monkeypatch, block):
     # every map of three groups of order 4 and 6, B(e) != e included,
-    # stacked as one matrix; the patched sizes give blocks of 7 or 31
-    # rows on S3 (10 or 46 on the groups of order 4), so blocks hold the
-    # end of one map and the start of the next
+    # stacked as one matrix.  The patched sizes give blocks of 1, 2 or
+    # 11 whole maps on the groups of order 4, and of 1 or 5 maps on S3
+    # at 7 · 6 and 31 · 6 entries.  At 4 · 6 = 24 S3's 36 pairs pass the
+    # bound, so each S3 map is checked against its own S' in blocks of
+    # 24 // |S'| entries (i, g): part of a map when |S'| > 4
     if block is not None:
         monkeypatch.setattr(rb.rb, "_BLOCK_ENTRIES", block * 6)
     for ident in ["cyclic:4", "elemabelian:2:2", "symmetric:3"]:
@@ -423,9 +425,10 @@ def test_batched_check_matches_verify_on_every_map(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [None, 3 * 8192 + 1])
 @pytest.mark.parametrize("ident", ["psl2:13", "psl2:23"])
-def test_batched_check_on_perturbed_operators_uses_the_union(monkeypatch, ident, block):
+def test_batched_check_on_perturbed_operators(monkeypatch, ident, block):
     # the operators and perturbations of the row-oracle test above, run
-    # as one batch: rows share a union of their own column sets
+    # as one batch: past order 90 each row is checked against its own
+    # column set S', the one verify_rb uses
     if block is not None:
         monkeypatch.setattr(rb.rb, "_BLOCK_ENTRIES", block)
     G = rb.named_group(ident)
@@ -440,20 +443,6 @@ def test_batched_check_on_perturbed_operators_uses_the_union(monkeypatch, ident,
     B = np.array(rows)
     failed, groups = _batch_matches_rows(G, B)
     assert set(failed) == set(range(len(ops), len(B)))
-    # the groups cover the rows in order; each group's shared columns
-    # hold every member's own S' and stay within 2|S| unless the group
-    # is one row.  A perturbation keeps its operator's S' (S' depends on
-    # B over S only), so operator and perturbations share one set; on
-    # psl2:13 the operators' own sets differ and one group takes their
-    # union
-    assert [g[0] for g in groups] == [0] + [g[1] for g in groups[:-1]]
-    assert groups[-1][1] == len(B)
-    S = rb_module._uncovered(G, B[:1])[0]
-    shared = grown = False
-    for start, stop, cols in groups:
-        own = [_own_columns(G, row) for row in B[start:stop]]
-        assert cols.size < n and all(np.isin(c, cols).all() for c in own)
-        assert cols.size <= 2 * S.size or stop - start == 1
-        shared |= stop - start > 1
-        grown |= min(c.size for c in own) < cols.size
-    assert shared and (grown or ident == "psl2:23")
+    assert [g[:2] for g in groups] == [(i, i + 1) for i in range(len(B))]
+    for i, (_, _, cols) in enumerate(groups):
+        assert cols.size < n and np.array_equal(cols, _own_columns(G, B[i]))
