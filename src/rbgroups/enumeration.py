@@ -34,8 +34,7 @@ from .constructions import splitting_from_exact
 from .errors import InputFormatError, PropertyFailure, ResourceCapError
 from .groups import orbit_labels
 from .naming import structure_name
-from .rb import (RBOperator, btilde, check_rows, derived_group, im_bbt, image,
-                 is_splitting)
+from .rb import RBOperator, btilde, check_rows, image, is_splitting
 from .subgroups import (Factorization, all_subgroups, exact_factorizations,
                         is_normal, is_simple, unchecked_quotient)
 
@@ -311,8 +310,20 @@ def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
     its orbit, the class representative.
 
     With ``verify_invariants`` the class invariants (splitting flag,
-    derived-group fingerprint, |Im(B B~)|) are checked constant over the
-    given operators.
+    derived-group fingerprint, |Im(B B~)|) are checked constant over
+    every class, in one batched pass over the image rows that builds no
+    derived group (``_class_invariants``).  The graph map
+    g -> (B(g), g B(g)) is an isomorphism (G, o) -> H_B <= G x G, so g
+    has order lcm(|B(g)|, |g B(g)|) in (G, o), and its centralizer
+    order |C(g)| counts the h whose pair commutes with g's in both
+    coordinates; the class sizes n / |C(g)|, the centre and the
+    exponent follow.  This is exact, not a filter: the map is an
+    isomorphism because B is a homomorphism (G, o) -> G, which holds
+    as every row has passed ``check_rows``.  A break raises
+    PropertyFailure("orbit-invariant-broken"); of the classes in
+    representative order, the first that breaks names as witness the
+    graph key of its first member, in key order, whose invariants
+    differ from the representative's.
     """
     if not ops:
         return []
@@ -338,6 +349,13 @@ def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
             raise InputFormatError(
                 "operator list is not closed under the equivalence transforms") from None
     labels = orbit_labels(len(ops), maps)
+    if verify_invariants:
+        invariants = _class_invariants(G, a)
+        # (class, member) of each break: the least names the witness
+        broken = [(i, j) for j, i in enumerate(labels.tolist())
+                  if invariants[j] != invariants[i]]
+        if broken:
+            raise PropertyFailure("orbit-invariant-broken", witness=keys[min(broken)[1]])
     classes = []
     for i in np.flatnonzero(labels == np.arange(len(ops))):
         rep = ops[i]
@@ -346,25 +364,90 @@ def classify_equivalence(ops, verify_invariants=True) -> list[EquivalenceClass]:
             representative=rep, size=members.size, splitting=is_splitting(rep),
             image_names=_image_names_of(rep),
             graph_keys=frozenset(keys[j] for j in members))
-        if verify_invariants:
-            _check_orbit_invariants([(keys[j], ops[j]) for j in members])
         classes.append(cls)
     classes.sort(key=lambda c: c.representative.key())
     return classes
 
 
-def _check_orbit_invariants(members):
-    """GG-lemma class invariants, recomputed member by member on one
-    class's (graph key, operator) pairs in key order; the witness of a
-    break is the key of the first member that differs."""
-    ref = None
-    for k, member in members:
-        got = (is_splitting(member), derived_group(member, validate=False).fingerprint(),
-               int(im_bbt(member).size))
-        if ref is None:
-            ref = got
-        elif got != ref:
-            raise PropertyFailure("orbit-invariant-broken", witness=k)
+_POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
+
+
+def _class_invariants(G, a):
+    """(is_splitting(B), derived_group(B).fingerprint(), |Im(B B~)|)
+    for each operator B whose image array is a row of the m x n matrix
+    a, one tuple per row; rows with equal invariants share one tuple.
+
+    With b = g B(g), the row a[b] is B(B~(g^-1)), as B~(g) = g^-1 B(g^-1)
+    = b[g^-1], so it spells Im(B B~) and the splitting flag.  Orders in
+    (G, o) are lcm(|B(g)|, |g B(g)|) and centralizer orders come from
+    ``_centralizer_orders`` (``classify_equivalence``); the fingerprint
+    takes the order histogram, count(n / |C| = s) / s classes of each
+    size s, the centre as the g with |C(g)| = n, and the exponent.
+    The rows must be operators, or the numbers mean nothing."""
+    m, n = a.shape
+    b = G.mul_vec(np.arange(n), a)
+    bbt = np.sort(np.take_along_axis(a, b, axis=1), axis=1)
+    im_sizes = 1 + np.count_nonzero(np.diff(bbt, axis=1), axis=1)
+    ords = G.element_orders()
+    shift = (np.arange(m) * (n + 1))[:, None]
+
+    def histograms(x):              # row i: the counts of the values 0..n in x[i]
+        return np.bincount((x + shift).ravel(), minlength=m * (n + 1)).reshape(m, n + 1)
+
+    keys = np.column_stack([bbt[:, -1] == 0, im_sizes,
+                            histograms(np.lcm(ords[a], ords[b])),
+                            histograms(_centralizer_orders(G, a, b))])
+    out, tuples = [], {}
+    for key in keys:
+        code = key.tobytes()
+        if code not in tuples:
+            orders, cents = key[2:n + 3], key[n + 3:]
+            present = np.flatnonzero(orders)
+            # centralizer order c: classes of size n // c, ascending as c descends
+            sizes = tuple(n // c for c in np.flatnonzero(cents)[::-1].tolist()
+                          for _ in range(int(cents[c]) * c // n))
+            tuples[code] = (bool(key[0]),
+                            (n, tuple(int(x) for x in orders[:present[-1] + 1]), sizes,
+                             int(cents[n]), int(np.lcm.reduce(present))),
+                            int(key[1]))
+        out.append(tuples[code])
+    return out
+
+
+def _centralizer_orders(G, a, b):
+    """|C(g)| in (G, o) for every entry g of the m x n image matrix a,
+    with b = g B(g): the number of h with B(h) commuting with B(g) and
+    h B(h) with g B(g).  Each distinct value x in a row of a (Im B) or
+    of b (Im B~), usually far fewer than n, gets one packed bitset of
+    the h whose value commutes with x, built CHUNK_ENTRIES // n sets at
+    a time, and |C(g)| is the popcount of the AND of g's two sets.
+    Rows go in blocks of max(1, CHUNK_ENTRIES // (n ⌈n/8⌉)), whose sets
+    take at most n ⌈n/8⌉ bytes per row and side, so at most
+    ``CHUNK_ENTRIES`` up to order 720, and the counts in blocks of as
+    many bytes: no temporary grows with m n^2."""
+    m, n = a.shape
+    width = -(-n // 8)
+    rows = max(1, CHUNK_ENTRIES // (n * width))
+
+    def commuting_sets(v):          # (sets, at): g's set in row i is sets[at[i n + g]]
+        codes, at = np.unique(v + (np.arange(len(v)) * n)[:, None], return_inverse=True)
+        i, xs = np.divmod(codes, n)
+        sets = np.empty((codes.size, width), dtype=np.uint8)
+        step = max(1, CHUNK_ENTRIES // n)
+        for s in range(0, codes.size, step):
+            x, y = xs[s:s + step, None], v[i[s:s + step]]
+            sets[s:s + step] = np.packbits(G.products(x * n + y) == G.products(y * n + x),
+                                           axis=1)
+        return sets, at.reshape(-1)
+
+    out = np.empty((m, n), dtype=np.int64)
+    k = max(1, CHUNK_ENTRIES // width)
+    for r in range(0, m, rows):
+        (sa, at_a), (sb, at_b) = commuting_sets(a[r:r + rows]), commuting_sets(b[r:r + rows])
+        dst = out[r:r + rows].reshape(-1)
+        for s in range(0, at_a.size, k):
+            dst[s:s + k] = _POPCOUNT[sa[at_a[s:s + k]] & sb[at_b[s:s + k]]].sum(axis=1)
+    return out
 
 
 @dataclass

@@ -322,31 +322,53 @@ def test_orbit_invariants_hold():
         assert c.representative.key() in {o.key() for o in ops}
 
 
-def test_orbit_invariant_break_is_reported(monkeypatch):
-    # one member of a class gets a different derived-group fingerprint
+def _assert_break_reported(monkeypatch, breaks):
+    # `breaks` non-representative members of one class get a changed
+    # invariant row, found among the rows by their images; the witness
+    # is the first of them in key order
     G = rb.named_group("dihedral:8")
     ops = rb.enumerate_rb(G)
     classes = rb.classify_equivalence(ops)
-    cls = next(c for c in classes if c.size > 1)
-    target = next(op for op in ops if rb.graph_key(op) in cls.graph_keys
-                  and op.key() != cls.representative.key())
-    real = enumeration.derived_group
+    cls = next(c for c in classes if c.size > breaks)
+    members = [op for op in ops if rb.graph_key(op) in cls.graph_keys
+               and op.key() != cls.representative.key()]
+    targets = sorted(members, key=rb.graph_key, reverse=True)[:breaks]
+    real = enumeration._class_invariants
 
-    class Changed:
-        def fingerprint(self):
-            return "changed"
+    def patched(G, a):
+        rows = real(G, a)
+        for op in targets:
+            j, = np.flatnonzero((a == op.images).all(axis=1))
+            rows[j] = "changed"
+        return rows
 
-    def patched(op, *, validate=True):
-        if op.key() == target.key():
-            return Changed()
-        return real(op, validate=validate)
-
-    monkeypatch.setattr(enumeration, "derived_group", patched)
+    monkeypatch.setattr(enumeration, "_class_invariants", patched)
     assert len(rb.classify_equivalence(ops, verify_invariants=False)) == len(classes)
     with pytest.raises(PropertyFailure) as info:
         rb.classify_equivalence(ops, verify_invariants=True)
     assert info.value.clause == "orbit-invariant-broken"
-    assert info.value.witness == rb.graph_key(target)
+    assert info.value.witness == min(rb.graph_key(op) for op in targets)
+
+
+def test_orbit_invariant_break_is_reported(monkeypatch):
+    _assert_break_reported(monkeypatch, 1)
+
+
+def test_orbit_invariant_break_names_the_first_member_in_key_order(monkeypatch):
+    _assert_break_reported(monkeypatch, 2)
+
+
+@pytest.mark.parametrize("ident", ["dihedral:8", "quaternion:8", "alternating:4", "paper16",
+                                   "elemabelian:2:3", "psl2:7", "psl2:7~3"])
+def test_class_invariants_match_derived_group(ident, relabelled):
+    # the batched rows against each operator's derived-group table
+    G = relabelled(ident)
+    ops = rb.enumerate_rb(G, cap=G.order)
+    rows = enumeration._class_invariants(G, np.array([op.images for op in ops]))
+    assert len(rows) == len(ops)
+    for op, row in zip(ops, rows):
+        assert row == (rb.is_splitting(op), rb.derived_group(op, validate=False).fingerprint(),
+                       rb.im_bbt(op).size)
 
 
 @pytest.mark.parametrize("idx", range(len(CENSUS)), ids=[c[0] for c in CENSUS])
@@ -364,7 +386,7 @@ def test_classify_splitting_small_groups(idx):
 
 @pytest.mark.parametrize("ident,operators,s", [
     ("alternating:5", 62, 1), ("psl2:7", 562, 2),
-    # a few seconds together, most of it psl2:8's class invariants
+    # about 1.3 s together, 0.7 s of it psl2:8
     ("alternating:6", 2, 0), ("psl2:8", 506, 1)])
 def test_census_agrees_with_pair_route_on_simple_groups(ident, operators, s):
     # the census sees no non-splitting operator, as the obstruction scan
@@ -379,12 +401,12 @@ def test_census_agrees_with_pair_route_on_simple_groups(ident, operators, s):
 
 
 def test_psl2_11_census_agrees_with_pair_route():
-    # about 5 s: 3,170 operators, all splitting, in the two trivial
-    # classes and three nontrivial ones
+    # about 6 s with the class invariants: 3,170 operators, all
+    # splitting, in the trivial class and three nontrivial ones
     G = rb.named_group("psl2:11")
     ops = rb.enumerate_rb(G, cap=G.order)
     assert len(ops) == 3170
-    classes = rb.classify_equivalence(ops, verify_invariants=False)
+    classes = rb.classify_equivalence(ops)
     assert all(c.splitting for c in classes)
     nontrivial = [c for c in classes if c.image_names[0] != "1"]
     assert len(nontrivial) == rb.classify_splitting(G).s == 3
