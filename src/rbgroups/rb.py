@@ -13,21 +13,30 @@ for every g, equivalently when Im(B) and Im(B~) intersect trivially.
 ``verify_rb`` checks the identity exactly through the graph
 H_B = {P(g)} with P(g) = (B(g), g B(g)) in G x G: P(g) P(h) = P(g o h)
 exactly when B(g) B(h) = B(g o h), so B is an operator iff H_B is a
-subgroup.  If B(e) = e and the identity holds for every g and every h
-in a column set S', right multiplication by each P(s), s in S', maps
-H_B into itself; as P(e) = (e, e) lies in H_B, so does the group
-generated by P(S').  That group holds P(e), P(S') and P(S' o S'), so
-when {e} ∪ S' ∪ (S' o S') is all of G it is H_B, and B is an operator.
-The argument needs only that cover, and any superset of S' keeps it,
-all of G included.  One kernel (``_first_failures``) checks a whole
-matrix of image rows: every row against all of G when one n x n block
-fits ``_BLOCK_ENTRIES``, else each row against its own S'
-(``_column_groups``).  ``verify_rb`` is its one-row call.
+subgroup.  P is injective, as g = (g B(g)) B(g)^-1.  If the identity
+holds for every g against one column t, right multiplication by P(t)
+maps H_B into itself, so s_t: g -> g o t is a permutation of G and
+H_B P(t) = H_B; H_B is then closed under right multiplication by the
+group generated by P(T) for every set T of such columns.  Let B(e) = e,
+so that P(e) = (e, e) and s_t(e) = t.  If the orbit of e under the s_t
+(t in T) is all of G, every P(g) is P(e) times a product of the P(t)
+and their inverses, so H_B lies in the group K generated by P(T); as
+K = P(e) K lies in H_B, H_B = K is a subgroup and B is an operator.
+The walk (``_walk``) finds such a T: starting from R = {e}, it checks
+the column of the least element outside R, grows R to its orbit under
+the s_t checked so far, and repeats until R = G.  R is P^-1 of K, a
+subgroup of H_B, so each column that passes at least doubles it: the
+walk checks at most log2(n) + 1 columns, 2 or 3 on the trivial
+operators of the catalog's PSL(2, q), A6 and S6.  One kernel
+(``_first_failures``) checks a whole matrix of image rows: every row
+against all of G when one n x n block fits ``_BLOCK_ENTRIES``, else
+every row by the walk, and a row that fails a walked column is scanned
+against all of G for its least failing pair (``_least_failures``).
+``verify_rb`` is its one-row call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
@@ -114,105 +123,141 @@ def _inverse_derived(G, gs, b, cols):
     return G.products(bn + G.inverse.take(y)), bn
 
 
-def _uncovered(G, B):
-    """(S, U): S the distinct elements among 2⌈√n⌉ drawn with a fixed
-    seed, and U[i] the mask of the elements outside {e} ∪ S ∪ (S o S)
-    under row i of the m x n image matrix B, whose products s o s' are
-    formed in blocks of 8192 // |S| (row, s) entries.  Row i's own
-    column set S' = S ∪ U[i] makes {e} ∪ S' ∪ (S' o S') all of G;
-    whatever S is, a check on S' is exact, and a good S only makes S'
-    small."""
-    m, n = B.shape
-    S = np.unique(np.random.default_rng(0).integers(0, n, 2 * math.isqrt(n - 1) + 2))
-    covered = np.zeros((m, n), dtype=bool)
-    covered[:, 0] = True
-    covered[:, S] = True
-    flat = covered.ravel()
-    b_all = B[:, S].ravel().astype(np.int64)
-    k = max(1, _BLOCK_ENTRIES // S.size)
-    for start in range(0, b_all.size, k):
-        i, j = np.divmod(np.arange(start, min(start + k, b_all.size)), S.size)
-        t = G.inverse[_inverse_derived(G, S[j], b_all[start:start + k], S)[0]]
-        flat[t + (i * n)[:, None]] = True
-    return S, ~covered
-
-
-def _column_groups(G, B):
-    """[(start, stop, cols)] for groups of the rows of the m x n image
-    matrix B that share one column set: all rows against all of G when
-    one n x n block fits ``_BLOCK_ENTRIES``, else each row on its own
-    against its S' = S ∪ U[i] (``_uncovered``, one pass for all rows)."""
-    m, n = B.shape
-    if not m or n * n <= _BLOCK_ENTRIES:
-        return [(0, m, np.arange(n))]
-    S, U = _uncovered(G, B)
-    return [(i, i + 1, np.union1d(S, np.flatnonzero(U[i]))) for i in range(m)]
-
-
-def _first_failures(G, B, cols=None):
+def _least_failures(G, B):
     """{i: (g, h)} for each row i of the m x n image matrix B (entries in
-    [0, n)) that fails the identity: its least (g, h), g in G and h in
-    ``cols``, with B(g) B(h) != B(g o h), or (e, e) when B(e) != e, as
-    then B(e) B(e) != B(e) = B(e o e).  By default each group of rows of
-    ``_column_groups`` is checked against its column set, and a row is
-    an operator exactly when it is not listed (module docstring).
+    [0, n)) that fails the identity: its least (g, h) in G x G with
+    B(g) B(h) != B(g o h), which is (e, e) when B(e) != e, as then
+    B(e) B(e) != B(e) = B(e o e).
 
-    Blocks hold at most k = max(1, 8192 // |cols|) entries (i, g), each
-    vectorized over its k·|cols| pairs: k // n whole rows, or, when
-    k < n, k entries g of one row, and a row's later blocks are skipped
-    once it fails."""
-    if cols is None:
-        return {start + i: pair for start, stop, cols in _column_groups(G, B)
-                for i, pair in _first_failures(G, B[start:stop], cols).items()}
+    Blocks hold at most k = max(1, 8192 // n) entries (i, g), each
+    vectorized over its k·n pairs: k // n whole rows, or, when k < n,
+    k entries g of one row, and a row's later blocks are skipped once
+    it fails."""
     m, n = B.shape
-    c = cols.size
-    k = max(1, _BLOCK_ENTRIES // c)
+    k = max(1, _BLOCK_ENTRIES // n)
     rows, width = max(1, k // n), min(k, n)     # a block: rows x width entries (i, g)
     b_of_inv = B.take(G.inverse, axis=1)        # B_i(g o h) = b_of_inv[i, (g o h)^-1]
-    # with e among the columns a row with B(e) != e fails at (e, e) anyway
-    failures = dict.fromkeys(np.flatnonzero(B[:, 0]).tolist(), (0, 0)) if cols[0] else {}
+    everything = np.arange(n)
+    failures = {}
     for r in range(0, m, rows):
         for g in range(0, n, width):
             if width < n and r in failures:
                 break
             b = B[r:r + rows, g:g + width].astype(np.int64, copy=False)
-            t, bn = _inverse_derived(G, np.arange(g, g + b.shape[1]), b, cols)
+            t, bn = _inverse_derived(G, np.arange(g, g + b.shape[1]), b, everything)
             if len(b) == 1:
                 rhs = b_of_inv[r].take(t)
             else:                           # row i's entries start at i n
                 rhs = b_of_inv.ravel().take(t + (np.arange(r, r + len(b)) * n)[:, None, None])
-            lhs = G.products(bn + B[r:r + rows, None].take(cols, axis=2))       # B(g) B(h)
+            lhs = G.products(bn + B[r:r + rows, None])      # B(g) B(h)
             bad = lhs != rhs
             if not np.count_nonzero(bad):
                 continue
             bad = bad.reshape(len(b), -1)
             hit = np.flatnonzero(bad.any(axis=1))
             for i, at in zip(hit.tolist(), bad[hit].argmax(axis=1).tolist()):
-                failures.setdefault(r + i, (g + at // c, int(cols[at % c])))
+                failures.setdefault(r + i, (g + at // n, at % n))
     return failures
+
+
+def _walk(G, B):
+    """(failed, T) for the m x n image matrix B: failed[i] when row i
+    fails a column it checks (or has B(e) != e), and T[s, i] the column
+    row i checked at step s, -1 when it checked none.
+
+    Every row walks its own reached set R, which starts as {e}.  A step
+    checks, for every row not yet done, the column t of the least
+    element outside R against all g, and a column that passes gives the
+    permutation s_t: g -> g o t; R then grows to its orbit under the
+    permutations of all the passed columns.  For each permutation p the
+    orbit is closed by doubling, R |= p^-1(R) by one gather and then
+    p = p∘p (the powers are kept; <p^-1> = <p>), until a step adds
+    nothing, so that a long cycle costs log2 of its length; rounds over the permutations
+    repeat until one adds nothing.  t joins R (s_t(e) = t) and R at
+    least doubles (module docstring), so a row is done, with R = G or
+    failed, after at most log2(n) + 1 steps.  The rows share every step
+    as one m x n block."""
+    m, n = B.shape
+    b = B.astype(np.int64)
+    off = (np.arange(m) * n)[:, None]
+    start = G.mul_vec(np.arange(n), b) * n          # rows g B(g) of the flat table
+    b_inv = G.inverse.take(b)
+    failed = b[:, 0] != 0
+    reached = np.zeros((m, n), dtype=bool)
+    reached[:, 0] = True
+    reached[failed] = True
+    moved = np.empty_like(reached)
+    flat, out = reached.ravel(), moved.ravel()
+    count, powers, T = np.count_nonzero(reached), [], []
+    while count < m * n:
+        todo = np.flatnonzero(~reached.all(axis=1))
+        t = reached[todo].argmin(axis=1)
+        gbt = G.products(start[todo] + t[:, None]).astype(np.int64)         # g B(g) t
+        s = G.products(gbt * n + b_inv[todo]) + off[todo]                   # g o t, flat
+        lhs = G.products(b[todo] * n + b[todo, t][:, None])                 # B(g) B(t)
+        bad = (lhs != b.ravel().take(s)).any(axis=1)
+        failed[todo[bad]] = True
+        reached[todo[bad]] = True
+        perm = (off + np.arange(n)).ravel()         # the identity on rows not walked
+        perm.reshape(m, n)[todo[~bad]] = s[~bad]
+        powers.append([perm])
+        T.append(np.full(m, -1))
+        T[-1][todo] = t
+        count = np.count_nonzero(reached)
+        while count < m * n:
+            before = count
+            for ps in powers:
+                k = 0
+                while count < m * n:
+                    if k == len(ps):
+                        ps.append(ps[-1].take(ps[-1]))
+                    flat.take(ps[k], out=out)       # p^-(2^k)(R)
+                    reached |= moved
+                    grown = np.count_nonzero(reached)
+                    if grown == count:
+                        break
+                    count, k = grown, k + 1
+            if count == before:
+                break
+    return failed, np.array(T, dtype=np.int64).reshape(-1, m)
+
+
+def _first_failures(G, B):
+    """{i: (g, h)} for each row i of the m x n image matrix B (entries in
+    [0, n)) that fails the identity, with its least failing pair over
+    G x G (``_least_failures``); a row is an operator exactly when it is
+    not listed.  When one n x n block fits ``_BLOCK_ENTRIES`` every row
+    is scanned against all of G; past that, blocks of
+    max(1, 8192 // n) rows are walked together (``_walk``, exact by the
+    module docstring) and only the rows that fail are scanned."""
+    m, n = B.shape
+    if n * n <= _BLOCK_ENTRIES:
+        return _least_failures(G, B)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    failed = np.zeros(m, dtype=bool)
+    for r in range(0, m, rows):
+        failed[r:r + rows] = _walk(G, B[r:r + rows])[0]
+    failed = np.flatnonzero(failed)
+    return {int(failed[i]): pair for i, pair in _least_failures(G, B[failed]).items()}
 
 
 def verify_rb(G, op) -> VerifyResult:
     """Check the defining identity exactly.
 
-    The one-row call of ``_first_failures``: the identity is checked
-    for all g against the columns h in S' (module docstring), in blocks
-    of k = max(1, 8192 // |S'|) rows g, each block vectorized over its
-    k·|S'| pairs.  A group of order <= 90 fits one block, and its S' is
-    all of G.  A passing check reports ``checked`` = n^2.  A failure
-    reports the lexicographically least failing pair (g, h) over all of
-    G x G (found by a scan of every column when S' is smaller than G)
-    and ``checked`` = (g + 1)·n, the whole rows up to and including its
-    row.  Images must be n element indices in [0, n).
+    The one-row call of ``_first_failures``: up to order 90 every pair
+    of G x G is checked in one block, and past it the walk checks a few
+    columns h against all g (module docstring) and a row that fails one
+    is scanned against all of G.  A passing check reports ``checked`` =
+    n^2.  A failure reports the lexicographically least failing pair
+    (g, h) over all of G x G and ``checked`` = (g + 1)·n, the whole rows
+    up to and including its row.  Images must be n element indices in
+    [0, n).
     """
     B = _images_of(G, op)
     n = G.order
     if B[0] != 0:
         return VerifyResult(False, "full", 0, witness=(0, 0))
-    (_, _, cols), = _column_groups(G, B[None])
-    bad = _first_failures(G, B[None], cols)
-    if bad and cols.size < n:
-        bad = _first_failures(G, B[None], np.arange(n))
+    bad = _first_failures(G, B[None])
     if not bad:
         return VerifyResult(True, "full", n * n)
     return VerifyResult(False, "full", (bad[0][0] + 1) * n, witness=bad[0])
@@ -231,7 +276,7 @@ def check_rows(G, B):
     stop = int(out_of_range.argmax()) if out_of_range.any() else len(B)
     failed = _first_failures(G, B[:stop])
     if failed:
-        raise PropertyFailure("rb-identity", witness=verify_rb(G, B[min(failed)]).witness)
+        raise PropertyFailure("rb-identity", witness=failed[min(failed)])
     if stop < len(B):
         _images_of(G, B[stop])
 

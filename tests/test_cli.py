@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from rbgroups import cli, subgroups
+from rbgroups import cli, named_group, subgroups
 
 CMD = [sys.executable, "-m", "rbgroups"]
 
@@ -37,6 +37,22 @@ def test_verify_rejects_invalid_operator():
     assert code == 1
     assert payload["verdict"] is False
     assert payload["witness"] == [1, 1]
+
+
+@pytest.mark.parametrize("change, code, verdict, checked, witness", [
+    (None, 0, True, 1092 ** 2, None),
+    (546, 1, False, 2 * 1092, [1, 546]),
+])
+def test_verify_past_order_90(change, code, verdict, checked, witness):
+    # psl2:13 (order 1,092) is checked by the walk; B(g) = g^-1, and the
+    # same map with the image of element 546 moved to the next index
+    images = named_group("psl2:13").inverse.tolist()
+    if change is not None:
+        images[change] = (images[change] + 1) % 1092
+    got, payload = run_json("verify", "psl2:13", json.dumps({"images": images}))
+    assert got == code
+    assert (payload["verdict"], payload["mode"]) == (verdict, "full")
+    assert (payload["checked"], payload["witness"]) == (checked, witness)
 
 
 def test_verify_malformed_images_is_input_error():

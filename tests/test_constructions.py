@@ -473,9 +473,9 @@ def test_extension_sweep_checks_each_planned_chunk_once(monkeypatch, chunk):
     calls = []
     kernel = constructions._first_failures
 
-    def spy(G, B, cols=None):
+    def spy(G, B):
         calls.append(len(B))
-        return kernel(G, B, cols)
+        return kernel(G, B)
     monkeypatch.setattr(constructions, "_first_failures", spy)
     monkeypatch.setattr(constructions, "verify_rb",
                         lambda *a: pytest.fail("verify_rb called per datum"))

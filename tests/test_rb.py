@@ -8,6 +8,7 @@ import pytest
 import rbgroups as rb
 import rbgroups.rb as rb_module
 from rbgroups.errors import InputFormatError, PropertyFailure
+from rbgroups.groups import _closure_members
 
 
 def all_ops(ident):
@@ -283,40 +284,49 @@ def test_blocked_verify_one_row_blocks():
         _assert_matches_oracle(G, B)
 
 
-def _own_columns(G, B):
-    """The column set S' = S ∪ U of the one operator B (``_uncovered``)."""
-    S, U = rb_module._uncovered(G, np.asarray(B)[None])
-    return np.union1d(S, np.flatnonzero(U[0]))
+def _walked_columns(G, B):
+    """The columns the walk checked on the one map B (``_walk``), in
+    the order it checked them."""
+    _, T = rb_module._walk(G, np.asarray(B)[None])
+    return T[:, 0][T[:, 0] >= 0]
 
 
 def _columns_short_of_g(G, B):
-    """Whether the column set S' of B is smaller than G, after checking
-    that {e} ∪ S' ∪ (S' o S') is all of G, as the exactness argument
-    needs (g o h = g B(g) h B(g)^-1, computed here entry by entry)."""
+    """Whether the walk checked fewer than n columns on the operator B,
+    after checking that the orbit of e under the maps g -> g o t, t a
+    walked column, is all of G, as the exactness argument needs
+    (g o t = g B(g) t B(g)^-1, computed here entry by entry)."""
     B = np.asarray(B, dtype=np.int64)
-    cols = _own_columns(G, B)
-    covered = {0, *cols.tolist()}
-    for g in cols.tolist():
+    cols = _walked_columns(G, B)
+    reached, todo = {0}, [0]
+    while todo:
+        g = todo.pop()
         bg = int(B[g])
-        covered.update(G.col(G.inv(bg))[G.row(G.mul(g, bg))[cols]].tolist())
-    assert covered == set(range(G.order))
+        for x in G.col(G.inv(bg))[G.row(G.mul(g, bg))[cols]].tolist():
+            if x not in reached:
+                reached.add(x)
+                todo.append(x)
+    assert reached == set(range(G.order))
+    # each passed column at least doubles the reached subgroup
+    assert 2 ** cols.size <= G.order
     return cols.size < G.order
 
 
 @pytest.mark.parametrize("ident", ["cyclic:4", "elemabelian:2:2", "symmetric:3",
                                    "cyclic:5", "cyclic:6"])
 def test_spanning_verify_matches_row_oracle_on_every_map(monkeypatch, ident):
-    # one entry short of n^2 sends every map through the column set S';
-    # its first scan is one block, the all-columns rescan two
+    # one entry short of n^2 sends every map through the walk; a map
+    # that fails a walked column is scanned against all of G, n - 1
+    # entries g of its row per block
     G = rb.named_group(ident)
     n = G.order
     monkeypatch.setattr(rb.rb, "_BLOCK_ENTRIES", n * n - 1)
     short = 0
     for tail in itertools.product(range(n), repeat=n - 1):
         B = np.array((0,) + tail, dtype=np.int64)
-        _assert_matches_oracle(G, B)
-        short += _columns_short_of_g(G, B)
-    assert short or ident == "cyclic:5"      # the seeded draw holds all of Z5
+        if _assert_matches_oracle(G, B).ok:
+            short += _columns_short_of_g(G, B)
+    assert short >= 2           # both trivial operators at least
 
 
 @pytest.mark.parametrize("ident", ["psl2:13", "psl2:23"])
@@ -336,14 +346,84 @@ def test_spanning_verify_matches_row_oracle_on_perturbed_operators(ident):
 
 
 def test_spanning_verify_on_many_uncovered_columns():
-    # on Z1000 the trivial operators' S o S is a sumset of S's at most
-    # 2⌈√1000⌉ = 64 elements, so S' takes many columns beyond S
+    # on Z1000, g o h = g + h for both trivial operators, so their first
+    # column, t = 1, gives the map g -> g + 1: one cycle through all of
+    # G, which the walk closes by doubling after one column
     G = rb.named_group("cyclic:1000")
     for B in (np.zeros(1000, dtype=np.int64), G.inverse):
         assert _columns_short_of_g(G, B)
-        assert 2 * 64 < _own_columns(G, B).size
+        assert _walked_columns(G, B).tolist() == [1]
         for C in (B, _broken(B, 1), _broken(B, 999, 7)):
             _assert_matches_oracle(G, C)
+
+
+def _coset_break(G, cols):
+    """A map that passes the walk's first len(cols) columns and fails
+    the next: e outside one coset x K of K = <cols>, and cols[0] on it.
+    The walked columns t lie in K and commute with cols[0] (K abelian,
+    or K cyclic), so g o t = g t and B(g t) = B(g): each passes."""
+    K = _closure_members(G, cols.tolist())
+    x = int(np.flatnonzero(~np.isin(np.arange(G.order), K))[0])
+    B = np.zeros(G.order, dtype=np.int64)
+    B[G.row(x)[K]] = cols[0]
+    return B
+
+
+@pytest.mark.parametrize("ident, walked", [("alternating:6", 2), ("symmetric:6", 2),
+                                           ("psl2:23", 3), ("elemabelian:2:7", 7)])
+def test_walk_takes_further_columns(ident, walked):
+    # the trivial operators' first column does not reach all of G, so
+    # the walk checks the least element it has not reached next
+    G = rb.named_group(ident)
+    n = G.order
+    B = np.stack([np.zeros(n, dtype=np.int64), G.inverse])
+    failed, T = rb_module._walk(G, B)
+    assert not failed.any() and T.shape == (walked, 2)
+    assert T[:2].tolist() == [[1, 1], [2, 2]]
+    for row in B:
+        assert _columns_short_of_g(G, row)
+        assert rb.verify_rb(G, row).checked == n * n
+    rb_module.check_rows(G, B)
+
+
+@pytest.mark.parametrize("ident, passed", [("alternating:6", 1), ("psl2:23", 1)] + [
+    ("elemabelian:2:7", c) for c in range(1, 6)])
+def test_walk_fails_a_later_column(ident, passed):
+    # the map passes the first `passed` walked columns and fails the
+    # next; verify_rb and check_rows still give the least failing pair
+    # over all of G x G, and a batch with operators names that row
+    G = rb.named_group(ident)
+    n = G.order
+    cols = _walked_columns(G, np.zeros(n, dtype=np.int64))
+    B = _coset_break(G, cols[:passed])
+    failed, T = rb_module._walk(G, B[None])
+    assert failed[0] and T[:, 0].tolist() == cols[:passed + 1].tolist()
+    res = _assert_matches_oracle(G, B)
+    assert not res.ok
+    rows = np.stack([np.zeros(n, dtype=np.int64), B, G.inverse, B])
+    assert rb_module._first_failures(G, rows) == {1: res.witness, 3: res.witness}
+    with pytest.raises(PropertyFailure) as info:
+        rb_module.check_rows(G, rows)
+    assert info.value.witness == res.witness
+
+
+def test_walk_checks_few_columns_on_psl2_23(monkeypatch):
+    # every column of the walk gathers 3 n table entries (g B(g) t,
+    # g o t, B(g) B(t)), and a row that passes is not scanned
+    G = rb.named_group("psl2:23")
+    n = G.order
+    gathered = []
+    products = G.products
+
+    def spy(index):
+        gathered.append(np.size(index))
+        return products(index)
+
+    monkeypatch.setattr(G, "products", spy)
+    for B in (np.zeros(n, dtype=np.int64), G.inverse):
+        gathered.clear()
+        assert rb.verify_rb(G, B).ok
+        assert sum(gathered) <= 6 * 3 * n
 
 
 @pytest.mark.parametrize("ident", ["cyclic:6", "elemabelian:2:3", "abelian:4x2",
@@ -391,18 +471,16 @@ def test_verify_refuses_an_operator_of_another_order():
 
 def _batch_matches_rows(G, B):
     """Check the kernel's failures on the matrix B against verify_rb on
-    each row; where the columns are all of G, the kernel's witness is
-    verify_rb's least one.  Returns the failures and the
-    column groups."""
+    each row, witness included: the kernel gives every failing row its
+    least failing pair over G x G.  Returns the failures."""
     B = np.asarray(B, dtype=np.int64)
-    groups = rb_module._column_groups(G, B)
     failed = rb_module._first_failures(G, B)
     for i, row in enumerate(B):
         res = rb.verify_rb(G, row)
         assert (i not in failed) == res.ok, i
-        if not res.ok and len(groups) == 1 and groups[0][2].size == G.order:
+        if not res.ok:
             assert failed[i] == res.witness, i
-    return failed, groups
+    return failed
 
 
 @pytest.mark.parametrize("block", [None, 4, 7, 5 * 6 + 1])
@@ -411,15 +489,16 @@ def test_batched_check_matches_verify_on_every_map(monkeypatch, block):
     # stacked as one matrix.  The patched sizes give blocks of 1, 2 or
     # 11 whole maps on the groups of order 4, and of 1 or 5 maps on S3
     # at 7 · 6 and 31 · 6 entries.  At 4 · 6 = 24 S3's 36 pairs pass the
-    # bound, so each S3 map is checked against its own S' in blocks of
-    # 24 // |S'| entries (i, g): part of a map when |S'| > 4
+    # bound, so the S3 maps are walked 4 at a time, and those that fail
+    # are scanned against all of G in blocks of 24 // 6 entries (i, g):
+    # part of a map
     if block is not None:
         monkeypatch.setattr(rb.rb, "_BLOCK_ENTRIES", block * 6)
     for ident in ["cyclic:4", "elemabelian:2:2", "symmetric:3"]:
         G = rb.named_group(ident)
         n = G.order
         B = np.array(list(itertools.product(range(n), repeat=n)))
-        failed, _ = _batch_matches_rows(G, B)
+        failed = _batch_matches_rows(G, B)
         assert 0 < len(failed) < len(B)
 
 
@@ -427,8 +506,8 @@ def test_batched_check_matches_verify_on_every_map(monkeypatch, block):
 @pytest.mark.parametrize("ident", ["psl2:13", "psl2:23"])
 def test_batched_check_on_perturbed_operators(monkeypatch, ident, block):
     # the operators and perturbations of the row-oracle test above, run
-    # as one batch: past order 90 each row is checked against its own
-    # column set S', the one verify_rb uses
+    # as one batch: past order 90 the rows are walked together, each on
+    # the columns a walk of its own would check
     if block is not None:
         monkeypatch.setattr(rb.rb, "_BLOCK_ENTRIES", block)
     G = rb.named_group(ident)
@@ -441,8 +520,9 @@ def test_batched_check_on_perturbed_operators(monkeypatch, ident, block):
         rows += [_broken(B, x, step) for x in (1 + i, n // 2 + i, n - 1 - i)
                  for step in (1, n // 3)]
     B = np.array(rows)
-    failed, groups = _batch_matches_rows(G, B)
+    failed = _batch_matches_rows(G, B)
     assert set(failed) == set(range(len(ops), len(B)))
-    assert [g[:2] for g in groups] == [(i, i + 1) for i in range(len(B))]
-    for i, (_, _, cols) in enumerate(groups):
-        assert cols.size < n and np.array_equal(cols, _own_columns(G, B[i]))
+    walked, T = rb_module._walk(G, B)
+    assert set(np.flatnonzero(walked)) == set(failed)
+    for i, B in enumerate(ops):
+        assert _walked_columns(G, B).tolist() == T[:, i][T[:, i] >= 0].tolist()
