@@ -479,10 +479,27 @@ class ClassificationReport:
 def _id_maps(subs, element_maps):
     """For each element map f, the array p with p[i] the index in
     ``subs`` of f(subs[i]); ``subs`` (subgroups, each with sorted
-    ``members``) must be closed under every f, else KeyError."""
-    index = {s.key(): i for i, s in enumerate(subs)}
-    return [np.array([index[np.sort(f[s.members]).tobytes()] for s in subs])
-            for f in element_maps]
+    ``members``) must be closed under every f, else KeyError.
+
+    One pass per subgroup order d: the members of the subgroups of
+    order d are stacked into rows, each f maps them, the images are
+    sorted along the rows, and each image row, as its 8d bytes, is
+    looked up among the rows' bytes.
+    """
+    out = [np.empty(len(subs), dtype=np.int64) for _ in element_maps]
+    by_order = {}
+    for i, s in enumerate(subs):
+        by_order.setdefault(s.order, []).append(i)
+    for d, ids in by_order.items():
+        rows = np.stack([subs[i].members for i in ids])
+        width = 8 * d
+        spans = range(0, len(ids) * width, width)
+        raw = rows.tobytes()
+        index = {raw[a:a + width]: i for a, i in zip(spans, ids)}
+        for f, p in zip(element_maps, out):
+            raw = np.sort(f[rows], axis=1).astype(np.int64, copy=False).tobytes()
+            p[ids] = [index[raw[a:a + width]] for a in spans]
+    return out
 
 
 def _pair_orbits(facts, transforms):

@@ -21,7 +21,9 @@ survives, as in psl2:7, psl2:13, psl2:23 and A5, nothing is scanned.
 Elsewhere the seeds come from a bounded scan of pairs <x, y> in the
 core, x over classes of cyclic subgroups and y over the orbits of the
 normalizer of <x>; this relies on perfect subgroups being 2-generated,
-see the docstring of ``_perfect_seed_subgroups``.
+see the docstring of ``_perfect_seed_subgroups``.  By Lagrange a pair
+whose lcm(o(x), o(y)) divides no order sought is skipped, and the y of
+one x are closed together by ``_pair_closures``.
 
 The walk runs on classes: each new subgroup is registered with its
 conjugacy class and only the first member of the class is extended.
@@ -51,6 +53,11 @@ NEXT_SIMPLE_ORDER = 12180
 #: with ResourceCapError, about 600 MB of them; (Z2)^9 has 8,283,458
 #: subgroups, and psl2:23 5,915
 LATTICE_CAP = 1 << 20
+#: mask entries of one batched pass: the seed scan closes the pairs of
+#: one x ``CHUNK_ENTRIES // |G|`` at a time, and ``exact_factorizations``
+#: meets ``CHUNK_ENTRIES // (|right| d1)`` left subgroups of order d1
+#: at a time with the right ones
+CHUNK_ENTRIES = 1 << 16
 
 
 def _factorint(n):
@@ -239,6 +246,53 @@ def _cyclic_class_labels(G):
     return np.array(labels, dtype=np.int64)
 
 
+def _pair_closures(G, x, ys, bound):
+    """Members of <x, y> for each y in ``ys``, in order, as sorted
+    arrays, or None where the closure has more than ``bound`` elements.
+
+    Row i of an m x |G| reached mask R starts as {1} and grows as
+    R <- R ∪ Rx ∪ Ry_i, all rows in one gather per step, since
+    (Rg)[h] = R[hg^-1].  After k steps a row holds the products of at
+    most k generators, so it stops growing exactly when it is closed
+    under right multiplication by x and y_i, that is when it is
+    <x, y_i> (in a finite group the products of x and y_i form a
+    subgroup).  A row is dropped once it stops growing or passes
+    ``bound``.
+    """
+    n = G.order
+    ys = np.asarray(ys, dtype=np.int64)
+    out = [None] * ys.size
+    # flat positions in R of h x^-1, then of h y^-1, for each row and h
+    at = np.concatenate([np.broadcast_to(G.col(G.inverse[x]), (ys.size, n)),
+                         G.col(G.inverse[ys]).T], axis=1).astype(np.int64)
+    at += n * np.arange(ys.size)[:, None]
+    live = np.arange(ys.size)
+    R = np.zeros((ys.size, n), dtype=bool)
+    R[:, 0] = True
+    size = np.ones(ys.size, dtype=np.int64)
+    while live.size:
+        moved = R.take(at)
+        R |= moved[:, :n]
+        R |= moved[:, n:]
+        grown = np.count_nonzero(R, axis=1)
+        done = grown == size
+        for i, row in zip(live[done].tolist(), R[done]):
+            out[i] = np.flatnonzero(row)
+        keep = np.flatnonzero((grown > size) & (grown <= bound))
+        if keep.size < live.size:
+            # row keep[j] moves up to row j
+            at = at[keep] - (n * (keep - np.arange(keep.size)))[:, None]
+            R, live = R[keep], live[keep]
+        size = grown[keep]
+    return out
+
+
+def _is_perfect(G, x, y, order):
+    """Is <x, y>, of the given order, perfect?  Its derived subgroup is
+    the normal closure of [x, y] under x and y."""
+    return normal_closure(G, [G.commutator(x, y)], under=(x, y)).order == order
+
+
 def _perfect_seed_subgroups(G):
     """Perfect subgroups of G, excluding the trivial one, up to
     conjugacy.
@@ -268,6 +322,13 @@ def _perfect_seed_subgroups(G):
     proved here for the others.  The assumption matters only where the sieve leaves
     orders to scan: 168 in psl2:8, 60, 120 and 180 in A6, 60 in psl2:11.
     A solvable G has P = 1 and no scan.
+
+    By Lagrange o(x) and o(y) divide |<x, y>|, so a pair whose
+    lcm(o(x), o(y)) divides no surviving m would fail the order test;
+    such x and y are dropped before closing.  The y of one x are closed
+    together by ``_pair_closures``.  Pairs that generate the same
+    subgroup are tested for perfectness once, and the first one is the
+    seed's ``gens``; ``all_subgroups`` would skip the later ones anyway.
     """
     n = G.order
     core = _perfect_core(G)
@@ -279,24 +340,35 @@ def _perfect_seed_subgroups(G):
     if not orders:
         return seeds
     bound = max(orders)
+    step = max(1, CHUNK_ENTRIES // n)
+    # the element orders that divide some surviving m
+    fits = np.array(sorted({d for m in orders for d in divisors(m)}))
+    elem_orders = G.element_orders()
     in_core = core.mask()
     class_of = G.class_of()
     cyclic_class = _cyclic_class_labels(G)
+    tested = set()
     for i, cls in enumerate(G.conjugacy_classes()):
         x = int(cls[0])
-        if x == 0 or cyclic_class[i] != i or not in_core[x]:
+        if x == 0 or cyclic_class[i] != i or not in_core[x] \
+                or elem_orders[x] not in fits:
             continue
         cyc = Subgroup(G, _closure_members(G, [x]), (x,))
         norm = np.flatnonzero(normalizer_mask(G, cyc))
         maps = [G.conjugation_map(c) for c in _greedy_generators(G, norm)]
         ys = np.unique(orbit_labels(n, maps)[core.members])
-        for y in ys[cyclic_class[class_of[ys]] >= i].tolist():
-            mem = _closure_members(G, [x, y], bound=bound)
+        ys = ys[(cyclic_class[class_of[ys]] >= i)
+                & np.isin(np.lcm(elem_orders[x], elem_orders[ys]), fits)]
+        closed = [mem for lo in range(0, ys.size, step)
+                  for mem in _pair_closures(G, x, ys[lo:lo + step], bound)]
+        for y, mem in zip(ys.tolist(), closed):
             if mem is None or mem.size not in orders:
                 continue
-            dm = normal_closure(G, [G.commutator(x, y)], under=(x, y))
-            if dm.order == mem.size:
-                seeds.append(Subgroup(G, mem, (x, y)))
+            key = mem.tobytes()
+            if key not in tested:
+                tested.add(key)
+                if _is_perfect(G, x, y, mem.size):
+                    seeds.append(Subgroup(G, mem, (x, y)))
     return seeds
 
 
@@ -377,7 +449,7 @@ def all_subgroups(G):
 
 
 def intersection(A: Subgroup, B: Subgroup) -> Subgroup:
-    mem = np.intersect1d(A.members, B.members)
+    mem = A.members[B.mask()[A.members]]
     return Subgroup(A.parent, mem, ())
 
 
@@ -408,7 +480,8 @@ def exact_factorizations(G, subs=None):
     |HL| = |H||L| / |H ∩ L| holds for any two subgroups, so checking
     |H||L| = |G| and trivial intersection suffices; the product covering
     G is automatic and is asserted by the test suite, not recomputed
-    here.
+    here.  The pairs of one order pair are met in one gather: B ∩ A = 1
+    exactly when B holds none of A's members past the identity.
     """
     n = G.order
     if n == 1:
@@ -427,14 +500,15 @@ def exact_factorizations(G, subs=None):
         left = by_order[d1]
         right = by_order[d2]
         rmask = np.stack([s.mask() for s in right])
-        for i, A in enumerate(left):
-            am = A.mask()
-            inter = (rmask & am).sum(axis=1)
-            start = i + 1 if d1 == d2 else 0
-            for j in np.nonzero(inter == 1)[0]:
-                if j < start:
-                    continue
-                out.append(Factorization(h=right[j], l=A))
+        # members past the identity, which is member 0 of every subgroup
+        rest = np.stack([s.members[1:] for s in left])
+        step = max(1, CHUNK_ENTRIES // (len(right) * d1))
+        for lo in range(0, len(left), step):
+            # meet[j, i]: right[j] and left[lo + i] share more than 1
+            meet = rmask[:, rest[lo:lo + step]].any(axis=2)
+            for j, i in zip(*np.nonzero(~meet)):
+                if d1 < d2 or j > lo + i:
+                    out.append(Factorization(h=right[j], l=left[lo + i]))
     out.sort(key=lambda f: (f.h.order, f.h.key(), f.l.key()))
     return out
 

@@ -772,6 +772,40 @@ def test_inner_id_maps_give_subgroup_conjugacy_classes():
     assert len(classes) > 1
 
 
+def dict_id_maps(subs, element_maps):
+    """Oracle for ``_id_maps``: one dict lookup per subgroup and map."""
+    index = {s.key(): i for i, s in enumerate(subs)}
+    return [np.array([index[np.sort(f[s.members]).tobytes()] for s in subs])
+            for f in element_maps]
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+def test_id_maps_match_dict_lookup_on_factor_lists(q):
+    G = rb.named_group(f"psl2:{q}")
+    by_key = {s.key(): s for f in rb.exact_factorizations(G) for s in (f.h, f.l)}
+    factors = [by_key[k] for k in sorted(by_key)]
+    maps = [f for t in rb.q_transform_generators(G) for f in (t.fa, t.fb)]
+    got, want = _id_maps(factors, maps), dict_id_maps(factors, maps)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("ident", ["symmetric:4", "paper16", "psl2:11", "symmetric:6"])
+def test_id_maps_match_dict_lookup_on_lattices(ident):
+    G = rb.named_group(ident)
+    subs = rb.all_subgroups(G)
+    maps = [G.conjugation_map(g) for g in range(G.order)][:40]
+    got, want = _id_maps(subs, maps), dict_id_maps(subs, maps)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # a list missing an image raises KeyError, as the dict lookup does
+    moved = next(int(p[i]) for p in want for i in range(len(subs)) if p[i] != i)
+    rest = subs[:moved] + subs[moved + 1:]
+    with pytest.raises(KeyError):
+        dict_id_maps(rest, maps)
+    with pytest.raises(KeyError):
+        _id_maps(rest, maps)
+
+
 def test_classify_equivalence_refuses_operators_of_different_groups():
     # different orders used to fail in numpy, equal orders as an open list
     c4 = rb.named_group("cyclic:4")

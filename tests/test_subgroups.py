@@ -138,6 +138,9 @@ def test_intersection_and_product_set():
     inter = rb.intersection(a, b)
     prod = rb.product_set(a, b)          # boolean mask over G
     assert inter.order * int(prod.sum()) == a.order * b.order
+    for a, b in itertools.product(subs, repeat=2):
+        assert rb.intersection(a, b).members.tolist() == \
+            np.intersect1d(a.members, b.members).tolist()
 
 
 def test_quotient_s4_mod_v4():
@@ -347,27 +350,32 @@ def test_lattice_cheap_counts(name):
     assert frobenius_counts_hold(G, subs)
 
 
-def spy_on_bounded_closures(monkeypatch):
-    """The bounds of the bounded ``_closure_members`` calls made from
-    now on, in call order."""
-    closure = sg._closure_members
-    bounds = []
+def spy_on_seed_scan(monkeypatch):
+    """(pairs closed, bound) of each ``_pair_closures`` call made from
+    now on, and the order of each subgroup put to ``_is_perfect``, in
+    call order."""
+    pair_closures, is_perfect = sg._pair_closures, sg._is_perfect
+    closed, tested = [], []
 
-    def spy(G, gens, bound=None):
-        if bound is not None:
-            bounds.append(bound)
-        return closure(G, gens, bound)
+    def closures_spy(G, x, ys, bound):
+        closed.append((len(ys), bound))
+        return pair_closures(G, x, ys, bound)
 
-    monkeypatch.setattr(sg, "_closure_members", spy)
-    return bounds
+    def perfect_spy(G, x, y, order):
+        tested.append(order)
+        return is_perfect(G, x, y, order)
+
+    monkeypatch.setattr(sg, "_pair_closures", closures_spy)
+    monkeypatch.setattr(sg, "_is_perfect", perfect_spy)
+    return closed, tested
 
 
 @pytest.mark.parametrize("ident,count", [("cyclic:240", 20), ("dihedral:240", 376)])
 def test_solvable_group_runs_no_seed_scan(ident, count, monkeypatch):
     G = rb.named_group(ident)
-    bounded = spy_on_bounded_closures(monkeypatch)
+    closed, tested = spy_on_seed_scan(monkeypatch)
     assert len(rb.all_subgroups(G)) == count
-    assert bounded == []
+    assert closed == [] and tested == []
 
 
 @pytest.mark.parametrize("ident,count", [
@@ -375,18 +383,64 @@ def test_solvable_group_runs_no_seed_scan(ident, count, monkeypatch):
 def test_simple_order_sieve_skips_the_seed_scan(ident, count, monkeypatch):
     # no order m | |G| with m <= |G|/2 is a multiple of a simple order
     G = rb.named_group(ident)
-    bounded = spy_on_bounded_closures(monkeypatch)
+    closed, tested = spy_on_seed_scan(monkeypatch)
     assert len(rb.all_subgroups(G)) == count
-    assert bounded == []
+    assert closed == [] and tested == []
 
 
 def test_psl2_11_seed_scan_is_bounded_by_a5(monkeypatch):
     # 60 is the only candidate order of a proper perfect subgroup
     G = rb.named_group("psl2:11")
-    bounded = spy_on_bounded_closures(monkeypatch)
+    closed, tested = spy_on_seed_scan(monkeypatch)
     subs = rb.all_subgroups(G)
     assert sum(1 for s in subs if s.order == 60) == 22
-    assert bounded and set(bounded) == {60}
+    assert closed and {bound for _, bound in closed} == {60}
+    assert set(tested) == {60}
+
+
+# pairs closed and perfectness tests of the seed scan; the scan without
+# the lcm test closes 125 pairs on psl2:8 (no element of order 9 lies in
+# a subgroup of order 168) and 184 on psl2:11, and without one test per
+# subgroup it makes 26, 26 and 14 tests on psl2:11, A6 and S6
+@pytest.mark.parametrize("ident,pairs,tests", [
+    ("psl2:8", 82, 0), ("psl2:11", 158, 10), ("alternating:6", 129, 9),
+    ("symmetric:6", 86, 9)])
+def test_seed_scan_prunes_pairs_and_tests_each_subgroup_once(
+        ident, pairs, tests, monkeypatch):
+    G = rb.named_group(ident)
+    closed, tested = spy_on_seed_scan(monkeypatch)
+    rb.all_subgroups(G)
+    assert sum(k for k, _ in closed) == pairs
+    assert len(tested) == tests
+
+
+@pytest.mark.parametrize("ident", ["psl2:8", "symmetric:6"])
+def test_chunk_size_changes_no_lattice_or_factorization(ident, monkeypatch):
+    # one row per seed-scan pass and one left subgroup per meet
+    G = rb.named_group(ident)
+    subs = rb.all_subgroups(G)
+    facts = rb.exact_factorizations(G, subs)
+    monkeypatch.setattr(sg, "CHUNK_ENTRIES", 1)
+    assert [(s.key(), s.gens) for s in rb.all_subgroups(G)] == \
+        [(s.key(), s.gens) for s in subs]
+    assert [(f.h.key(), f.l.key()) for f in rb.exact_factorizations(G, subs)] == \
+        [(f.h.key(), f.l.key()) for f in facts]
+
+
+@pytest.mark.parametrize("ident", ["psl2:11", "alternating:6", "symmetric:6"])
+def test_pair_closures_match_closure_members(ident):
+    G = rb.named_group(ident)
+    n = G.order
+    ys = np.arange(0, n, 7)
+    for cls in G.conjugacy_classes():
+        x = int(cls[0])
+        for bound in (59, 60, 180, n):
+            got = sg._pair_closures(G, x, ys, bound)
+            for y, mem in zip(ys.tolist(), got):
+                want = sg._closure_members(G, [x, y], bound=bound)
+                assert (mem is None) == (want is None)
+                if want is not None:
+                    assert mem.tolist() == want.tolist()
 
 
 def is_prime_power(q):
@@ -556,6 +610,51 @@ def test_sieved_seeds_match_blind_scan(name, relabelled):
     blind = blind_seed_scan(G, G.order)
     assert conjugation_closure(G, sieved).keys() == \
         conjugation_closure(G, blind).keys()
+
+
+def unpruned_seed_scan(G):
+    """Oracle: the seed scan closing every pair one at a time with
+    ``_closure_members``, with no lcm test and a perfectness test per
+    pair."""
+    n = G.order
+    core = sg._perfect_core(G)
+    if core.order == 1:
+        return []
+    seeds = [core]
+    orders = {m for m in sg.divisors(core.order)
+              if 2 * m <= core.order and any(m % s == 0 for s in sg.SIMPLE_ORDERS)}
+    if not orders:
+        return seeds
+    bound = max(orders)
+    in_core = core.mask()
+    class_of = G.class_of()
+    cyclic_class = sg._cyclic_class_labels(G)
+    for i, cls in enumerate(G.conjugacy_classes()):
+        x = int(cls[0])
+        if x == 0 or cyclic_class[i] != i or not in_core[x]:
+            continue
+        cyc = rb.Subgroup(G, sg._closure_members(G, [x]), (x,))
+        norm = np.flatnonzero(rb.normalizer_mask(G, cyc))
+        maps = [G.conjugation_map(c) for c in sg._greedy_generators(G, norm)]
+        ys = np.unique(orbit_labels(n, maps)[core.members])
+        for y in ys[cyclic_class[class_of[ys]] >= i].tolist():
+            mem = sg._closure_members(G, [x, y], bound=bound)
+            if mem is None or mem.size not in orders:
+                continue
+            dm = sg.normal_closure(G, [G.commutator(x, y)], under=(x, y))
+            if dm.order == mem.size:
+                seeds.append(rb.Subgroup(G, mem, (x, y)))
+    return seeds
+
+
+@pytest.mark.parametrize("ident", ["psl2:8", "psl2:9", "psl2:11", "symmetric:6",
+                                   "alternating:7"])
+def test_lattice_matches_unpruned_seed_scan(ident, monkeypatch):
+    # the same subgroups with the same gens, in the same order
+    G = rb.named_group(ident)
+    got = [(s.key(), s.gens) for s in rb.all_subgroups(G)]
+    monkeypatch.setattr(sg, "_perfect_seed_subgroups", unpruned_seed_scan)
+    assert got == [(s.key(), s.gens) for s in rb.all_subgroups(G)]
 
 
 # the census reads graphs off G's own lattice; this oracle searches the
