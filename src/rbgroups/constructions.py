@@ -19,8 +19,7 @@ from .catalog import named_group
 from .errors import InputFormatError, PropertyFailure, ResourceCapError
 from .groups import _closure_members, _first_powers
 from .maps import GroupMap
-from .rb import (_BLOCK_ENTRIES, RBOperator, _first_failures, btilde, make_rb,
-                 verify_rb)
+from .rb import _BLOCK_ENTRIES, RBOperator, _walk, btilde, make_rb, verify_rb
 from .subgroups import (Factorization, Subgroup, all_subgroups, closure,
                         exact_factorizations, intersection, is_normal)
 
@@ -189,28 +188,30 @@ def lemma_r2_search(G) -> list[LemmaR2Instance]:
         for H in by_order.get(2 * H1.order, []):
             if not H.mask()[H1.members].all():
                 continue
-            if np.intersect1d(H.members, K.members).size != 2:
+            if intersection(H, K).order != 2:
                 continue
             out += [LemmaR2Instance(h=H, k=K, h1=H1, k1=K1) for K1 in k1s]
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtensionData:
     """Data for the abelian-extension construction: G = <A, f> with A
     normal abelian, an endomorphism of A (positional over A.members),
     and an image for f inside A.
 
-    Data from ``extension_search`` carry the frame of their (G, A): the
-    checks that depend only on A, run once per A, and the search's plan
-    of every (f, B(f), BA) it returns, so that ``extension_construct``
-    builds and checks planned data in batches.  Data of one search share
-    each BA array, so a change made to one in place reaches them all;
-    the plan keeps its own copy, and a datum that no longer matches it
-    is built on its own.  It trusts a frame only
-    while ``frame.group is group and frame.a is a``; otherwise
-    (hand-made data, or a datum whose group or A was replaced) it
-    builds and checks a new one.  The per-datum checks always run.
+    Data from ``extension_search`` carry the frame of their (G, A) and
+    ``_row``, their index in the frame's plan: the checks that depend
+    only on A, run once per A, and the search's rows (f, BA, B(f)) in
+    order, so that ``extension_construct`` checks and builds planned
+    data in batches.  Data of one search share each BA array, so a
+    change made to one in place reaches them all; the plan keeps its
+    own copy, and a datum that no longer matches its row is checked and
+    built on its own.  It trusts a frame only while ``frame.group is
+    group and frame.a is a``; otherwise (hand-made data, or a datum
+    whose group or A was replaced) it builds and checks a new one.
+    Slotted, so that the hundreds of thousands of data a search may
+    return carry no per-instance dict.
     """
 
     group: object
@@ -232,18 +233,18 @@ class _ExtensionFrame:
     ``tops[f]`` are the coset exponent o of every f and f^o.  Closure
     and commutativity are read off ``tab``; raises unless A is a normal
     abelian subgroup.  ``powers[j, p]`` is the position of the j-th
-    power of ``A.members[p]`` for j = 0..|G|/|A|.  The transversal of
-    each f (``layout``) and the checks of each BA
-    (``endomorphism_checks``) are worked out once and kept.
+    power of ``A.members[p]`` for j = 0..|G|/|A|, and ``layouts`` gives
+    the transversals of many f at once.
 
-    ``plan`` records the rows (f, B(f), BA) that ``extension_search``
-    returns, as indices into the frame's own copy ``endos`` of the
-    endomorphisms.  ``built`` gives a datum's (images, is_rb,
-    condition).  f's planned rows fall into fixed chunks of
-    ``CHUNK_ENTRIES // |G|`` rows; a datum that matches its planned row
-    reads it from the frame's one cached chunk, built in one ``_build``
-    on a miss and let go after its last row is read.  A datum that does
-    not match its planned row is built as a batch of one."""
+    ``plan`` records the rows (f, BA, B(f)) that ``extension_search``
+    returns, every f of the frame in one flat list, with BA an index
+    into the frame's own copy ``endos`` of the endomorphisms.
+    ``planned`` gives a datum's (images, is_rb, condition) while it
+    still matches its row.  The rows fall into fixed chunks of
+    ``CHUNK_ENTRIES // |G|`` rows, which span the frame's f: on the
+    first read of one of its rows a chunk's rows are checked together
+    (``_passes``) and built in one ``_build``, and the frame keeps that
+    one chunk until its last row is read."""
 
     def __init__(self, G, A):
         pos = np.full(G.order, -1, dtype=np.int64)
@@ -261,85 +262,128 @@ class _ExtensionFrame:
         for _ in range(G.order // A.order):
             powers.append(tab[powers[-1], np.arange(A.order)])
         self.powers = np.array(powers)
-        self._layouts, self._endos = {}, {}
-        self.endos, self._plan, self._chunk = None, {}, None
+        self.endos, self._plan, self._chunk = None, np.empty((0, 3), dtype=np.int64), None
 
-    def layout(self, f):
+    def layouts(self, fs):
         """(j, p) with g = f^j A.members[p[g]] and j below the coset
-        exponent of f, for every g: f's transversal cells f^j a, checked
-        once to cover G."""
-        if f not in self._layouts:
-            G, A = self.group, self.a
-            fj = [0]
-            for _ in range(int(self.expo[f]) - 1):
-                fj.append(G.mul(fj[-1], f))
-            cells = G.mul_block(fj, A.members).ravel()
-            if np.unique(cells).size != G.order:
-                raise InputFormatError("transversal failed to decompose every element")
-            at = np.empty(G.order, dtype=np.int64)
-            at[cells] = np.arange(G.order)
-            self._layouts[f] = np.divmod(at, A.order)
-        return self._layouts[f]
+        exponent |G|/|A| of f, which every f of ``fs`` must have, for
+        every g: row r holds the transversal cells f^j a of f = fs[r],
+        checked to cover G."""
+        G, A, n = self.group, self.a, self.group.order
+        fj, cells = np.zeros(len(fs), dtype=np.int64), []
+        for _ in range(n // A.order):
+            cells.append(G.mul_block(fj, A.members))
+            fj = G.mul_vec(fj, fs)
+        at = np.full((len(fs), n), -1)
+        np.put_along_axis(at, np.stack(cells, axis=1).reshape(len(fs), n), np.arange(n), axis=1)
+        if (at < 0).any():
+            raise InputFormatError("transversal failed to decompose every element")
+        return np.divmod(at, A.order)
 
-    def endomorphism_checks(self, ba):
-        """(in range, homomorphism) for the positional array ``ba``: |A|
-        entries in 0..|A|-1, and the homomorphism law on every pair of
-        A's positional table; worked out once per array value."""
-        key = ba.dtype.str, ba.shape, ba.tobytes()
-        if key not in self._endos:
-            tab, m = self.tab, self.a.order
-            in_range = ba.shape == (m,) and bool(((ba >= 0) & (ba < m)).all())
-            self._endos[key] = in_range, in_range and bool(
-                (ba[tab] == tab[ba[:, None], ba]).all())
-        return self._endos[key]
+    def endomorphism_checks(self, bas):
+        """(in range, homomorphism) for every row of the positional array
+        ``bas``: |A| entries in 0..|A|-1, and the homomorphism law on
+        every pair of A's positional table, in blocks of
+        ``_BLOCK_ENTRIES`` table entries."""
+        tab, m = self.tab, self.a.order
+        if bas.shape[1:] != (m,):
+            no = np.zeros(len(bas), dtype=bool)
+            return no, no
+        in_range = ((bas >= 0) & (bas < m)).all(axis=1)
+        safe = np.where(in_range[:, None], bas, 0)
+        step = max(1, _BLOCK_ENTRIES // (m * m))
+        hom = [(e[:, tab] == tab[e[:, :, None], e[:, None, :]]).all(axis=(1, 2))
+               for e in (safe[s:s + step] for s in range(0, len(safe), step))]
+        return in_range, in_range & np.concatenate(hom)
 
-    def plan(self, f, rows):
-        """Record the rows (f, B(f), BA) of one f, given in order as pairs
-        (index into ``endos``, B(f))."""
-        self._plan[f] = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+    def plan(self, endos, rows):
+        """Record the frame's own copy ``endos`` of the endomorphisms (an
+        e x |A| array) and its rows, given in order as r x 3 arrays of
+        (f, index into ``endos``, B(f))."""
+        self.endos, self._plan = endos, np.concatenate(rows)
 
-    def built(self, data):
-        """(images, is_rb, condition) of a datum that passed the checks."""
-        f, bf, row = int(data.f), int(data.bf), data._row
-        ids, bfs = self._plan.get(f, ((), ()))
-        if data._frame is not self or row is None or row >= len(bfs) or \
-                bfs[row] != bf or self.endos[ids[row]].tobytes() != data.ba_images.tobytes():
-            images, is_rb, cond = self._build(f, np.array([bf]), data.ba_images[None])
-            return images[0].astype(np.int64), bool(is_rb[0]), bool(cond[0])
+    def planned(self, data, f, bf):
+        """(images, is_rb, condition) of a datum that still matches its
+        planned row (same f, B(f) and BA bytes) and passed its chunk's
+        checks, read off the frame's cached chunk; None for any other
+        datum."""
+        row, ba = data._row, data.ba_images
+        if data._frame is not self or row is None or not 0 <= row < len(self._plan):
+            return None
+        pf, e, pbf = self._plan[row].tolist()
+        endo = self.endos[e]
+        if pf != f or pbf != bf or ba.dtype != endo.dtype or \
+                ba.shape != endo.shape or ba.tobytes() != endo.tobytes():
+            return None
         size = max(1, CHUNK_ENTRIES // self.group.order)
         start = row - row % size
-        if self._chunk is None or self._chunk[:2] != (f, start):
-            rows = slice(start, start + size)
-            self._chunk = (f, start, *self._build(f, bfs[rows], self.endos[ids[rows]]))
-        _, _, images, is_rb, cond = self._chunk
+        if self._chunk is None or self._chunk[0] != start:
+            self._chunk = (start, *self._checked_build(self._plan[start:start + size]))
+        start, ok, images, is_rb, cond = self._chunk
         i = row - start
-        if i == len(images) - 1:
+        if i == len(ok) - 1:
             self._chunk = None
+        if not ok[i]:
+            return None
         return images[i].astype(np.int64), bool(is_rb[i]), bool(cond[i])
 
-    def _build(self, f, bfs, bas):
-        """(images, is_rb, condition) for the rows (f, bfs[r], bas[r]),
-        ``bas`` an r x |A| positional array, with the images as table
-        entries: B(f^j a) = B(f)^j BA(a) by one gather over f's
-        transversal cells, the commutator criterion [Im(B~), f] ⊆ ker(B)
-        by one masked ``any``, B([B~(g), f]) = e for every g (both in
-        blocks of ``_BLOCK_ENTRIES``), and the identity by one
-        ``_first_failures`` call on all rows."""
-        G, A, n = self.group, self.a, self.group.order
-        j, p = self.layout(f)
-        comm = G.mul_vec(G.inverse[G.row(f)], G.col(f))      # [x, f] = (f x)^-1 (x f)
+    def _checked_build(self, rows):
+        """(ok, images, is_rb, condition) for the planned rows (f, index
+        into ``endos``, B(f)): ok[i] when row i passes ``_passes``, then
+        one ``_build`` of all rows, with a row that fails replaced by one
+        that passes."""
+        ok = self._passes(*rows.T)
+        if not ok.all():
+            if not ok.any():
+                return ok, None, None, None
+            rows = np.where(ok[:, None], rows, rows[ok.argmax()])
+        return (ok, *self._build(*rows.T, self.endos))
+
+    def _passes(self, fs, ids, bfs):
+        """Whether each row (fs[r], endos[ids[r]], bfs[r]) passes the
+        checks of ``_check_datum`` and the wrap-around BA(f^o) = B(f)^o,
+        all rows at once."""
+        n, m = self.group.order, self.a.order
+        ok = (fs >= 0) & (fs < n) & (bfs >= 0) & (bfs < n)
+        f, bf = np.where(ok, fs, 0), np.where(ok, bfs, 0)
+        used, which = np.unique(ids, return_inverse=True)
+        ok &= (self.pos[bf] >= 0) & (self.expo[f] * m == n) & \
+            self.endomorphism_checks(self.endos[used])[1][which]
+        o = np.where(ok, self.expo[f], 0)
+        return ok & (self.endos[ids, self.pos[self.tops[f]]] == self.powers[o, self.pos[bf]])
+
+    def _build(self, fs, ids, bfs, endos):
+        """(images, is_rb, condition) for the rows (fs[r], endos[ids[r]],
+        bfs[r]), with the images as table entries: B(f^j a) = B(f)^j BA(a)
+        by one gather over each row's transversal cells (``layouts`` of
+        its f), the commutator criterion [Im(B~), f] ⊆ ker(B) by one
+        masked ``any`` on each row's commutators [x, f], both in blocks
+        of ``_BLOCK_ENTRIES``, and the identity by ``_walk``, which is
+        exact at every order (``rb`` module docstring), in blocks of
+        ``_BLOCK_ENTRIES // (n·n.bit_length())`` rows, which bound the
+        permutations the walk keeps."""
+        G, A, n, m = self.group, self.a, self.group.order, self.a.order
+        fset, which = np.unique(fs, return_inverse=True)
+        js, ps = self.layouts(fset)
+        js *= m
+        comm = G.mul_vec(G.inverse[G.row(fset)], G.col(fset).T)     # [x, f] = (f x)^-1 (x f)
+        images = np.empty((len(fs), n), dtype=np.uint16)
+        cond = np.empty(len(fs), dtype=bool)
         step = max(1, _BLOCK_ENTRIES // n)
-        images, cond = [], []
-        for s in range(0, len(bfs), step):
-            bfj = A.members[self.powers[j, self.pos[bfs[s:s + step]][:, None]]]   # B(f)^j
-            block = G.products(bfj * n + A.members[bas[s:s + step, p]])
+        for s in range(0, len(fs), step):
+            w = which[s:s + step]
+            bfj = self.powers.take(js[w] + self.pos[bfs[s:s + step]][:, None])     # B(f)^j
+            ba = endos.take(ps[w] + (ids[s:s + step] * m)[:, None])                  # BA(a)
+            block = images[s:s + step]
+            block[:] = G.products(A.members[bfj] * n + A.members[ba])
             bt = G.products(G.inverse * n + block[:, G.inverse])   # B~(g) = g^-1 B(g^-1)
-            cond.append(~np.take_along_axis(block, comm.take(bt), axis=1).any(axis=1))
-            images.append(block)
-        images = np.concatenate(images)
-        is_rb = np.ones(len(images), dtype=bool)
-        is_rb[list(_first_failures(G, images))] = False
-        return images, is_rb, np.concatenate(cond)
+            cond[s:s + step] = ~np.take_along_axis(
+                block, comm.take(bt + w[:, None] * n), axis=1).any(axis=1)
+        del bfj, ba, bt         # the last block's temporaries, before the walk
+        rows = max(1, _BLOCK_ENTRIES // (n * n.bit_length()))
+        is_rb = ~np.concatenate([_walk(G, images[r:r + rows])[0]
+                                 for r in range(0, len(images), rows)])
+        return images, is_rb, cond
 
 
 def _check_datum(data: ExtensionData, frame: _ExtensionFrame):
@@ -354,13 +398,13 @@ def _check_datum(data: ExtensionData, frame: _ExtensionFrame):
         raise InputFormatError(f"f must be an element index in [0, {G.order})")
     if not 0 <= bf < G.order or frame.pos[bf] < 0:
         raise InputFormatError("B(f) does not lie in A")
-    in_range, is_hom = frame.endomorphism_checks(data.ba_images)
-    if not in_range:
+    in_range, is_hom = frame.endomorphism_checks(data.ba_images[None])
+    if not in_range[0]:
         raise InputFormatError("BA must be a positional image array over A")
     o = int(frame.expo[f])
     if o * A.order != G.order:
         raise InputFormatError("A and f do not generate the group")
-    if not is_hom:
+    if not is_hom[0]:
         raise InputFormatError("BA is not a homomorphism of A")
     return o
 
@@ -372,8 +416,10 @@ def extension_construct(data: ExtensionData):
     Returns (candidate, is_rb, condition_holds) where candidate is the
     built map, is_rb comes from full verification, and condition_holds
     is [Im(B~), f] ⊆ ker(B).  The two flags always agree; disagreement
-    raises.  The map and flags of a searched datum come from its
-    frame's batch (``_ExtensionFrame.built``).
+    raises.  A searched datum that still matches its planned row takes
+    its map and flags from its frame's chunk, whose rows were checked
+    and built together (``_ExtensionFrame.planned``); any other datum is
+    checked and built on its own, as a batch of one.
     """
     G = data.group
     A = data.a
@@ -381,12 +427,17 @@ def extension_construct(data: ExtensionData):
     frame = data._frame
     if frame is None or frame.group is not G or frame.a is not A:
         frame = _ExtensionFrame(G, A)
-    o = _check_datum(data, frame)
-    # well-definedness across the wrap-around f^o ∈ A: BA(f^o) = B(f)^o
-    if data.ba_images[frame.pos[frame.tops[f]]] != frame.powers[o, frame.pos[bf]]:
-        raise InputFormatError("BA(f^o) differs from B(f)^o; "
-                               "the map is not well defined")
-    images, is_rb, cond = frame.built(data)
+    built = frame.planned(data, f, bf)
+    if built is None:
+        o = _check_datum(data, frame)
+        # well-definedness across the wrap-around f^o ∈ A: BA(f^o) = B(f)^o
+        if data.ba_images[frame.pos[frame.tops[f]]] != frame.powers[o, frame.pos[bf]]:
+            raise InputFormatError("BA(f^o) differs from B(f)^o; "
+                                   "the map is not well defined")
+        images, is_rb, cond = frame._build(np.array([f]), np.zeros(1, dtype=np.int64),
+                                           np.array([bf]), data.ba_images[None])
+        built = images[0].astype(np.int64), bool(is_rb[0]), bool(cond[0])
+    images, is_rb, cond = built
     if is_rb != cond:
         raise PropertyFailure("extension-iff-violated",
                               witness={"is_rb": is_rb, "condition": cond})
@@ -441,17 +492,19 @@ def extension_search(G) -> list[ExtensionData]:
         endos = _endomorphism_images(Agrp)
         if len(out) + fs.size * len(endos) * A.order > EXTENSION_BUDGET:
             raise ResourceCapError("extension search exceeds its budget")
-        frame.endos = np.array(endos, dtype=np.int64).reshape(len(endos), A.order)
-        for f in fs:
+        copy = np.array(endos, dtype=np.int64).reshape(len(endos), A.order)
+        first, rows = len(out), []
+        for f in fs.tolist():
             bf_pow = G.pow_vec(A.members, int(expo[f]))
-            fo_pos = frame.pos[tops[f]]
-            rows = [(e, int(bf)) for e, ba in enumerate(endos)
-                    for bf in A.members[bf_pow == A.members[ba[fo_pos]]]]
-            frame.plan(int(f), rows)
-            for r, (e, bf) in enumerate(rows):
-                data = ExtensionData(group=G, a=A, f=int(f), ba_images=endos[e], bf=bf)
-                data._frame, data._row = frame, r
+            # the (BA, B(f)) with B(f)^o = BA(f^o), by BA and then B(f)
+            es, at = np.nonzero(A.members[copy[:, frame.pos[tops[f]]]][:, None] == bf_pow)
+            bfs = A.members[at]
+            rows.append(np.stack([np.full(es.size, f), es, bfs], axis=1))
+            for e, bf in zip(es.tolist(), bfs.tolist()):
+                data = ExtensionData(group=G, a=A, f=f, ba_images=endos[e], bf=bf)
+                data._frame, data._row = frame, len(out) - first
                 out.append(data)
+        frame.plan(copy, rows)
     return out
 
 

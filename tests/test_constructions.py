@@ -463,20 +463,29 @@ def test_extension_datum_built_twice_and_candidate_changed(paper16_sweep):
     assert [_outcome(d) for d in data] == paper16_sweep
 
 
+def _spy_on_builds(monkeypatch):
+    """Record the rows (fs, ids, bfs) and the images of every
+    ``_ExtensionFrame._build`` call."""
+    from rbgroups import constructions
+    builds = []
+    build = constructions._ExtensionFrame._build
+
+    def spy(self, fs, ids, bfs, endos):
+        out = build(self, fs, ids, bfs, endos)
+        builds.append((self.group, fs, out[0]))
+        return out
+    monkeypatch.setattr(constructions._ExtensionFrame, "_build", spy)
+    return builds
+
+
 @pytest.mark.parametrize("chunk", [None, 5, 64])
 def test_extension_sweep_checks_each_planned_chunk_once(monkeypatch, chunk):
-    # one _first_failures call per chunk of a frame's planned rows of
-    # one f, every datum in exactly one of them, and no verify_rb
+    # one _build per chunk of a frame's planned rows, a chunk spanning
+    # the frame's f, every datum in exactly one of them, and no verify_rb
     from rbgroups import constructions
     if chunk is not None:
         monkeypatch.setattr(constructions, "CHUNK_ENTRIES", 16 * chunk)
-    calls = []
-    kernel = constructions._first_failures
-
-    def spy(G, B):
-        calls.append(len(B))
-        return kernel(G, B)
-    monkeypatch.setattr(constructions, "_first_failures", spy)
+    builds = _spy_on_builds(monkeypatch)
     monkeypatch.setattr(constructions, "verify_rb",
                         lambda *a: pytest.fail("verify_rb called per datum"))
     data = rb.extension_search(rb.named_group("paper16"))
@@ -484,9 +493,145 @@ def test_extension_sweep_checks_each_planned_chunk_once(monkeypatch, chunk):
     size = constructions.CHUNK_ENTRIES // 16
     rows = {}
     for d in data:
-        rows[id(d._frame), d.f] = rows.get((id(d._frame), d.f), 0) + 1
-    assert len(calls) <= sum(-(-k // size) for k in rows.values())
-    assert sum(calls) == len(data) == 6656 and sum(flags) == 2240
+        rows[id(d._frame)] = rows.get(id(d._frame), 0) + 1
+    assert len(builds) <= sum(-(-k // size) for k in rows.values())
+    assert sum(len(fs) for _, fs, _ in builds) == len(data) == 6656
+    assert sum(flags) == 2240
+
+
+def test_extension_chunk_across_f_changes_no_outcome(monkeypatch, paper16_sweep):
+    # 7 rows a chunk: chunks cross the boundaries between f of a frame
+    from rbgroups import constructions
+    monkeypatch.setattr(constructions, "CHUNK_ENTRIES", 16 * 7)
+    builds = _spy_on_builds(monkeypatch)
+    assert [_outcome(d) for d in rb.extension_search(rb.named_group("paper16"))] \
+        == paper16_sweep
+    assert any(np.unique(fs).size > 1 for _, fs, _ in builds)
+
+
+def _hand_made(data):
+    """A datum of the same values as ``data``, with no frame and a copy
+    of its BA, so that it is checked and built on its own."""
+    return ExtensionData(group=data.group, a=data.a, f=data.f,
+                         ba_images=data.ba_images.copy(), bf=data.bf)
+
+
+@pytest.mark.parametrize("ident", ["paper16", "elemabelian:2:3", "cyclic:24", "cyclic:32"])
+def test_extension_sweep_matches_one_datum_path(ident):
+    # oracle: every searched datum's map and flags equal those of a
+    # hand-made datum of the same values, and verify_rb's verdict
+    G = rb.named_group(ident)
+    for data in rb.extension_search(G):
+        cand, is_rb, cond = rb.extension_construct(data)
+        alone, is_rb_alone, cond_alone = rb.extension_construct(_hand_made(data))
+        assert np.array_equal(cand.images, alone.images)
+        assert (is_rb, cond) == (is_rb_alone, cond_alone)
+        assert is_rb == rb.verify_rb(G, cand.images).ok
+
+
+def _spy_on_one_datum_path(monkeypatch):
+    from rbgroups import constructions
+    checked = []
+    check = constructions._check_datum
+
+    def spy(data, frame):
+        checked.append(data)
+        return check(data, frame)
+    monkeypatch.setattr(constructions, "_check_datum", spy)
+    return checked
+
+
+@pytest.mark.parametrize("change", ["row", "f"])
+def test_extension_datum_off_its_row_takes_one_datum_path(monkeypatch, paper16_sweep, change):
+    # a datum whose _row points at another datum's row, or whose f was
+    # changed to another f of its frame, is checked and built on its
+    # own: its result is that of a hand-made datum of its values
+    checked = _spy_on_one_datum_path(monkeypatch)
+    data = rb.extension_search(rb.named_group("paper16"))
+    i = len(data) // 2 + 2
+    j = next(j for j, d in enumerate(data) if d._frame is data[i]._frame
+             and d.f != data[i].f)
+    if change == "row":
+        data[i]._row = data[j]._row
+    else:
+        data[i].f = data[j].f
+    expected = _outcome(_hand_made(data[i]))
+    checked.clear()
+    got = [_outcome(d) for d in data]
+    assert checked == [data[i]]
+    assert got[i] == expected
+    assert got[:i] + got[i + 1:] == paper16_sweep[:i] + paper16_sweep[i + 1:]
+
+
+@pytest.mark.parametrize("ident", ["cyclic:24", "cyclic:32", "elemabelian:2:3",
+                                   "dihedral:24", "dihedral:32", "paper16"])
+def test_extension_walk_matches_least_failures(monkeypatch, ident):
+    # the sweep's exact verdicts come from _walk, which finds no least
+    # witness; on every row it builds they are _least_failures' verdicts
+    from rbgroups.rb import _least_failures, _walk
+    builds = _spy_on_builds(monkeypatch)
+    data = rb.extension_search(rb.named_group(ident))
+    for d in data:
+        rb.extension_construct(d)
+    assert sum(len(fs) for _, fs, _ in builds) == len(data)
+    for G, _, images in builds:
+        failed = np.zeros(len(images), dtype=bool)
+        failed[list(_least_failures(G, images))] = True
+        assert np.array_equal(_walk(G, images)[0], failed)
+
+
+def _breaks_wrap_around(data, bf):
+    """Whether B(f) = bf breaks BA(f^o) = B(f)^o for the datum's f and BA."""
+    G, A, f = data.group, data.a, int(data.f)
+    o = G.order // A.order
+    top = A.members.tolist().index(G.power(f, o))
+    return A.members[data.ba_images[top]] != G.power(int(bf), o)
+
+
+@pytest.mark.parametrize("change,message", [
+    ("bf-outside-a", "B(f) does not lie in A"),
+    ("f-in-a", "A and f do not generate the group"),
+    ("ba-not-hom", "BA is not a homomorphism of A"),
+    ("wrap-around", "BA(f^o) differs from B(f)^o"),
+])
+def test_extension_planned_row_failing_a_check(monkeypatch, paper16_sweep, change, message):
+    # a planned row that fails the chunk's checks (here a row of the
+    # plan and its datum changed together) sends its datum to the
+    # one-datum path and its error; the chunk's other rows keep theirs
+    checked = _spy_on_one_datum_path(monkeypatch)
+    data = rb.extension_search(rb.named_group("paper16"))
+    i = len(data) // 2 + 2
+    if change == "wrap-around":     # the first datum from i on with a B(f) in A that breaks it
+        i, broken = next((k, int(g)) for k in range(i, len(data)) for g in data[k].a.members
+                         if _breaks_wrap_around(data[k], g))
+    d, frame = data[i], data[i]._frame
+    plan = frame._plan[d._row]
+    if change == "bf-outside-a":
+        d.bf = plan[2] = next(g for g in range(16) if frame.pos[g] < 0)
+    elif change == "f-in-a":
+        d.f = plan[0] = d.a.members[1]
+    elif change == "wrap-around":
+        d.bf = plan[2] = broken
+    else:                       # B(a) != e for one a only: not a homomorphism
+        bad = np.zeros_like(d.ba_images)
+        bad[1] = 1
+        frame.endos = np.vstack([frame.endos, bad])
+        plan[1] = len(frame.endos) - 1
+        d.ba_images = bad
+    checked.clear()
+    got = [_outcome(e) for e in data]
+    assert checked == [d]
+    assert got[i].startswith(message)
+    assert got[:i] + got[i + 1:] == paper16_sweep[:i] + paper16_sweep[i + 1:]
+
+
+def test_extension_data_carry_no_instance_dict():
+    G = rb.named_group("paper16")
+    searched = rb.extension_search(G)[0]
+    for data in (searched, _hand_made(searched)):
+        assert not hasattr(data, "__dict__")
+        with pytest.raises(AttributeError):
+            data.note = 1
 
 
 # (instance count, digest of the (h, k, h1, k1, r, t) tuples in order), as
