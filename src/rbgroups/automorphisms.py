@@ -39,15 +39,12 @@ import itertools
 import numpy as np
 
 from .errors import ResourceCapError
-from .groups import _closure_members, _permutation_closure
+from .groups import CHUNK_ENTRIES, _closure_members, _permutation_closure
 from .maps import GroupMap
 
 #: the most Cayley-edge checks an automorphism or isomorphism search may
 #: plan before it starts; a larger search is refused
 NODE_BUDGET = 10 ** 8
-#: the image-table entries (rows x |G|) of one batched extension pass:
-#: candidates are extended ``CHUNK_ENTRIES // |G|`` rows at a time
-CHUNK_ENTRIES = 2 ** 16
 
 
 def _extend_batch(G, H, srcs, rows):
@@ -118,19 +115,20 @@ def class_fingerprints(G):
     return classes, cid, fps
 
 
-def _elem_fps(G):
-    classes, cid, fps = class_fingerprints(G)
+def _elem_fps(G, fingerprints):
+    classes, cid, fps = fingerprints
     return [fps[cid[x]] for x in range(G.order)]
 
 
-def _base(G):
+def _base(G, fingerprints):
     """The base (x, y) of G, or None when G has none.
 
     x is the least element of the first non-identity conjugacy class
     that no automorphism can move (its class fingerprint is unique) and
     that generates G together with some y; y is the first such element.
+    ``fingerprints`` is ``class_fingerprints(G)``.
     """
-    classes, _, fps = class_fingerprints(G)
+    classes, _, fps = fingerprints
     counts = {}
     for f in fps:
         counts[f] = counts.get(f, 0) + 1
@@ -177,11 +175,21 @@ def _homomorphisms_by_images(G, H, gens, cand_lists, what):
     yield from _extensions(G, H, gens, itertools.product(*cand_lists))
 
 
-def _candidates(G, H, gens):
-    """For each of ``gens``, the elements of H with its class fingerprint."""
-    fps_G = _elem_fps(G)
-    fps_H = fps_G if H is G else _elem_fps(H)
+def _candidates(G, H, gens, fingerprints):
+    """For each of ``gens``, the elements of H with its class fingerprint;
+    ``fingerprints`` as for ``_base``."""
+    fps_G = _elem_fps(G, fingerprints)
+    fps_H = fps_G if H is G else _elem_fps(H, class_fingerprints(H))
     return [[x for x in range(1, H.order) if fps_H[x] == fps_G[g]] for g in gens]
+
+
+def _search_start(G, H):
+    """(gens, cands): the generators a search from G to H sends, G's
+    base or else its generating set, and ``_candidates`` for them, with
+    G's class fingerprints built once for both."""
+    fingerprints = class_fingerprints(G)
+    gens = _base(G, fingerprints) or G.find_generating_set()
+    return gens, _candidates(G, H, gens, fingerprints)
 
 
 def _bijections_by_images(G, H, gens, cand_lists, what):
@@ -228,8 +236,7 @@ def _aut_search(G):
     conjugation sends the search generators to the same images; and
     ``order`` is |Aut(G)|, the product over the levels of the final
     orbit sizes (orbit-stabilizer)."""
-    gens = _base(G) or G.find_generating_set()
-    cands = _candidates(G, G, gens)
+    gens, cands = _search_start(G, G)
     inner = [G.conjugation_map(g) for g in G.find_generating_set()]
     kept = []
     order = 1
@@ -284,8 +291,7 @@ def find_isomorphism(G, H):
     backtracking; ResourceCapError when the search is refused."""
     if G.order != H.order or G.fingerprint() != H.fingerprint():
         return None
-    gens = _base(G) or G.find_generating_set()
-    cands = _candidates(G, H, gens)
+    gens, cands = _search_start(G, H)
     for _, img in _bijections_by_images(G, H, gens, cands, "isomorphism"):
         return GroupMap(G, H, img)
     return None

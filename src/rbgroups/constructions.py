@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automorphisms import (CHUNK_ENTRIES, _homomorphisms_by_images,
-                            extend_by_generator_images)
+from .automorphisms import _homomorphisms_by_images, extend_by_generator_images
 from .catalog import named_group
 from .errors import InputFormatError, PropertyFailure, ResourceCapError
-from .groups import _closure_members, _first_powers
+from .groups import CHUNK_ENTRIES, _closure_members, _first_powers
 from .maps import GroupMap
 from .rb import _BLOCK_ENTRIES, RBOperator, _walk, btilde, make_rb, verify_rb
 from .subgroups import (Factorization, Subgroup, all_subgroups, closure,
@@ -194,7 +193,7 @@ def lemma_r2_search(G) -> list[LemmaR2Instance]:
     return out
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class ExtensionData:
     """Data for the abelian-extension construction: G = <A, f> with A
     normal abelian, an endomorphism of A (positional over A.members),
@@ -211,7 +210,8 @@ class ExtensionData:
     group and frame.a is a``; otherwise (hand-made data, or a datum
     whose group or A was replaced) it builds and checks a new one.
     Slotted, so that the hundreds of thousands of data a search may
-    return carry no per-instance dict.
+    return carry no per-instance dict.  Data compare by identity, since
+    ``ba_images`` is an array.
     """
 
     group: object
@@ -219,8 +219,8 @@ class ExtensionData:
     f: int
     ba_images: np.ndarray       # positions into a.members
     bf: int                     # parent index, must lie in A
-    _frame: object = field(default=None, init=False, repr=False, compare=False)
-    _row: int = field(default=None, init=False, repr=False, compare=False)
+    _frame: object = field(default=None, init=False, repr=False)
+    _row: int = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.ba_images = np.asarray(self.ba_images, dtype=np.int64)

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .automorphisms import (CHUNK_ENTRIES, NODE_BUDGET, aut_generators,
-                            automorphism_group, find_isomorphism)
+from .automorphisms import (NODE_BUDGET, aut_generators, automorphism_group,
+                            find_isomorphism)
 from .constructions import splitting_from_exact
 from .errors import InputFormatError, PropertyFailure, ResourceCapError
-from .groups import orbit_labels
+from .groups import CHUNK_ENTRIES, orbit_labels
 from .naming import structure_name
 from .rb import RBOperator, btilde, check_rows, image, is_splitting
 from .subgroups import (Factorization, all_subgroups, exact_factorizations,

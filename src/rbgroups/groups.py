@@ -29,6 +29,13 @@ Element = int
 DENSE_CAP_BYTES = 200 * 1024 * 1024
 #: the largest order whose uint16 table fits DENSE_CAP_BYTES (10240)
 MAX_DENSE_ORDER = math.isqrt(DENSE_CAP_BYTES // 2)
+#: table entries of one block of Light's test (``check_axioms``)
+_AXIOM_BLOCK_ENTRIES = 1 << 15
+#: entries of one batched pass: the masks of the seed scan
+#: (``CHUNK_ENTRIES // |G|`` pairs of one x) and of ``exact_factorizations``
+#: (``CHUNK_ENTRIES // (|right| d1)`` left subgroups of order d1), and
+#: the image tables (rows x |G|) of the automorphism and extension searches
+CHUNK_ENTRIES = 1 << 16
 
 
 class FiniteGroup:
@@ -277,27 +284,32 @@ class FiniteGroup:
         set found from the table itself (not from ``gens``).  The s that
         pass are closed under products, and the left-normed products of
         that set reach every element, so the test is exact.  It reads
-        blocks of isqrt(n) rows, so no temporary is as large as the
-        table.  Each s is tested once kept; the kept s that pass generate
-        a group if every row is a permutation, so each at least doubles
-        it, and more than log2(n) of them refuse the table.  An
-        associative table with identity is a Latin square exactly when 0
-        lies in every row, since a monoid in which every element has a
-        right inverse is a group.  Stored ``gens`` must generate.
+        blocks of max(1, ``_AXIOM_BLOCK_ENTRIES`` // n) rows, sized by
+        entries so that each temporary of a block is at most 64 KiB at
+        every order: under glibc's default mmap threshold of 128 KiB,
+        past which every allocation is a fresh mapping, faulted in page
+        by page and unmapped on free.  Each s is tested once kept; the
+        kept s that pass generate a group if every row is a permutation,
+        so each at least doubles it, and more than log2(n) of them refuse
+        the table.  An associative table with identity is a Latin square
+        exactly when 0 lies in every row, since a monoid in which every
+        element has a right inverse is a group.  Stored ``gens`` must
+        generate.
         """
         n = self.order
         t = self._table
         ar = np.arange(n)
         if not ((t[0] == ar).all() and (t[:, 0] == ar).all()):
             raise InputFormatError("index 0 is not the identity")
-        rows = math.isqrt(n)
+        rows = max(1, _AXIOM_BLOCK_ENTRIES // n)
         for kept, s in enumerate(_greedy_generators(self, range(1, n)), 1):
             if 2 ** kept > n:
                 raise InputFormatError("table is not a Latin square")
+            right, left = t[:, s].astype(np.intp), t[s].astype(np.intp)
             for start in range(0, n, rows):
-                blk = t[start:start + rows]
                 # rows of (x s) y against x (s y), for x in the block
-                if not np.array_equal(t[blk[:, s]], np.take(blk, t[s], axis=1)):
+                if not np.array_equal(t[right[start:start + rows]],
+                                      t[start:start + rows].take(left, axis=1)):
                     raise InputFormatError("multiplication is not associative")
         # self.inverse[x] is where row x takes its least value
         if (t[ar, self.inverse] != 0).any():

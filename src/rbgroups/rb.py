@@ -50,12 +50,13 @@ from .subgroups import Subgroup, is_normal, product_set
 _BLOCK_ENTRIES = 8192
 
 
-@dataclass
+@dataclass(eq=False)
 class RBOperator:
     """A candidate Rota-Baxter operator: images[g] = B(g).
 
     ``provenance`` records how (or whether) the defining identity was
-    checked: {"mode": "unchecked" | "full", ...}.
+    checked: {"mode": "unchecked" | "full", ...}.  Operators compare
+    by identity; ``key()`` compares them by value.
     """
 
     group: FiniteGroup

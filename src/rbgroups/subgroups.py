@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError, PropertyFailure, ResourceCapError
-from .groups import (FiniteGroup, _closure_members, _greedy_generators,
-                     orbit_labels)
+from .groups import (CHUNK_ENTRIES, FiniteGroup, _closure_members,
+                     _greedy_generators, orbit_labels)
 
 #: orders of the nonabelian simple groups below NEXT_SIMPLE_ORDER, by the
 #: classification of finite simple groups: PSL(2, q) for the prime powers
@@ -53,11 +53,6 @@ NEXT_SIMPLE_ORDER = 12180
 #: with ResourceCapError, about 600 MB of them; (Z2)^9 has 8,283,458
 #: subgroups, and psl2:23 5,915
 LATTICE_CAP = 1 << 20
-#: mask entries of one batched pass: the seed scan closes the pairs of
-#: one x ``CHUNK_ENTRIES // |G|`` at a time, and ``exact_factorizations``
-#: meets ``CHUNK_ENTRIES // (|right| d1)`` left subgroups of order d1
-#: at a time with the right ones
-CHUNK_ENTRIES = 1 << 16
 
 
 def _factorint(n):

@@ -69,7 +69,8 @@ def aut_by_backtracking(G):
     gens = G.find_generating_set()
     conj = [G.conjugate_all(g).tolist() for g in gens]
     inner = {tuple(v[t] for v in conj) for t in range(G.order)}
-    cands = automorphisms._candidates(G, G, gens)
+    cands = automorphisms._candidates(G, G, gens,
+                                      automorphisms.class_fingerprints(G))
     return [rb.GroupMap(G, G, img, inner=choice in inner) for choice, img
             in automorphisms._bijections_by_images(G, G, gens, cands, "automorphism")]
 
@@ -155,8 +156,9 @@ def test_homomorphism_stream_longer_than_one_chunk(ident, extend_one):
     # x pinned, every candidate for y: more rows than one chunk holds,
     # yielded in product order, as the oracle finds them one by one
     G = rb.named_group(ident)
-    x, y = automorphisms._base(G)
-    cands = [[x], automorphisms._candidates(G, G, (x, y))[1]]
+    fps = automorphisms.class_fingerprints(G)
+    x, y = automorphisms._base(G, fps)
+    cands = [[x], automorphisms._candidates(G, G, (x, y), fps)[1]]
     assert len(cands[1]) > automorphisms.CHUNK_ENTRIES // G.order
     got = list(automorphisms._homomorphisms_by_images(G, G, (x, y), cands, "test"))
     want = [(c, img) for c in itertools.product(*cands)
@@ -294,9 +296,8 @@ def test_level_inside_the_orbit_is_not_refused(monkeypatch):
     # maps, so the level of x searches nothing: a budget that its pinned
     # lists would exceed is not checked there, only at the level of y
     G = rb.named_group("psl2:7")
-    gens = automorphisms._base(G)
+    gens, cands = automorphisms._search_start(G, G)
     x = gens[0]
-    cands = automorphisms._candidates(G, G, gens)
     assert set(cands[0]) <= {int(c) for c in G.conjugate_all(x)}
     want = [(a.key(), a.inner) for a in rb.aut_generators(G)]
     level_y = G.order * len(gens)      # one choice per candidate of y
@@ -385,7 +386,7 @@ def test_find_isomorphism_without_base_uses_stored_generators(monkeypatch):
     G = rb.FiniteGroup.from_table(P.mul_block(np.arange(16), np.arange(16)),
                                   name="paper16-3gens", gens=(1, 4, 8))
     assert G.find_generating_set() == (1, 4, 8)
-    assert automorphisms._base(G) is None
+    assert automorphisms._base(G, automorphisms.class_fingerprints(G)) is None
     searched = []
     real = automorphisms._bijections_by_images
 
@@ -400,3 +401,19 @@ def test_find_isomorphism_without_base_uses_stored_generators(monkeypatch):
         assert phi.is_bijective()
         assert phi.is_homomorphism()
     assert searched == [(1, 4, 8), (1, 4, 8)]
+
+
+def test_searches_build_each_groups_class_fingerprints_once(monkeypatch):
+    built = []
+    real = automorphisms.class_fingerprints
+    monkeypatch.setattr(automorphisms, "class_fingerprints",
+                        lambda G: built.append(G) or real(G))
+    G, H = rb.named_group("dihedral:8"), rb.named_group("dihedral:8")
+    assert G is not H
+    for _ in range(2):
+        built.clear()
+        assert rb.find_isomorphism(G, H) is not None
+        assert built == [G, H]
+    built.clear()
+    rb.aut_generators(G)
+    assert built == [G]

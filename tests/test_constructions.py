@@ -287,6 +287,15 @@ def _paper16_data(**changes):
     return ExtensionData(**kw)
 
 
+def test_extension_data_compare_by_identity():
+    data, twin = _paper16_data(), _paper16_data()
+    assert (data == twin) is False and (data == data) is True
+    assert data in [twin, data] and twin not in [data]
+    found = rb.extension_search(rb.named_group("cyclic:4"))
+    assert all(d in found for d in found)
+    assert [found.index(d) for d in found] == list(range(len(found)))
+
+
 BAD_DATA = [
     pytest.param({"f": 2}, "A and f do not generate the group",
                  id="f-in-a"),

@@ -233,9 +233,11 @@ def _intercalate_swaps(t):
                         yield u
 
 
-@pytest.mark.parametrize("ident,groups,swaps", [
-    # Z4's one swap, on rows and columns {1, 3}, gives the table of Z2^2
-    ("cyclic:4", 1, 1), ("cyclic:12", 0, 25), ("dihedral:8", 0, 45)])
+# Z4's one swap, on rows and columns {1, 3}, gives the table of Z2^2
+_SWAPS = [("cyclic:4", 1, 1), ("cyclic:12", 0, 25), ("dihedral:8", 0, 45)]
+
+
+@pytest.mark.parametrize("ident,groups,swaps", _SWAPS)
 def test_light_test_matches_oracle_on_intercalate_swaps(ident, groups, swaps):
     verdicts = []
     for u in _intercalate_swaps(_table(rb.named_group(ident))):
@@ -244,7 +246,10 @@ def test_light_test_matches_oracle_on_intercalate_swaps(ident, groups, swaps):
     assert (sum(verdicts), len(verdicts)) == (groups, swaps)
 
 
-@pytest.mark.parametrize("n", [200, 400, 1000])
+_REFUSED_ORDERS = [200, 400, 1000]
+
+
+@pytest.mark.parametrize("n", _REFUSED_ORDERS)
 def test_non_associative_latin_square_refused(n):
     # Z_n with one intercalate swapped: a Latin square with identity 0
     # in which only a small share of the triples fail associativity
@@ -254,6 +259,40 @@ def test_non_associative_latin_square_refused(n):
     t[3, 5 + h] = t[3 + h, 5] = 8
     with pytest.raises(InputFormatError, match="not associative"):
         FiniteGroup.from_table(t)
+
+
+@pytest.mark.parametrize("entries", [1, MAX_DENSE_ORDER ** 2])
+def test_light_test_verdicts_do_not_depend_on_block_size(monkeypatch, entries):
+    # blocks of one row each, or the whole table as one block
+    monkeypatch.setattr(rb.groups, "_AXIOM_BLOCK_ENTRIES", entries)
+    for case in _SWAPS:
+        test_light_test_matches_oracle_on_intercalate_swaps(*case)
+    for n in _REFUSED_ORDERS:
+        test_non_associative_latin_square_refused(n)
+
+
+@pytest.mark.parametrize("n", [1000, 2500])
+def test_defect_in_last_row_refused_past_the_last_full_block(n):
+    # Z_n with two entries of row n - 1 swapped: Light's test with s = 1
+    # fails only for x = n - 2 and x = n - 1, in a last block that is
+    # shorter than the others
+    rows = rb.groups._AXIOM_BLOCK_ENTRIES // n
+    assert n % rows >= 2
+    t = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(np.uint16)
+    t[n - 1, [5, 6]] = t[n - 1, [6, 5]]
+    with pytest.raises(InputFormatError, match="not associative"):
+        FiniteGroup.from_table(t)
+
+
+def test_light_test_blocks_stay_under_the_mmap_threshold():
+    # glibc maps every allocation of 128 KiB or more on its own, faulted
+    # in page by page; each block gathers two uint16 arrays and compares
+    # them into a bool one, and each generator makes two intp index arrays
+    n = np.arange(1, MAX_DENSE_ORDER + 1)
+    entries = np.maximum(1, rb.groups._AXIOM_BLOCK_ENTRIES // n) * n
+    assert entries.max() * np.dtype(np.uint16).itemsize < 131072
+    assert entries.max() * np.dtype(bool).itemsize < 131072
+    assert MAX_DENSE_ORDER * np.dtype(np.intp).itemsize < 131072
 
 
 def test_left_zero_band_refused_after_few_generators(monkeypatch):

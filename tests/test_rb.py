@@ -526,3 +526,13 @@ def test_batched_check_on_perturbed_operators(monkeypatch, ident, block):
     assert set(np.flatnonzero(walked)) == set(failed)
     for i, B in enumerate(ops):
         assert _walked_columns(G, B).tolist() == T[:, i][T[:, i] >= 0].tolist()
+
+
+def test_operators_compare_by_identity():
+    G = rb.named_group("cyclic:4")
+    e, inv = rb.trivial_e(G), rb.trivial_inv(G)
+    assert (e == inv) is False and (e == e) is True
+    assert e in [inv, e] and inv not in [e]
+    # an operator with the same images is another object; key() compares values
+    twin = rb.trivial_e(G)
+    assert twin not in [e, inv] and twin.key() == e.key()
