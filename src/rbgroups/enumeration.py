@@ -36,7 +36,7 @@ from .groups import CHUNK_ENTRIES, orbit_labels
 from .naming import structure_name
 from .rb import RBOperator, btilde, check_rows, image, is_splitting
 from .subgroups import (Factorization, all_subgroups, exact_factorizations,
-                        is_normal, is_simple, unchecked_quotient)
+                        is_simple, normal_under, unchecked_quotient)
 
 BRUTE_CAP = 24
 BRUTE_ROWS = 1 << 22
@@ -54,20 +54,27 @@ def graph_key(op: RBOperator) -> bytes:
 class _Lattice:
     """Rows over the subgroup list ``subs``, named by id: intersection
     orders, covering rows, kernel lists and quotients, the last two
-    built once each."""
+    built once each.  Each subgroup's containment row is read once and
+    kept as the short array of the ids inside it."""
 
     def __init__(self, G, subs):
         self.G, self.subs = G, subs
         self.orders = np.array([s.order for s in subs], dtype=np.int64)
         self._members = np.concatenate([s.members for s in subs])
         self._starts = np.cumsum(self.orders) - self.orders
+        self._inside = {}
         self._kernels = {}
         self._quotients = {}
 
     def inter_orders(self, a):
-        """|subs[a] ∩ C| for every C."""
-        return np.add.reduceat(self.subs[a].mask()[self._members],
-                               self._starts, dtype=np.int64)
+        """|subs[a] ∩ C| for every C, as int64.
+
+        The bool gather over every C's members is summed in uint16,
+        which is exact: |A ∩ C| <= |G| <= ``MAX_DENSE_ORDER`` = 10,240
+        < 2^16.  The S counts are then widened, since numpy keeps a
+        product of uint16 arrays in uint16, and |G|·|A ∩ C| wraps."""
+        return np.add.reduceat(self.subs[a].mask()[self._members], self._starts,
+                               dtype=np.uint16).astype(np.int64)
 
     def covering_row(self, a):
         """Ids C with A C = G, in ascending order, and their |A ∩ C|."""
@@ -76,13 +83,18 @@ class _Lattice:
         return cs, inter[cs]
 
     def kernels(self, big, r):
-        """Ids of the normal subgroups of index r in subs[big], ascending."""
+        """Ids of the normal subgroups of index r in subs[big], ascending.
+        The conjugation maps of subs[big]'s generators are built once for
+        all of its candidates."""
         if (big, r) not in self._kernels:
-            orders = self.orders
-            mask = (orders * r == orders[big]) & (self.inter_orders(big) == orders)
-            self._kernels[big, r] = [i for i in np.flatnonzero(mask).tolist()
-                                     if is_normal(self.G, self.subs[i],
-                                                  within=self.subs[big])]
+            if big not in self._inside:
+                self._inside[big] = np.flatnonzero(self.inter_orders(big) == self.orders)
+            inside = self._inside[big]
+            cands = inside[self.orders[inside] * r == self.orders[big]].tolist()
+            maps = [self.G.conjugation_map(g)
+                    for g in self.subs[big].gen_elements()] if cands else []
+            self._kernels[big, r] = [i for i in cands
+                                     if normal_under(self.subs[i], maps)]
         return self._kernels[big, r]
 
     def quotient(self, big, small):

@@ -171,10 +171,16 @@ def conjugate_subgroup(G, sub: Subgroup, g) -> Subgroup:
 
 def is_normal(G, sub: Subgroup, within: Subgroup | None = None) -> bool:
     """Is ``sub`` normal in ``within`` (default: all of G)?"""
-    mm = sub.mask()
     gens = within.gen_elements() if within is not None else G.find_generating_set()
-    for g in gens:
-        if not mm[G.conjugation_map(g)[sub.members]].all():
+    return normal_under(sub, (G.conjugation_map(g) for g in gens))
+
+
+def normal_under(sub: Subgroup, maps) -> bool:
+    """Does every conjugation map in ``maps`` send ``sub`` into itself?
+    The maps are read in order, up to the first that does not."""
+    mm = sub.mask()
+    for conj in maps:
+        if not mm[conj[sub.members]].all():
             return False
     return True
 
@@ -528,17 +534,17 @@ def quotient_with_projection(H: Subgroup, N: Subgroup):
 
 def unchecked_quotient(H: Subgroup, N: Subgroup):
     """``quotient_with_projection`` for a caller that has already proved
-    N normal in H; nothing is checked."""
+    N normal in H: N's containment and normality are not checked, but
+    the quotient table is, by ``FiniteGroup.from_table``.  Cosets,
+    positions and the table stay in the Cayley table's uint16; proj is
+    int64."""
     G = H.parent
-    cosets = G.mul_block(H.members, N.members)
-    reps = cosets.min(axis=1)
+    reps = G.row(H.members)[:, N.members].min(axis=1)
     uniq = np.unique(reps)
-    rep_index = {int(r): i for i, r in enumerate(uniq)}
-    proj = np.array([rep_index[int(r)] for r in reps], dtype=np.int64)
-    pos = np.full(G.order, -1, dtype=np.int64)
+    proj = np.searchsorted(uniq, reps)
+    pos = np.zeros(G.order, dtype=np.uint16)
     pos[H.members] = np.arange(H.members.size)
-    prod = G.mul_block(uniq, uniq)
-    qtab = proj[pos[prod]]
+    qtab = proj.astype(np.uint16)[pos[G.row(uniq)[:, uniq]]]
     Q = FiniteGroup.from_table(qtab, name=f"{G.name}|q{H.members.size // N.members.size}")
     return Q, proj
 

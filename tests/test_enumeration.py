@@ -661,8 +661,136 @@ def test_obstruction_allocates_nothing_quadratic():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one int64 S x S matrix is S^2 * 8 bytes (16 MiB here)
-    assert peak < 2 * S * S * 8
+    # one int64 S x S matrix is S^2 * 8 bytes (16 MiB here); the largest
+    # quotient, G / 1, is three |G|^2 uint16 blocks (1 MB each)
+    assert S * S * 8 > 16 << 20
+    assert peak < 4 << 20
+
+
+def test_inter_orders_stay_under_the_mmap_threshold():
+    # glibc maps every allocation of 128 KiB or more on its own, faulted
+    # in page by page; one row gathers a bool per member of every C
+    # (18,421 on symmetric:6) and sums them in uint16
+    G = rb.named_group("symmetric:6")
+    lat = enumeration._Lattice(G, rb.all_subgroups(G))
+    lat.inter_orders(0)
+    tracemalloc.start()
+    try:
+        lat.inter_orders(len(lat.subs) - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lat._members.size > 131072 // 8
+    assert peak < 131072
+
+
+# ----------------------------------------------------------------------
+# lattice rows against oracles
+
+LATTICE_GROUPS = ["symmetric:6", "psl2:11~7", "paper16", "dihedral:16"]
+
+
+def mask_product_rows(G, subs):
+    """Oracle: the S x S intersection orders, by the float32 mask product
+    of ``all_pairs_obstruction``, and the covering matrix."""
+    M = np.stack([s.mask() for s in subs]).astype(np.float32)
+    inter = np.rint(M @ M.T).astype(np.int64)
+    orders = np.array([s.order for s in subs], dtype=np.int64)
+    return inter, orders[:, None] * orders[None, :] == G.order * inter
+
+
+@pytest.mark.parametrize("ident", LATTICE_GROUPS)
+def test_lattice_rows_match_mask_product(ident, relabelled):
+    G = relabelled(ident)
+    lat = enumeration._Lattice(G, rb.all_subgroups(G))
+    inter, cover = mask_product_rows(G, lat.subs)
+    for a in range(len(lat.subs)):
+        assert np.array_equal(lat.inter_orders(a), inter[a])
+        cs, rs = lat.covering_row(a)
+        assert np.array_equal(cs, np.flatnonzero(cover[a]))
+        assert np.array_equal(rs, inter[a, cs])
+    # on symmetric:6 and psl2:11 some covering pair (A = C = G) has
+    # |G| |A ∩ C| past 2^16, where a product left in uint16 would wrap
+    assert G.order <= 16 or (G.order * inter[cover]).max() >= 1 << 16
+
+
+def asked_kernels(G, monkeypatch):
+    """The (big, r) -> ids that the obstruction scan, and for order <= 16
+    the census, ask of ``_Lattice.kernels`` on G."""
+    asked = {}
+    kernels = enumeration._Lattice.kernels
+
+    def spy(lat, big, r):
+        asked[big, r] = kernels(lat, big, r)
+        return asked[big, r]
+
+    monkeypatch.setattr(enumeration._Lattice, "kernels", spy)
+    subs = rb.all_subgroups(G)
+    rb.nonsplitting_obstruction(G, subs=subs)
+    if G.order <= enumeration.ENUM_CAP:
+        rb.enumerate_rb(G)
+    monkeypatch.undo()
+    return subs, asked
+
+
+@pytest.mark.parametrize("ident", LATTICE_GROUPS)
+def test_lattice_kernels_match_is_normal(ident, relabelled, monkeypatch):
+    G = relabelled(ident)
+    subs, asked = asked_kernels(G, monkeypatch)
+    inter, _ = mask_product_rows(G, subs)
+    orders = np.array([s.order for s in subs], dtype=np.int64)
+    assert asked
+    for (big, r), got in asked.items():
+        inside = (inter[:, big] == orders) & (orders * r == orders[big])
+        assert got == [i for i in np.flatnonzero(inside).tolist()
+                       if is_normal(G, subs[i], within=subs[big])]
+    # one conjugation map per generator of each big, not per candidate
+    calls = []
+    conj = G.conjugation_map
+    monkeypatch.setattr(G, "conjugation_map", lambda g: calls.append(g) or conj(g))
+    lat = enumeration._Lattice(G, subs)
+    for big, r in asked:
+        lat.kernels(big, r)
+    assert len(calls) <= sum(len(subs[big].gen_elements()) for big, _ in asked)
+
+
+def int64_quotient(H, N):
+    """Oracle: (table, proj) of H / N by the int64 construction that
+    ``unchecked_quotient`` used before it kept the table's uint16."""
+    G = H.parent
+    reps = G.mul_block(H.members, N.members).min(axis=1)
+    uniq = np.unique(reps)
+    rep_index = {int(r): i for i, r in enumerate(uniq)}
+    proj = np.array([rep_index[int(r)] for r in reps], dtype=np.int64)
+    pos = np.full(G.order, -1, dtype=np.int64)
+    pos[H.members] = np.arange(H.members.size)
+    return proj[pos[G.mul_block(uniq, uniq)]], proj
+
+
+@pytest.mark.parametrize("ident", ["symmetric:6", "paper16", "dihedral:16"])
+def test_unchecked_quotient_matches_int64_construction(ident, monkeypatch):
+    G = rb.named_group(ident)
+    built, checked = [], []
+    quotient = enumeration.unchecked_quotient
+    check = rb.FiniteGroup.check_axioms
+
+    def spy(H, N):
+        built.append((H, N, *quotient(H, N)))
+        return built[-1][2:]
+
+    monkeypatch.setattr(enumeration, "unchecked_quotient", spy)
+    monkeypatch.setattr(rb.FiniteGroup, "check_axioms",
+                        lambda self: checked.append(self) or check(self))
+    rb.nonsplitting_obstruction(G)
+    if G.order <= enumeration.ENUM_CAP:
+        rb.enumerate_rb(G)
+    monkeypatch.undo()
+    assert built
+    for H, N, Q, proj in built:
+        table, want = int64_quotient(H, N)
+        assert proj.dtype == np.int64 and np.array_equal(proj, want)
+        assert Q._table.dtype == np.uint16 and np.array_equal(Q._table, table)
+        assert any(g is Q for g in checked)
 
 
 # conjugacy classes of subgroups, as GAP's ConjugacyClassesSubgroups counts them
